@@ -51,6 +51,7 @@ __all__ = [
     "dist_surrogate_eps",
     "dist_surrogate_cc",
     "dist_oracle",
+    "dist_oracle_many",
     "taylor_remainder_exponent",
 ]
 
@@ -208,6 +209,8 @@ def _flow_coords(
             return e1 * (u_eval(x0[0] + e1 * t, y) + (t * s) ** 2) + c
 
         c = dx2 - e1 * (u_eval(*x0) + s * s / 3.0)  # zeroth guess: flat path
+        c_prev = y_prev = None
+        slope = 1.0  # exact when u ignores x2
         path = np.empty(n + 1)
         for _ in range(60):
             y = x0[1]
@@ -226,9 +229,16 @@ def _flow_coords(
                     f"flow path from {x0} to {x} leaves the field's domain"
                 ) from exc
             miss = x[1] - y
-            c += miss  # dG/dc ~ 1
-            if abs(miss) <= 1e-13 * (1.0 + abs(dx2)):
+            # secant on the endpoint map c -> y(1), whose slope grows like
+            # exp(e1 d2u) / (e1 d2u) and amplifies rounding in y alike
+            if c_prev is not None:
+                slope = (y - y_prev) / (c - c_prev)
+            if abs(miss) <= 1e-13 * (1.0 + abs(dx2)) * max(1.0, slope):
                 break
+            c_prev, y_prev = c, y
+            c += miss / slope
+            if c == c_prev:
+                break  # the step fell below the rounding of c
         return c, path
 
     def e2_at(n: int) -> float:
@@ -336,17 +346,55 @@ def eval_p1(ff: FrozenFrame, x1, x2):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _frozen_coords(ff: FrozenFrame, p: LiftedPoint):
-    """Adapted coordinates of ``p`` for the frozen frame (P1 replaces u)."""
-    # P1 is affine; expand it once into Euclidean coefficients for scalar speed
+def _moments(k: np.ndarray):
+    """``M_j(k) = int_0^1 exp(k (1 - t)) t^j dt`` for j = 0, 1, 2, elementwise.
+
+    Away from zero ``M0 = expm1(k) / k`` and integration by parts gives
+    ``M_j = (j M_{j-1} - 1) / k``; that recurrence cancels as k -> 0, so
+    ``|k| < 1/2`` uses the series ``M_j = j! sum_n k^n / (n + j + 1)!``.
+    """
+    small = np.abs(k) < 0.5
+    kc = np.where(small, 1.0, k)  # keeps the recurrence away from k = 0
+    ks = np.where(small, k, 0.0)
+    closed = [np.expm1(kc) / kc]
+    for j in (1, 2):
+        closed.append((j * closed[-1] - 1.0) / kc)
+    # |k| < 1/2: the terms past n = 17 are below 0.5**18 / 19!
+    series = [math.factorial(j) * sum(ks ** n / math.factorial(n + j + 1) for n in range(18))
+              for j in range(3)]
+    return [np.where(small, a, b) for a, b in zip(series, closed)]
+
+
+def _frozen_coords(ff: FrozenFrame, x1, x2, s):
+    """Adapted coordinates ``(e1, e2, e3)`` of lifted points for the frozen frame.
+
+    With ``P1`` in place of ``u`` the flow of ``e1 X1~ + e2 X2~ + e3 X3~``
+    from ``(x0, 0)`` is linear: ``e1 = (x - x0)_1``, ``e3 = s``, and the
+    vertical offset ``y = g2 - x0_2`` solves
+
+        y' = k y + e1 (u0 + e1 G1 t + s^2 t^2) + eps e2,   y(0) = 0,
+
+    with the Euclidean slopes ``G2 = X2u0 / eps``, ``G1 = X1u0 - u0 G2`` and
+    constant rate ``k = e1 G2``.  Hitting ``y(1) = (x - x0)_2`` gives
+
+        eps e2 = ((x - x0)_2 - e1 (u0 M0 + e1 G1 M1 + s^2 M2)) / M0,
+        M_j = int_0^1 exp(k (1 - t)) t^j dt,
+
+    exact up to rounding, for arrays of ``x1``, ``x2``, ``s`` (broadcast).
+    """
     g2 = ff.x2u0 / ff.epsilon
     g1 = ff.x1u0 - ff.u0 * g2
-    x01, x02, u0 = ff.x0[0], ff.x0[1], ff.u0
+    e1 = np.asarray(x1, dtype=float) - ff.x0[0]
+    dx2 = np.asarray(x2, dtype=float) - ff.x0[1]
+    s = np.asarray(s, dtype=float)
+    m0, m1, m2 = _moments(e1 * g2)
+    c = (dx2 - e1 * (ff.u0 * m0 + e1 * g1 * m1 + s * s * m2)) / m0
+    return e1, c / ff.epsilon, s
 
-    def u_eval(a, b):
-        return u0 + (a - x01) * g1 + (b - x02) * g2
 
-    return _flow_coords(u_eval, ff.x0, (p.x1, p.x2), p.s, ff.epsilon)
+def _gauge_eps(eps: float, e1, e2, e3):
+    mid = np.minimum(e2 * e2, np.abs(eps * e2) ** (2.0 / 3.0))
+    return np.sqrt(e1 * e1 + mid + e3 * e3)
 
 
 def dist_surrogate_eps(ff: FrozenFrame, p: LiftedPoint) -> float:
@@ -354,16 +402,18 @@ def dist_surrogate_eps(ff: FrozenFrame, p: LiftedPoint) -> float:
 
     ``sqrt(e1^2 + min(e2^2, (eps*e2)^(2/3)) + e3^2)`` in frozen adapted
     coordinates: Riemannian at scales where the eps-direction is cheap,
-    step-2 homogeneous below them.
+    step-2 homogeneous below them.  The coordinates are the closed-form
+    flow coordinates of :func:`_frozen_coords`, exact for the frozen model.
     """
-    e1, e2, e3 = _frozen_coords(ff, p)
-    mid = min(e2 * e2, abs(ff.epsilon * e2) ** (2.0 / 3.0))
-    return math.sqrt(e1 * e1 + mid + e3 * e3)
+    return float(_gauge_eps(ff.epsilon, *_frozen_coords(ff, p.x1, p.x2, p.s)))
 
 
 def dist_surrogate_cc(ff: FrozenFrame, p: LiftedPoint) -> float:
-    """Homogeneous gauge ``(e1^6 + (eps*e2)^2 + e3^6)^(1/6)`` (step-2 scaling)."""
-    e1, e2, e3 = _frozen_coords(ff, p)
+    """Homogeneous gauge ``(e1^6 + (eps*e2)^2 + e3^6)^(1/6)`` (step-2 scaling).
+
+    Uses the same closed-form frozen coordinates as :func:`dist_surrogate_eps`.
+    """
+    e1, e2, e3 = _frozen_coords(ff, p.x1, p.x2, p.s)
     return float((e1 ** 6 + (ff.epsilon * e2) ** 2 + e3 ** 6) ** (1.0 / 6.0))
 
 
@@ -450,9 +500,11 @@ def _oracle_sweep(
 def _oracle_meshes(mesh: float, box: tuple[float, float, float]) -> list:
     """The query mesh plus its power-of-two coarsenings up to a fixed cap.
 
-    Anchoring the chain at a cap depending only on the box makes the mesh
-    sets nested under halving, which is what turns per-mesh estimates into a
-    monotone family.
+    Anchoring the chain at the cap ``min(box) / 3``, which depends only on
+    the box, makes the mesh sets nested under halving, which is what turns
+    per-mesh estimates into a monotone family.  A mesh above the cap gets
+    the chain ``[mesh]`` alone, so two such meshes (or one above and its
+    half below the cap) share no sweep and the nesting is lost.
     """
     cap = min(box) / 3.0
     meshes = [mesh]
@@ -478,10 +530,12 @@ def dist_oracle(
 
     Snap rounding means a single sweep is not monotone under mesh halving,
     so the reported value is the minimum over the sweep at ``mesh`` and its
-    power-of-two coarsenings up to a box-dependent cap; the coarsening sets
-    nest under halving, making refinement monotone non-increasing by
-    construction while every contributing sweep remains an upper-bound
-    estimate.
+    power-of-two coarsenings up to the cap ``min(box) / 3``; every
+    contributing sweep remains an upper-bound estimate.  While the coarser
+    mesh of a halving pair is at most that cap the coarsening sets nest, so
+    refinement is monotone non-increasing by construction.  Above the cap
+    the chain is the single sweep at ``mesh`` and halving carries no such
+    guarantee.
 
     ``box`` holds the lattice half-widths per coordinate.  Maneuvers are
     confined to the box, so it must enclose the paths that matter: in
@@ -501,8 +555,9 @@ def dist_oracle_many(
 ) -> list:
     """Oracle distances for many points; each Dijkstra sweep is paid once.
 
-    Same semantics as :func:`dist_oracle` (including the minimum over
-    coarsened sweeps).
+    Same semantics as :func:`dist_oracle`, including the minimum over
+    coarsened sweeps and its monotonicity under mesh halving only while the
+    coarser mesh is at most ``min(box) / 3``.
     """
     best = np.full(len(points), np.inf)
     for m in _oracle_meshes(mesh, box):
@@ -534,38 +589,33 @@ def taylor_remainder_exponent(
     """Log-log slope of ``|u - P1|`` against the frozen gauge around ``x0``.
 
     Grid nodes whose surrogate distance from the base falls inside
-    ``[min(radii), max(radii)]`` contribute one sample each; samples with
-    remainder below ``drop_below`` are discarded (exactly reproduced fields
-    would otherwise poison the regression), and if everything is discarded
-    the fit is reported as ``inf``.  Fewer than ``min_samples`` surviving
-    samples raise ``ValueError``.
+    ``[min(radii), max(radii)]`` contribute one sample each, in row-major
+    order; samples with remainder below ``drop_below`` are discarded (exactly
+    reproduced fields would otherwise poison the regression), and if
+    everything is discarded the fit is reported as ``inf``.  Fewer than
+    ``min_samples`` surviving samples raise ``ValueError``.  The distance is
+    :func:`dist_surrogate_eps` in closed-form frozen coordinates, evaluated
+    for all candidate nodes in one array pass.
     """
     if len(radii) < 2:
         raise ValueError("need at least two radii to bracket a fit window")
     lo, hi = min(radii), max(radii)
     ff = taylor_p1(frame, x0)
-    g = frame.grid
-    X1g, X2g = g.nodes()
+    X1g, X2g = frame.grid.nodes()
     d = np.sqrt((X1g - ff.x0[0]) ** 2 + (X2g - ff.x0[1]) ** 2)
-    cand = np.argwhere((d <= 2.0 * hi) & (d > 0))
-    logs_d, logs_r = [], []
-    n_inside = 0
-    for i, j in cand:
-        p = LiftedPoint(float(X1g[i, j]), float(X2g[i, j]), 0.0)
-        dist = dist_surrogate_eps(ff, p)
-        if not (lo <= dist <= hi):
-            continue
-        n_inside += 1
-        rem = abs(float(frame.u.values[i, j]) - eval_p1(ff, X1g[i, j], X2g[i, j]))
-        if rem < drop_below:
-            continue
-        logs_d.append(math.log(dist))
-        logs_r.append(math.log(rem))
-    if n_inside >= min_samples and not logs_d:
+    cand = (d <= 2.0 * hi) & (d > 0)  # boolean indexing keeps row-major order
+    x1, x2 = X1g[cand], X2g[cand]
+    dist = _gauge_eps(ff.epsilon, *_frozen_coords(ff, x1, x2, 0.0))
+    inside = (lo <= dist) & (dist <= hi)
+    rem = np.abs(frame.u.values[cand] - eval_p1(ff, x1, x2))
+    keep = inside & ~(rem < drop_below)
+    n_inside = int(inside.sum())
+    logs_d, logs_r = np.log(dist[keep]), np.log(rem[keep])
+    if n_inside >= min_samples and logs_d.size == 0:
         return math.inf  # model reproduces u on the whole window
     if len(logs_d) < min_samples:
         raise ValueError(
             f"only {len(logs_d)} usable samples in radius window [{lo}, {hi}]"
         )
-    slope = np.polyfit(np.array(logs_d), np.array(logs_r), 1)[0]
+    slope = np.polyfit(logs_d, logs_r, 1)[0]
     return float(slope)

@@ -1,7 +1,11 @@
 """Frames, lifting, adapted coordinates, and distance gauges."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmingraph import (
     Frame,
@@ -22,6 +26,8 @@ from hmingraph import (
     taylor_p1,
     taylor_remainder_exponent,
 )
+from hmingraph import geometry
+from hmingraph.geometry import FrozenFrame, _flow_coords, _frozen_coords
 
 from conftest import sample
 
@@ -193,6 +199,35 @@ def test_boundary_base_point_rejected():
         taylor_p1(fr, (0.0, 0.5))
 
 
+# ------------------------------------------------- closed-form frozen coords
+
+@pytest.mark.parametrize("k_range", [(-0.49, 0.49), (0.5, 4.0), (-4.0, -0.5)],
+                         ids=["series", "expm1-growing", "expm1-decaying"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_closed_form_matches_the_shooter_on_frozen_frames(k_range, data):
+    # the rate k = e1 d2u of the linear flow ODE selects the moment branch;
+    # beyond |k| ~ 4 the shooter's endpoint map amplifies rounding in y(1)
+    # by about exp(k), so the reference itself stops resolving 1e-9
+    eps = 10.0 ** data.draw(st.floats(-3.0, 0.0), label="log10 eps")
+    e1 = data.draw(st.floats(0.05, 0.5), label="|e1|") * data.draw(st.sampled_from([-1, 1]))
+    k = data.draw(st.floats(*k_range), label="k")
+    d2u = k / e1
+    u0 = data.draw(st.floats(-2.0, 2.0), label="u0")
+    g1 = data.draw(st.floats(-2.0, 2.0), label="d1u")
+    ff = FrozenFrame(x0=(0.5, 1.5), u0=u0, x1u0=g1 + u0 * d2u, x2u0=eps * d2u, epsilon=eps)
+    x = (0.5 + e1, 1.5 + data.draw(st.floats(-0.5, 0.5), label="dx2"))
+    s = data.draw(st.floats(-0.5, 0.5), label="s")
+
+    def u_eval(a, b):
+        return u0 + (a - 0.5) * g1 + (b - 1.5) * d2u
+
+    ref = _flow_coords(u_eval, ff.x0, x, s, eps)
+    got = [float(v) for v in _frozen_coords(ff, x[0], x[1], s)]
+    assert got[0] == ref[0] and got[2] == ref[2]
+    assert abs(got[1] - ref[1]) / max(1.0, abs(ref[1])) <= 1e-9
+
+
 # ------------------------------------------------------------------- gauges
 
 def test_gauges_vanish_at_base_point():
@@ -296,6 +331,55 @@ def test_remainder_order_away_from_the_kink_exceeds_three_halves():
     fr = Frame(GridFunction(g, pauls_graph(X1, X2)), 0.5)
     ex = taylor_remainder_exponent(fr, (3.0, 0.7), (0.05, 0.15))
     assert ex >= 1.5
+
+
+def _per_node_samples(fr, x0, radii, drop_below=1e-14):
+    # the per-node loop over the public gauge and model, in row-major order
+    lo, hi = min(radii), max(radii)
+    ff = taylor_p1(fr, x0)
+    X1, X2 = fr.grid.nodes()
+    logs_d, logs_r = [], []
+    for i in range(X1.shape[0]):
+        for j in range(X1.shape[1]):
+            d = math.hypot(X1[i, j] - ff.x0[0], X2[i, j] - ff.x0[1])
+            if not (0 < d <= 2.0 * hi):
+                continue
+            dist = dist_surrogate_eps(ff, LiftedPoint(float(X1[i, j]), float(X2[i, j]), 0.0))
+            if not (lo <= dist <= hi):
+                continue
+            rem = abs(float(fr.u.values[i, j]) - eval_p1(ff, X1[i, j], X2[i, j]))
+            if rem >= drop_below:
+                logs_d.append(math.log(dist))
+                logs_r.append(math.log(rem))
+    return np.array(logs_d), np.array(logs_r)
+
+
+def _pauls_frame():
+    g = Grid((2.0, 4.0), (0.2, 1.2), 33, 33)
+    X1, X2 = g.nodes()
+    return Frame(GridFunction(g, pauls_graph(X1, X2)), 0.5)
+
+
+@pytest.mark.parametrize("fr, x0", [
+    (frame_of(lambda a, b: a * a, eps=0.5), (0.5, 0.5)),
+    (_pauls_frame(), (3.0, 0.7)),
+], ids=["square", "pauls"])
+def test_remainder_array_pass_matches_the_per_node_loop(fr, x0, monkeypatch):
+    radii = (0.05, 0.15)
+    logs_d, logs_r = _per_node_samples(fr, x0, radii)
+    seen = {}
+    polyfit = np.polyfit
+
+    def spy(x, y, deg):
+        seen["x"], seen["y"] = np.array(x), np.array(y)
+        return polyfit(x, y, deg)
+
+    monkeypatch.setattr(geometry.np, "polyfit", spy)
+    slope = taylor_remainder_exponent(fr, x0, radii)
+    assert len(logs_d) >= 8
+    np.testing.assert_allclose(seen["x"], logs_d, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(seen["y"], logs_r, rtol=1e-12, atol=0)
+    assert abs(slope - polyfit(logs_d, logs_r, 1)[0]) <= 1e-12
 
 
 def test_remainder_fit_needs_enough_samples():
