@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -219,15 +220,33 @@ class _RunLock:
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """Open a sibling temporary file that replaces ``path`` once written.
+
+    ``os.replace`` moves it into place only after the block completes, so an
+    interrupted write leaves the previous artifact (or none), never a
+    truncated one; on an exception the temporary file is removed.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path: Path, header: list, rows) -> None:
-    with open(path, "w") as f:
+    with _replacing(path) as f:
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join("%.17g" % float(v) for v in row) + "\n")
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    with open(path, "w") as f:
+    with _replacing(path) as f:
         json.dump(obj, f, sort_keys=True, indent=2)
         f.write("\n")
 

@@ -24,10 +24,11 @@ solutions with exactly zero residual.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 
 from .geometry import Frame, apply_x1, apply_x2
 from .grid import GridFunction, require_same_grid
@@ -241,44 +242,61 @@ def interior_index_maps(n1: int, n2: int):
     return interior_flat, inv
 
 
-def _offset_matrix(frame: Frame, D: dict) -> tuple[csr_matrix, csr_matrix]:
+# the keys of every offset dict, in the order their values are laid out
+_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+@functools.lru_cache(maxsize=8)
+def _offset_pattern(n1: int, n2: int):
+    """CSR structure of the interior and boundary blocks on an ``n1 x n2`` grid.
+
+    The values of a 9-offset operator are laid out as the row-major interior
+    arrays of :data:`_OFFSETS`, concatenated.  Each block is returned as
+    ``(gather, indices, indptr, shape)``: ``values[gather]`` is the block's
+    CSR ``data`` (rows in order, columns sorted within a row, as COO -> CSR
+    conversion gives).  Interior columns number the unknowns row-major, and
+    boundary columns number the ring nodes in flat-index order.
+    """
+    m1, m2 = n1 - 2, n2 - 2
+    ii, jj = np.meshgrid(np.arange(1, n1 - 1), np.arange(1, n2 - 1), indexing="ij")
+    rows = np.tile(((ii - 1) * m2 + (jj - 1)).ravel(), len(_OFFSETS))
+    cols = np.concatenate([((ii + di) * n2 + (jj + dj)).ravel() for di, dj in _OFFSETS])
+
+    _, inv = interior_index_maps(n1, n2)
+    bnd_flat = np.flatnonzero(inv < 0)
+    binv = -np.ones(n1 * n2, dtype=np.int64)
+    binv[bnd_flat] = np.arange(bnd_flat.size)
+    blocks = []
+    for take, colmap, ncols in ((inv[cols] >= 0, inv, m1 * m2), (inv[cols] < 0, binv, bnd_flat.size)):
+        sel = np.flatnonzero(take)
+        r, c = rows[sel], colmap[cols[sel]]
+        order = np.lexsort((c, r))
+        shape = (m1 * m2, ncols)
+        idx = np.int32 if max(*shape, sel.size) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(m1 * m2 + 1, dtype=idx)
+        np.cumsum(np.bincount(r, minlength=m1 * m2), out=indptr[1:])
+        block = (sel[order], c[order].astype(idx), indptr, shape)
+        for a in block[:3]:
+            a.setflags(write=False)
+        blocks.append(block)
+    return tuple(blocks)
+
+
+def _offset_matrix(D: dict, n1: int, n2: int) -> tuple[csr_matrix, csr_matrix]:
     """Assemble 9-offset coefficient arrays into interior/boundary matrices.
 
     ``D[(di, dj)]`` holds, for every interior node, the row coefficient of
     the neighbor at that offset.  Returns ``(A_int, A_bnd)`` with columns
-    split between interior unknowns and boundary nodes.
+    split between interior unknowns and boundary nodes.  Only the values are
+    gathered per call; the structure comes from :func:`_offset_pattern`, and
+    each matrix gets its own copy of it, so in-place sparse operations on a
+    returned matrix cannot reach the cache.
     """
-    g = frame.u.grid
-    n1, n2 = g.n1, g.n2
-    m1, m2 = n1 - 2, n2 - 2
-    ii, jj = np.meshgrid(np.arange(1, n1 - 1), np.arange(1, n2 - 1), indexing="ij")
-    rows_grid = (ii - 1) * m2 + (jj - 1)
-
-    rows, cols, vals = [], [], []
-    for (di, dj), coef in D.items():
-        ci = ii + di
-        cj = jj + dj
-        rows.append(rows_grid.ravel())
-        cols.append((ci * n2 + cj).ravel())
-        vals.append(coef.ravel())
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-
-    interior_flat, inv = interior_index_maps(n1, n2)
-    is_int = inv[cols] >= 0
-    A_int = coo_matrix(
-        (vals[is_int], (rows[is_int], inv[cols[is_int]])), shape=(m1 * m2, m1 * m2)
-    ).tocsr()
-
-    bnd_mask = ~is_int
-    bnd_flat = np.flatnonzero(inv < 0)
-    binv = -np.ones(n1 * n2, dtype=np.int64)
-    binv[bnd_flat] = np.arange(bnd_flat.size)
-    A_bnd = coo_matrix(
-        (vals[bnd_mask], (rows[bnd_mask], binv[cols[bnd_mask]])),
-        shape=(m1 * m2, bnd_flat.size),
-    ).tocsr()
+    vals = np.concatenate([D[off].ravel() for off in _OFFSETS])
+    A_int, A_bnd = (
+        csr_matrix((vals[gather], indices.copy(), indptr.copy()), shape=shape)
+        for gather, indices, indptr, shape in _offset_pattern(n1, n2)
+    )
     return A_int, A_bnd
 
 
@@ -293,6 +311,18 @@ def linear_operator_matrix(frame: Frame, kind: str = "full"):
     in matching order.
     """
     hd = _HalfData(frame)
+    A_int, A_bnd = _offset_matrix(_operator_offsets(hd, kind), hd.n1, hd.n2)
+
+    def bnd_values_of(values: np.ndarray) -> np.ndarray:
+        n1, n2 = frame.u.grid.n1, frame.u.grid.n2
+        _, inv = interior_index_maps(n1, n2)
+        return values.ravel()[inv < 0]
+
+    return A_int, A_bnd, bnd_values_of
+
+
+def _operator_offsets(hd: _HalfData, kind: str) -> dict:
+    """Per-offset row coefficients of the frozen-coefficient operator."""
     bx11, bx12, by11, by12, by22 = _half_coeffs(hd, kind)
     h1, h2, eps, uI = hd.h1, hd.h2, hd.eps, hd.uI
 
@@ -308,23 +338,12 @@ def linear_operator_matrix(frame: Frame, kind: str = "full"):
     cyT2 = -cyB2
     cyS2 = by12 / (4 * h1)
 
-    D = _combine_offsets(
-        h1, h2, eps, uI,
-        cxL, cxR, cxD, cxL * 0.0,  # no diagonal extras for the frozen operator
-        cyB1, cyT1, cyS1, cyB2, cyT2, cyS2,
-        delta=None,
+    return _combine_offsets(
+        h1, h2, eps, uI, cxL, cxR, cxD, cyB1, cyT1, cyS1, cyB2, cyT2, cyS2, delta=None,
     )
-    A_int, A_bnd = _offset_matrix(frame, D)
-
-    def bnd_values_of(values: np.ndarray) -> np.ndarray:
-        n1, n2 = frame.u.grid.n1, frame.u.grid.n2
-        _, inv = interior_index_maps(n1, n2)
-        return values.ravel()[inv < 0]
-
-    return A_int, A_bnd, bnd_values_of
 
 
-def _combine_offsets(h1, h2, eps, uI, cxL, cxR, cxD, _unused, cyB1, cyT1, cyS1, cyB2, cyT2, cyS2, delta):
+def _combine_offsets(h1, h2, eps, uI, cxL, cxR, cxD, cyB1, cyT1, cyS1, cyB2, cyT2, cyS2, delta):
     """Fold half-node stencil coefficients into per-offset row coefficients.
 
     x-half arrays have shape ``(n1-1, n2-2)``: ``[1:]`` is the half node on
@@ -384,6 +403,12 @@ def jacobian_assemble(frame: Frame) -> csr_matrix:
     the vertical difference of the first flux.
     """
     hd = _HalfData(frame)
+    A_int, _ = _offset_matrix(_jacobian_offsets(hd), hd.n1, hd.n2)
+    return A_int
+
+
+def _jacobian_offsets(hd: _HalfData) -> dict:
+    """Per-offset row coefficients of the Jacobian of :func:`residual_div`."""
     h1, h2, eps, uI = hd.h1, hd.h2, hd.eps, hd.uI
 
     A1x = hd.a11_x / hd.W_x
@@ -408,11 +433,6 @@ def jacobian_assemble(frame: Frame) -> csr_matrix:
     g1y = hd.p1_y / hd.W_y
     delta = (g1y[:, 1:] - g1y[:, :-1]) / h2  # residual's explicit u_ij factor
 
-    D = _combine_offsets(
-        h1, h2, eps, uI,
-        cxL, cxR, cxD, None,
-        cyB1, cyT1, cyS1, cyB2, cyT2, cyS2,
-        delta=delta,
+    return _combine_offsets(
+        h1, h2, eps, uI, cxL, cxR, cxD, cyB1, cyT1, cyS1, cyB2, cyT2, cyS2, delta=delta,
     )
-    A_int, _ = _offset_matrix(frame, D)
-    return A_int

@@ -7,7 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from hmingraph.cli import ConfigError, boundary_expression, canonical_json, main
+from hmingraph.cli import ConfigError, _write_csv, boundary_expression, canonical_json, main
 
 
 def write_cfg(path, obj):
@@ -162,6 +162,21 @@ class TestBoundaryExpressions:
     def test_rejection_reaches_the_exit_code(self, tmp_path, capsys):
         cfg = solve_cfg(tmp_path / "out", boundary={"expr": "__import__('os')"})
         assert main(["solve", write_cfg(tmp_path / "c.json", cfg)]) == 1
+
+
+def test_interrupted_write_keeps_the_previous_artifact(tmp_path):
+    path = tmp_path / "solution_000.csv"
+    _write_csv(path, ["x1", "x2", "u"], [(0.0, 1.0, 2.0)])
+    before = path.read_bytes()
+
+    def rows():
+        yield (1.0, 2.0, 3.0)
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        _write_csv(path, ["x1", "x2", "u"], rows())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 class TestContinuationCommand:

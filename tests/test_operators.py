@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
 
 from hmingraph import (
     Frame,
@@ -11,10 +14,13 @@ from hmingraph import (
     aij_from_gradient,
     coefficients,
     jacobian_assemble,
+    linear_operator_matrix,
     linearized_apply,
     residual_div,
     residual_nondiv,
 )
+
+from hmingraph.operators import _HalfData, _jacobian_offsets, _operator_offsets, interior_index_maps
 
 from conftest import bench_grid_n, fan_bump, sample
 
@@ -249,3 +255,81 @@ def test_jacobian_row_sums_match_uniform_shift_response():
     rm = residual_div(Frame(GridFunction(g, dn), 0.5)).field.values[1:-1, 1:-1]
     fd = ((rp - rm) / (2 * t)).ravel()
     assert np.allclose(J @ ones, fd, atol=1e-6)
+
+
+# ------------------------------------------------- cached sparsity pattern
+
+def coo_route(D, n1, n2):
+    """Interior and boundary blocks built directly from the offset dict, via COO."""
+    m1, m2 = n1 - 2, n2 - 2
+    ii, jj = np.meshgrid(np.arange(1, n1 - 1), np.arange(1, n2 - 1), indexing="ij")
+    rows = np.tile(((ii - 1) * m2 + (jj - 1)).ravel(), len(D))
+    cols = np.concatenate([((ii + di) * n2 + (jj + dj)).ravel() for di, dj in D])
+    vals = np.concatenate([c.ravel() for c in D.values()])
+    _, inv = interior_index_maps(n1, n2)
+    bnd = np.flatnonzero(inv < 0)
+    binv = -np.ones(n1 * n2, dtype=np.int64)
+    binv[bnd] = np.arange(bnd.size)
+    is_int = inv[cols] >= 0
+    A_int = coo_matrix((vals[is_int], (rows[is_int], inv[cols[is_int]])),
+                       shape=(m1 * m2, m1 * m2)).tocsr()
+    A_bnd = coo_matrix((vals[~is_int], (rows[~is_int], binv[cols[~is_int]])),
+                       shape=(m1 * m2, bnd.size)).tocsr()
+    return A_int, A_bnd
+
+
+def assert_same_bits(A, B):
+    assert A.shape == B.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def smooth_field(data, n1, n2, label):
+    """A fixed curved field plus an affine part and low-frequency waves with
+    random coefficients; the fixed part keeps it away from zero and affine."""
+    g = Grid((0.0, 1.0), (1.0, 2.0), n1, n2)
+    x1, x2 = g.nodes()
+    c = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9), label=label)
+    return g, (0.5 * np.sin(np.pi * x1) * x2 + c[0] + c[1] * x1 + c[2] * x2
+               + c[3] * np.sin(np.pi * (x1 + c[4]))
+               + c[5] * np.cos(2.0 * np.pi * x2 + c[6])
+               + c[7] * np.sin(np.pi * (x1 - x2) + c[8]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cached_assembly_matches_coo_route_and_the_residual(data):
+    # grid sizes change between examples, so a pattern cached under the
+    # wrong key would put values in the wrong places
+    n1 = data.draw(st.integers(4, 40), label="n1")
+    n2 = data.draw(st.integers(4, 40), label="n2")
+    eps = 10.0 ** data.draw(st.floats(-3.0, 0.0), label="log10 eps")
+    g, u = smooth_field(data, n1, n2, "u")
+    fr = Frame(GridFunction(g, u), eps)
+    hd = _HalfData(fr)
+
+    J = jacobian_assemble(fr)
+    assert_same_bits(J, coo_route(_jacobian_offsets(hd), n1, n2)[0])
+    A_int, A_bnd, bnd_of = linear_operator_matrix(fr, kind="picard")
+    ref_int, ref_bnd = coo_route(_operator_offsets(hd, "picard"), n1, n2)
+    assert_same_bits(A_int, ref_int)
+    assert_same_bits(A_bnd, ref_bnd)
+
+    # J is the derivative of the residual along smooth directions
+    _, dfull = smooth_field(data, n1, n2, "d")
+    d = dfull[1:-1, 1:-1] / np.linalg.norm(dfull[1:-1, 1:-1])
+    t = 1e-6
+    up, dn = u.copy(), u.copy()
+    up[1:-1, 1:-1] += t * d
+    dn[1:-1, 1:-1] -= t * d
+    rp = residual_div(Frame(GridFunction(g, up), eps)).interior(1)
+    rm = residual_div(Frame(GridFunction(g, dn), eps)).interior(1)
+    fd = ((rp - rm) / (2 * t)).ravel()
+    jv = J @ d.ravel()
+    assert np.linalg.norm(fd - jv) <= 1e-6 * np.linalg.norm(jv)
+
+    # the lagged operator frozen at u, applied to u, is the residual itself
+    r = residual_div(fr).interior(1).ravel()
+    au = A_int @ u[1:-1, 1:-1].ravel() + A_bnd @ bnd_of(u)
+    assert np.max(np.abs(au - r)) <= 1e-10 * np.max(np.abs(r))

@@ -57,6 +57,19 @@ def test_solution_agrees_with_lagged_coefficient_route():
     assert np.max(np.abs(un.values - up.values)) <= 1e-6
 
 
+def test_picard_fallback_recovers_the_newton_solution():
+    # a zero linear tolerance refuses every Newton step, so the one Picard
+    # fallback has to carry the solve
+    g = Grid((0.0, 1.0), (1.0, 2.0), 33, 33)
+    bd = boundary(g, fan_bump)
+    un, _ = solve_eps(g, bd, 0.5, SolverConfig(), None)
+    up, rep = solve_eps(g, bd, 0.5, SolverConfig(linear_tol=0.0), None)
+    assert rep.converged and rep.used_picard
+    assert rep.step_lengths == []
+    assert len(rep.linear_residuals) == rep.iterations
+    assert np.max(np.abs(up.values - un.values)) <= 1e-10
+
+
 def test_solved_interior_obeys_boundary_range():
     g = unit_grid_n(33)
     cfg = SolverConfig()
@@ -187,3 +200,14 @@ def test_continuation_failure_keeps_partial_run():
     assert err.eps == pytest.approx(0.005)
     assert len(err.partial_run.solutions) == 1
     assert f"{err.eps:g}" in str(err)
+
+
+def test_linear_residuals_are_recorded_per_newton_iteration():
+    g = Grid((0.0, 1.0), (1.0, 2.0), 65, 65)
+    bd = boundary(g, fan_bump)
+    cfg = SolverConfig()
+    run = continuation(g, bd, EpsSchedule(), cfg)
+    for rep in run.reports:
+        assert len(rep.linear_residuals) == rep.iterations
+        assert all(r <= cfg.linear_tol for r in rep.linear_residuals)
+    assert sum(len(rep.linear_residuals) for rep in run.reports) > 0
