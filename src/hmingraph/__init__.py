@@ -7,6 +7,7 @@ structure of the computed states.
 
 from .grid import Grid, GridFunction, GridMismatchError, require_same_grid
 from .geometry import (
+    FlowConvergenceError,
     Frame,
     FrozenFrame,
     LiftedFrame,

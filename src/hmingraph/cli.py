@@ -196,7 +196,11 @@ def _out_dir(cfg: dict) -> Path:
 
 
 class _RunLock:
-    """Exclusive .lock file in the output directory."""
+    """Exclusive .lock file in the output directory, holding the writer's PID.
+
+    The lock is removed on exit but never broken automatically: a stale lock
+    is reported with the PID read back from it, for the user to remove.
+    """
 
     def __init__(self, directory: Path):
         self.path = directory / ".lock"
@@ -205,8 +209,14 @@ class _RunLock:
         try:
             self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
+            try:
+                holder = f" by PID {int(self.path.read_text())}"
+            except (OSError, ValueError):
+                holder = "; no PID could be read from the lock"
             raise ConfigError(
-                f"{self.path}: output directory already in use (remove stale lock to proceed)")
+                f"{self.path}: output directory already in use{holder} "
+                "(remove stale lock to proceed)")
+        os.write(self._fd, f"{os.getpid()}\n".encode())
         return self
 
     def __exit__(self, *exc):
@@ -484,7 +494,7 @@ def cmd_distance(cfg: dict, out: Path) -> int:
     except ValueError as e:
         raise ConfigError(f"distance.x0: {e}") from e
     try:
-        oracle = _oracle_sweep(ff, mesh, box)  # one Dijkstra pass serves all queries
+        oracle = _oracle_sweep(ff, mesh, box)  # one lattice sweep serves all queries
     except ValueError as e:
         raise ConfigError(f"distance: {e}") from e
     rng = np.random.default_rng(seed)

@@ -183,6 +183,17 @@ def fit_leaf(leaf: Leaf) -> Leaf:
     )
 
 
+def _differences(leaf: Leaf) -> tuple[np.ndarray, np.ndarray]:
+    """Centered first and second differences of ``u`` at samples ``1 .. n-2``."""
+    t = leaf.t_samples
+    w = leaf.u_values
+    dp = t[2:] - t[1:-1]
+    dm = t[1:-1] - t[:-2]
+    first = (w[2:] - w[:-2]) / (dp + dm)
+    second = 2.0 * ((w[2:] - w[1:-1]) / dp - (w[1:-1] - w[:-2]) / dm) / (dp + dm)
+    return first, second
+
+
 def lie_derivatives(leaf: Leaf) -> list[LieDerivativeSample]:
     """Centered first and second flow-time differences of ``u`` along the leaf.
 
@@ -193,16 +204,9 @@ def lie_derivatives(leaf: Leaf) -> list[LieDerivativeSample]:
     n = len(leaf)
     if n < 5:
         raise LeafTraceError(f"need at least 5 samples for leaf derivatives, got {n}")
-    t = leaf.t_samples
-    w = leaf.u_values
-    out = []
-    for i in range(1, n - 1):
-        dp = t[i + 1] - t[i]
-        dm = t[i] - t[i - 1]
-        first = (w[i + 1] - w[i - 1]) / (dp + dm)
-        second = 2.0 * ((w[i + 1] - w[i]) / dp - (w[i] - w[i - 1]) / dm) / (dp + dm)
-        out.append(LieDerivativeSample(t=float(t[i]), first=float(first), second=float(second)))
-    return out
+    first, second = _differences(leaf)
+    return [LieDerivativeSample(t=float(t), first=float(a), second=float(b))
+            for t, a, b in zip(leaf.t_samples[1:-1], first, second)]
 
 
 def foliation_cover(u: GridFunction, seed_spacing: float) -> list[Leaf]:
@@ -256,8 +260,5 @@ def leaf_table(leaf: Leaf) -> np.ndarray:
     first = np.full(n, np.nan)
     second = np.full(n, np.nan)
     if n >= 5:
-        for s in lie_derivatives(leaf):
-            i = int(np.argmin(np.abs(leaf.t_samples - s.t)))
-            first[i] = s.first
-            second[i] = s.second
+        first[1:-1], second[1:-1] = _differences(leaf)
     return np.column_stack([leaf.t_samples, leaf.points, leaf.u_values, first, second])

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .grid import Grid, GridFunction, require_same_grid
 
@@ -41,6 +39,7 @@ __all__ = [
     "LiftedFrame",
     "FrozenFrame",
     "PathExitsGridError",
+    "FlowConvergenceError",
     "UnreachableError",
     "apply_x1",
     "apply_x2",
@@ -58,6 +57,10 @@ __all__ = [
 
 class PathExitsGridError(RuntimeError):
     """A connecting flow path left the rectangle where u is defined."""
+
+
+class FlowConvergenceError(ValueError):
+    """Flow coordinates missed their shooting or refinement tolerance."""
 
 
 class UnreachableError(RuntimeError):
@@ -196,7 +199,11 @@ def _flow_coords(
 
     ``u_eval(x1, x2)`` must evaluate anywhere on the path and raise
     ``ValueError`` off its domain, which is converted to
-    :class:`PathExitsGridError`.
+    :class:`PathExitsGridError`.  If 60 secant steps miss the endpoint, or
+    ``max_doublings`` doublings leave e2 moving by more than ``rel_tol``,
+    :class:`FlowConvergenceError` is raised instead of returning an
+    unverified e2; the endpoint map amplifies rounding by about
+    ``exp(e1 d2u)``, so this happens for rates ``e1 d2u`` of a few tens.
     """
     e1 = x[0] - x0[0]
     dx2 = x[1] - x0[1]
@@ -239,6 +246,10 @@ def _flow_coords(
             c += miss / slope
             if c == c_prev:
                 break  # the step fell below the rounding of c
+        else:
+            raise FlowConvergenceError(
+                f"flow path from {x0} to {x} misses its endpoint by {miss:.3g} "
+                "after 60 secant steps")
         return c, path
 
     def e2_at(n: int) -> float:
@@ -255,13 +266,18 @@ def _flow_coords(
 
     n = n_start
     e2 = e2_at(n)
+    change = math.inf
     for _ in range(max_doublings):
         n *= 2
         e2_next = e2_at(n)
-        done = abs(e2_next - e2) <= rel_tol * max(1.0, abs(e2_next))
+        change = abs(e2_next - e2) / max(1.0, abs(e2_next))
         e2 = e2_next
-        if done:
+        if change <= rel_tol:
             break
+    else:
+        raise FlowConvergenceError(
+            f"flow coordinates from {x0} to {x}: e2 still moves by {change:.3g} "
+            f"(relative) at {n} subintervals")
     return e1, e2, s
 
 
@@ -422,12 +438,18 @@ def dist_surrogate_cc(ff: FrozenFrame, p: LiftedPoint) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_sweep(
+def _lattice_distances(
     ff: FrozenFrame,
     mesh: float,
     box: tuple[float, float, float],
 ):
-    """One Dijkstra sweep from the lattice center; see :func:`dist_oracle`."""
+    """Distances from the lattice center, shaped ``(N1, N2, N3)``, and the spacings.
+
+    Every move costs ``mesh``, so a shortest path has the fewest moves; each
+    breadth-first level's value is the previous one plus ``mesh``, rounded as
+    Dijkstra rounds ``dist[u] + w``, so the distances equal Dijkstra's bit for
+    bit (``inf`` at unreached nodes).  See :func:`dist_oracle` for the lattice.
+    """
     if mesh <= 0:
         raise ValueError("mesh must be positive")
     eps = ff.epsilon
@@ -443,45 +465,67 @@ def _oracle_sweep(
             f"oracle lattice would hold {N1 * N2 * N3} nodes "
             "(the vertical spacing scales with eps*mesh); coarsen the mesh or shrink the box")
 
-    # node (i, j, k) ~ (x0_1 + (i - n1) a1, x0_2 + (j - n2) a2, (k - n3) a3)
-    I, J, K = np.meshgrid(np.arange(N1), np.arange(N2), np.arange(N3), indexing="ij")
-    I, J, K = I.ravel(), J.ravel(), K.ravel()
+    # node (i, j, k) ~ (x0_1 + (i - n1) a1, x0_2 + (j - n2) a2, (k - n3) a3),
+    # stored at flat index (i N2 + j) N3 + k
+    I = np.arange(N1).reshape(-1, 1, 1)
+    J = np.arange(N2).reshape(1, -1, 1)
+    K = np.arange(N3)
     X1 = ff.x0[0] + (I - n1) * a1
     X2 = ff.x0[1] + (J - n2) * a2
     S = (K - n3) * a3
     coeff = eval_p1(ff, X1, X2) + S ** 2  # d2-coefficient of frozen X1 field
 
-    def flat(i, j, k):
-        return (i * N2 + j) * N3 + k
-
-    src_rows = []
-    dst_rows = []
+    # X1 moves: exact in x1, sheared in x2, snapped to the lattice; -1 marks
+    # a move that leaves it.  X2 moves (two cells in x2) and X3 moves (one
+    # cell in s) are fixed offsets of the flat index.
+    x1_moves = []
     for sign in (+1, -1):
-        # X1 move: exact in x1, sheared in x2, snapped to the lattice
         ti = I + sign
         tj = J + np.rint(sign * mesh * coeff / a2).astype(np.int64)
         ok = (ti >= 0) & (ti < N1) & (tj >= 0) & (tj < N2)
-        src_rows.append(flat(I[ok], J[ok], K[ok]))
-        dst_rows.append(flat(ti[ok], tj[ok], K[ok]))
-        # X2 move: exactly two lattice cells in x2
-        tj = J + 2 * sign
-        ok = (tj >= 0) & (tj < N2)
-        src_rows.append(flat(I[ok], J[ok], K[ok]))
-        dst_rows.append(flat(I[ok], tj[ok], K[ok]))
-        # X3 move: one lattice cell in s
-        tk = K + sign
-        ok = (tk >= 0) & (tk < N3)
-        src_rows.append(flat(I[ok], J[ok], K[ok]))
-        dst_rows.append(flat(I[ok], J[ok], tk[ok]))
+        x1_moves.append(np.where(ok, (ti * N2 + tj) * N3 + K, -1).ravel())
 
-    src = np.concatenate(src_rows)
-    dst = np.concatenate(dst_rows)
-    w = np.full(src.shape, mesh)
     n_nodes = N1 * N2 * N3
-    graph = coo_matrix((w, (src, dst)), shape=(n_nodes, n_nodes)).tocsr()
+    center = (n1 * N2 + n2) * N3 + n3
+    dist = np.full(n_nodes, np.inf)
+    dist[center] = 0.0
+    owner = np.empty(n_nodes, dtype=np.int64)
+    frontier = np.array([center])
+    level = 0.0
+    while frontier.size:
+        level = level + mesh
+        j = frontier // N3 % N2
+        k = frontier % N3
+        nxt = np.concatenate([
+            x1_moves[0][frontier],
+            x1_moves[1][frontier],
+            frontier[j + 2 < N2] + 2 * N3,
+            frontier[j >= 2] - 2 * N3,
+            frontier[k + 1 < N3] + 1,
+            frontier[k >= 1] - 1,
+        ])
+        nxt = nxt[nxt >= 0]
+        nxt = nxt[dist[nxt] == np.inf]
+        # keep one copy of each node: the last position scattered to it wins
+        pos = np.arange(nxt.size)
+        owner[nxt] = pos
+        frontier = nxt[owner[nxt] == pos]
+        dist[frontier] = level
+    return dist.reshape(N1, N2, N3), (a1, a2, a3)
 
-    center = flat(n1, n2, n3)
-    dist = _csgraph_dijkstra(graph, directed=True, indices=center)
+
+def _oracle_sweep(
+    ff: FrozenFrame,
+    mesh: float,
+    box: tuple[float, float, float],
+):
+    """One breadth-first sweep (uniform edge weight, so equal to Dijkstra) from
+    the lattice center; ``query(p)`` reads the node nearest ``p``.  See
+    :func:`dist_oracle`.
+    """
+    dist, (a1, a2, a3) = _lattice_distances(ff, mesh, box)
+    N1, N2, N3 = dist.shape
+    n1, n2, n3 = N1 // 2, N2 // 2, N3 // 2
 
     def query(p: LiftedPoint) -> float:
         qi = n1 + int(round((p.x1 - ff.x0[0]) / a1))
@@ -489,7 +533,7 @@ def _oracle_sweep(
         qk = n3 + int(round(p.s / a3))
         if not (0 <= qi < N1 and 0 <= qj < N2 and 0 <= qk < N3):
             raise UnreachableError("query point outside the oracle lattice box")
-        d = float(dist[flat(qi, qj, qk)])
+        d = float(dist[qi, qj, qk])
         if not np.isfinite(d):
             raise UnreachableError("query node not reached by the lattice sweep")
         return d
@@ -519,14 +563,15 @@ def dist_oracle(
     mesh: float,
     box: tuple[float, float, float] = (0.2, 0.2, 0.2),
 ) -> float:
-    """Control-distance estimate for the frozen frame by lattice Dijkstra.
+    """Control-distance estimate for the frozen frame by a lattice sweep.
 
     Nodes form a box-shaped lattice centered at ``(x0, 0)`` with spacings
     ``(mesh, eps*mesh/2, mesh)``; each node has six outgoing edges, the
     explicit Euler steps of parameter length ``mesh`` along the positive and
     negative frozen fields, snapped to the nearest lattice node.  Edge weight
-    equals the parameter length, so a Dijkstra sweep from the center returns
-    upper-biased control distances.
+    equals the parameter length, so a breadth-first sweep (uniform edge
+    weight, so equal to Dijkstra) from the center returns upper-biased
+    control distances.
 
     Snap rounding means a single sweep is not monotone under mesh halving,
     so the reported value is the minimum over the sweep at ``mesh`` and its
@@ -553,7 +598,8 @@ def dist_oracle_many(
     mesh: float,
     box: tuple[float, float, float] = (0.2, 0.2, 0.2),
 ) -> list:
-    """Oracle distances for many points; each Dijkstra sweep is paid once.
+    """Oracle distances for many points; each breadth-first sweep (uniform edge
+    weight, so equal to Dijkstra) is paid once.
 
     Same semantics as :func:`dist_oracle`, including the minimum over
     coarsened sweeps and its monotonicity under mesh halving only while the

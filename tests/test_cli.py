@@ -1,13 +1,14 @@
 """In-process command line tests: exit codes, artifacts, determinism."""
 
 import json
+import os
 import shutil
 import subprocess
 
 import numpy as np
 import pytest
 
-from hmingraph.cli import ConfigError, _write_csv, boundary_expression, canonical_json, main
+from hmingraph.cli import ConfigError, _RunLock, _write_csv, boundary_expression, canonical_json, main
 
 
 def write_cfg(path, obj):
@@ -134,6 +135,23 @@ class TestConfigHandling:
         cfg = solve_cfg(out)
         assert main(["solve", write_cfg(tmp_path / "c.json", cfg)]) == 1
         assert "already in use" in capsys.readouterr().err
+
+    def test_stale_lock_is_reported_with_its_pid(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = write_cfg(tmp_path / "c.json", solve_cfg(out))
+        (out / ".lock").write_text("4242\n")
+        assert main(["solve", cfg]) == 1
+        assert "already in use by PID 4242" in capsys.readouterr().err
+        (out / ".lock").write_text("")
+        assert main(["solve", cfg]) == 1
+        assert "no PID could be read" in capsys.readouterr().err
+        assert (out / ".lock").exists()  # never removed automatically
+
+    def test_lock_holds_the_writer_pid(self, tmp_path):
+        with _RunLock(tmp_path):
+            assert int((tmp_path / ".lock").read_text()) == os.getpid()
+        assert not (tmp_path / ".lock").exists()
 
     def test_lock_is_released_after_a_run(self, tmp_path):
         out = tmp_path / "out"

@@ -159,3 +159,27 @@ def test_leaf_table_layout():
     inner = tab[1:-1, 4]
     assert np.allclose(inner, 0.5, atol=1e-9)
     assert np.array_equal(tab[:, 0], leaf.t_samples)
+
+
+def test_leaf_table_matches_the_per_sample_loop():
+    from conftest import fan_bump
+
+    u = field(fan_bump, rect=((0.0, 1.0), (1.0, 2.0)), n=65)
+    leaf = trace_leaf(u, (0.0, 1.4), (0.0, 1.0))
+    t, w = leaf.t_samples, leaf.u_values
+    n = len(leaf)
+    # the scalar loop and argmin placement the table used to be built with
+    samples = []
+    first, second = np.full(n, np.nan), np.full(n, np.nan)
+    for i in range(1, n - 1):
+        dp, dm = t[i + 1] - t[i], t[i] - t[i - 1]
+        a = (w[i + 1] - w[i - 1]) / (dp + dm)
+        b = 2.0 * ((w[i + 1] - w[i]) / dp - (w[i] - w[i - 1]) / dm) / (dp + dm)
+        samples.append((float(t[i]), float(a), float(b)))
+        k = int(np.argmin(np.abs(t - t[i])))
+        first[k], second[k] = a, b
+    old = np.column_stack([t, leaf.points, w, first, second])
+    new = leaf_table(leaf)
+    assert n > 20 and new.shape == old.shape
+    assert np.array_equal(new.view(np.int64), old.view(np.int64))  # NaNs included
+    assert [(s.t, s.first, s.second) for s in lie_derivatives(leaf)] == samples

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from hmingraph import (
+    FlowConvergenceError,
     Frame,
     Grid,
     GridFunction,
     LiftedPoint,
     PathExitsGridError,
+    UnreachableError,
     apply_x1,
     apply_x2,
     dist_oracle,
@@ -27,7 +31,13 @@ from hmingraph import (
     taylor_remainder_exponent,
 )
 from hmingraph import geometry
-from hmingraph.geometry import FrozenFrame, _flow_coords, _frozen_coords
+from hmingraph.geometry import (
+    FrozenFrame,
+    _flow_coords,
+    _frozen_coords,
+    _lattice_distances,
+    _oracle_sweep,
+)
 
 from conftest import sample
 
@@ -228,6 +238,19 @@ def test_closed_form_matches_the_shooter_on_frozen_frames(k_range, data):
     assert abs(got[1] - ref[1]) / max(1.0, abs(ref[1])) <= 1e-9
 
 
+def test_shooter_raises_when_its_tolerances_are_missed():
+    # rate k = e1 d2u = 24: the endpoint map amplifies rounding by about
+    # e^24, so doubling the subintervals never settles e2 to 1e-9
+    eps, u0, g1, d2u = 0.5, 0.3, 0.7, 80.0
+
+    def u_eval(a, b):
+        return u0 + (a - 0.5) * g1 + (b - 1.5) * d2u
+
+    with pytest.raises(FlowConvergenceError, match="subintervals"):
+        _flow_coords(u_eval, (0.5, 1.5), (0.8, 1.6), 0.2, eps)
+    assert issubclass(FlowConvergenceError, ValueError)
+
+
 # ------------------------------------------------------------------- gauges
 
 def test_gauges_vanish_at_base_point():
@@ -301,6 +324,70 @@ def test_lattice_walker_tracks_the_gauge():
     for w, p in zip(walks, pts):
         r = w / dist_surrogate_eps(ff, p)
         assert 1.0 / 5.0 <= r <= 5.0
+
+
+def _dijkstra_reference(ff, mesh, box):
+    """The oracle lattice as an explicit sparse graph, swept by scipy's Dijkstra."""
+    a1, a2, a3 = mesh, ff.epsilon * mesh / 2.0, mesh
+    n1, n2, n3 = (max(1, int(round(b / a))) for b, a in zip(box, (a1, a2, a3)))
+    N1, N2, N3 = 2 * n1 + 1, 2 * n2 + 1, 2 * n3 + 1
+    I, J, K = (g.ravel() for g in np.meshgrid(
+        np.arange(N1), np.arange(N2), np.arange(N3), indexing="ij"))
+    coeff = eval_p1(ff, ff.x0[0] + (I - n1) * a1, ff.x0[1] + (J - n2) * a2) + ((K - n3) * a3) ** 2
+    src, dst = [], []
+    for sign in (+1, -1):
+        moves = [
+            (I + sign, J + np.rint(sign * mesh * coeff / a2).astype(np.int64), K),
+            (I, J + 2 * sign, K),
+            (I, J, K + sign),
+        ]
+        for ti, tj, tk in moves:
+            ok = (ti >= 0) & (ti < N1) & (tj >= 0) & (tj < N2) & (tk >= 0) & (tk < N3)
+            src.append(((I * N2 + J) * N3 + K)[ok])
+            dst.append(((ti * N2 + tj) * N3 + tk)[ok])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    graph = coo_matrix((np.full(src.shape, mesh), (src, dst)), shape=(I.size, I.size)).tocsr()
+    center = (n1 * N2 + n2) * N3 + n3
+    return dijkstra(graph, directed=True, indices=center).reshape(N1, N2, N3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_breadth_first_sweep_equals_dijkstra_bit_for_bit(data):
+    eps = 10.0 ** data.draw(st.floats(math.log10(0.03), 0.0), label="log10 eps")
+    ff = FrozenFrame(
+        x0=(data.draw(st.floats(-1.0, 1.0), label="x0_1"), data.draw(st.floats(-1.0, 1.0), label="x0_2")),
+        u0=data.draw(st.floats(-3.0, 3.0), label="u0"),
+        x1u0=data.draw(st.floats(-5.0, 5.0), label="x1u0"),
+        x2u0=eps * data.draw(st.floats(-3.0, 3.0), label="d2u"),
+        epsilon=eps,
+    )
+    mesh = data.draw(st.floats(0.005, 0.08), label="mesh")
+    # half-widths in lattice cells: at most 49 x 81 x 49 nodes at every eps
+    cells = [data.draw(st.floats(0.3, c), label=f"cells {k}") for k, c in enumerate((24, 40, 24))]
+    box = (cells[0] * mesh, cells[1] * eps * mesh / 2.0, cells[2] * mesh)
+    ref = _dijkstra_reference(ff, mesh, box)
+    dist, spacing = _lattice_distances(ff, mesh, box)
+    assert dist.shape == ref.shape
+    assert np.array_equal(dist.view(np.int64), ref.view(np.int64))  # inf included
+
+    # query: the same float at reached nodes, UnreachableError exactly at the
+    # inf ones; every unreached node (up to 200) plus a sample of the rest
+    flat = np.arange(ref.size)
+    inf_nodes, reached = flat[np.isinf(ref.ravel())], flat[np.isfinite(ref.ravel())]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="query seed"))
+    nodes = np.concatenate([rng.permutation(inf_nodes)[:200], rng.choice(reached, 200)])
+    query = _oracle_sweep(ff, mesh, box)
+    half = np.array(ref.shape) // 2
+    for node in nodes:
+        idx = np.unravel_index(node, ref.shape)
+        off = [(i - c) * a for i, c, a in zip(idx, half, spacing)]
+        p = LiftedPoint(ff.x0[0] + off[0], ff.x0[1] + off[1], off[2])
+        if np.isinf(ref[idx]):
+            with pytest.raises(UnreachableError):
+                query(p)
+        else:
+            assert query(p) == ref[idx]
 
 
 def test_lattice_walker_guards_against_huge_graphs():
