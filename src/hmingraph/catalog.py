@@ -82,9 +82,11 @@ def affine_graph(a: float, c: float) -> CatalogEntry:
 def shear_graph(g: Callable, x1: float, x2: float, bracket: tuple[float, float] = (-50.0, 50.0)) -> float:
     """Solve ``x2 = x1*t - g(t)`` for ``t``; the root is the graph height.
 
-    A scan over the bracket locates sign changes of the residual; exactly one
-    must exist.  The bracketed root is polished to full precision and checked
-    against the 1e-12 residual postcondition.
+    A 401-point scan over the bracket locates sign changes of the residual;
+    exactly one must exist.  The bracketed root is polished to full precision
+    and checked against the 1e-12 residual postcondition.  ``g`` must act
+    elementwise on a NumPy array (the scan evaluates it on all 401 points in
+    one call) as well as on a float.
     """
     x1 = float(x1)
     x2 = float(x2)
@@ -93,7 +95,7 @@ def shear_graph(g: Callable, x1: float, x2: float, bracket: tuple[float, float] 
         raise ShearRootError(f"empty bracket {bracket}")
     phi = lambda t: x1 * t - g(t) - x2
     ts = np.linspace(lo, hi, 401)
-    vals = np.array([phi(t) for t in ts])
+    vals = x1 * ts - g(ts) - x2  # phi, elementwise over the whole scan
     exact = np.flatnonzero(vals == 0.0)
     sign_flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
     n_roots = len(exact) + len(sign_flips)
@@ -115,7 +117,11 @@ def shear_graph(g: Callable, x1: float, x2: float, bracket: tuple[float, float] 
 
 def shear_entry(g: Callable, name: str, bracket: tuple[float, float] = (-50.0, 50.0),
                 domain: Callable | None = None, **flags) -> CatalogEntry:
-    """Wrap a shear profile ``g`` as a grid-evaluable catalog entry."""
+    """Wrap a shear profile ``g`` as a grid-evaluable catalog entry.
+
+    ``g`` must act elementwise on a NumPy array, as :func:`shear_graph`
+    requires; the entry still solves one node at a time.
+    """
     ev = np.vectorize(lambda a, b: shear_graph(g, a, b, bracket=bracket), otypes=[float])
 
     def default_domain(x1, x2):

@@ -16,6 +16,7 @@ repeated runs give bit-identical numbers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,17 +79,20 @@ def _offset_quotients(values: np.ndarray, grid: Grid, offsets, lo: float, hi: fl
         yield sep, float(np.max(np.abs(a - b)))
 
 
-def _offset_set(grid: Grid, lo: float, hi: float):
+@functools.lru_cache(maxsize=8)
+def _offset_set(grid: Grid, lo: float, hi: float) -> tuple:
     """Deterministic offsets covering separations in [lo, hi].
 
     Exhaustive when the grid's pair count is at most PAIR_CAP; otherwise all
     short offsets plus offsets on log-spaced separation shells at a fan of
-    directions (stratified by separation scale).
+    directions (stratified by separation scale).  Cached per ``(grid, lo,
+    hi)``: a ledger asks for the same set once per exponent, field and
+    epsilon.  The tuple of tuples cannot be changed by a caller.
     """
     n1, n2 = grid.n1, grid.n2
     n_nodes = n1 * n2
     if n_nodes * (n_nodes - 1) // 2 <= PAIR_CAP:
-        return [(di, dj) for di in range(n1) for dj in range(-(n2 - 1), n2)]
+        return tuple((di, dj) for di in range(n1) for dj in range(-(n2 - 1), n2))
     offsets = {(di, dj) for di in range(5) for dj in range(-4, 5)}
     h_min = min(grid.h1, grid.h2)
     r_lo = max(lo, h_min)
@@ -100,7 +104,7 @@ def _offset_set(grid: Grid, lo: float, hi: float):
             dj = int(round(r * np.sin(th) / grid.h2))
             if 0 <= di < n1 and -n2 < dj < n2:
                 offsets.add((di, dj))
-    return sorted(offsets)
+    return tuple(sorted(offsets))
 
 
 def holder_seminorm(f: GridFunction, alpha: float, window: tuple[float, float]) -> float:

@@ -139,7 +139,7 @@ def trace_leaf(u: GridFunction, start: tuple[float, float], t_span: tuple[float,
         raise LeafTraceError(
             f"zero-length leaf at {(s1, s2)}: no admissible step within the grid")
     points = np.column_stack([s1 + t, y])
-    u_vals = np.array([u.interp(p1, p2) for p1, p2 in points])
+    u_vals = u.interp(points[:, 0], points[:, 1])
     return Leaf(start=(s1, s2), t_samples=t, points=points, u_values=u_vals)
 
 

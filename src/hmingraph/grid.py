@@ -160,15 +160,40 @@ class GridFunction:
         """Bilinear interpolation at points inside the rectangle.
 
         Accepts scalars or arrays; a point outside the rectangle by more than
-        ``1e-12`` spacings raises ``ValueError`` (exact edge points are fine).
+        ``1e-12·max(n1, n2)`` spacings, or a NaN coordinate, raises
+        ``ValueError`` (exact edge points are fine).  Two scalars take a
+        Python-float branch with the same arithmetic, so both branches agree
+        bit for bit; it spares the per-call overhead of 0-d arrays in
+        pointwise loops such as leaf marching.
         """
         g = self.grid
+        eps = 1e-12 * max(g.n1, g.n2)
+        # isinstance first: np.ndim costs microseconds on a Python float
+        scalar = isinstance(x1, float) and isinstance(x2, float)
+        if scalar or (np.ndim(x1) == 0 and np.ndim(x2) == 0):
+            f1 = (float(x1) - g.x1_range[0]) / g.h1
+            f2 = (float(x2) - g.x2_range[0]) / g.h2
+            if not (-eps <= f1 <= g.n1 - 1 + eps and -eps <= f2 <= g.n2 - 1 + eps):
+                raise ValueError("interpolation point outside grid rectangle")
+            f1 = min(max(f1, 0.0), g.n1 - 1.0)
+            f2 = min(max(f2, 0.0), g.n2 - 1.0)
+            i = min(int(f1), g.n1 - 2)
+            j = min(int(f2), g.n2 - 2)
+            t = f1 - i
+            s = f2 - j
+            v = self.values.item
+            return (
+                v(i, j) * (1 - t) * (1 - s)
+                + v(i + 1, j) * t * (1 - s)
+                + v(i, j + 1) * (1 - t) * s
+                + v(i + 1, j + 1) * t * s
+            )
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
         f1 = (x1 - g.x1_range[0]) / g.h1
         f2 = (x2 - g.x2_range[0]) / g.h2
-        eps = 1e-12 * max(g.n1, g.n2)
-        if np.any(f1 < -eps) or np.any(f1 > g.n1 - 1 + eps) or np.any(f2 < -eps) or np.any(f2 > g.n2 - 1 + eps):
+        inside = (f1 >= -eps) & (f1 <= g.n1 - 1 + eps) & (f2 >= -eps) & (f2 <= g.n2 - 1 + eps)
+        if not np.all(inside):  # NaN coordinates fail too
             raise ValueError("interpolation point outside grid rectangle")
         f1 = np.clip(f1, 0.0, g.n1 - 1)
         f2 = np.clip(f2, 0.0, g.n2 - 1)
@@ -177,13 +202,12 @@ class GridFunction:
         t = f1 - i
         s = f2 - j
         v = self.values
-        out = (
+        return (
             v[i, j] * (1 - t) * (1 - s)
             + v[i + 1, j] * t * (1 - s)
             + v[i, j + 1] * (1 - t) * s
             + v[i + 1, j + 1] * t * s
         )
-        return float(out) if out.ndim == 0 else out
 
     def restrict(self, margin: int) -> np.ndarray:
         """View of the values at least ``margin`` layers from the boundary."""

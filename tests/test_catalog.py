@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from hmingraph import (
     DomainError,
@@ -80,6 +83,66 @@ class TestShearGraph:
         roots = np.roots([-1.0, 0.0, 1.0, -0.1])
         expect = min(r.real for r in roots if abs(r.imag) < 1e-12 and 0 < r.real < 0.5)
         assert t == pytest.approx(expect, abs=1e-12)
+
+
+def per_t_shear_scan(g, x1, x2, bracket=(-50.0, 50.0)):
+    """Reference: the bracket scan one ``t`` at a time, then the same polish.
+
+    Returns ``(root, n_roots)``; ``root`` is None unless exactly one root
+    was found.
+    """
+    phi = lambda t: x1 * t - g(t) - x2
+    ts = np.linspace(bracket[0], bracket[1], 401)
+    vals = np.array([phi(t) for t in ts])
+    exact = np.flatnonzero(vals == 0.0)
+    flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+    n_roots = len(exact) + len(flips)
+    if n_roots != 1:
+        return None, n_roots
+    if len(exact):
+        return float(ts[exact[0]]), 1
+    k = flips[0]
+    return float(brentq(phi, ts[k], ts[k + 1], xtol=1e-15, rtol=8.9e-16)), 1
+
+
+def _root_count_message(n_roots):
+    return "no root" if n_roots == 0 else f"^{n_roots} roots"
+
+
+# the catalog's shear profiles, each with the x1 range of its domain
+SHEAR_PROFILES = {"abs": (abs, 1.0), "zero": (lambda t: 0.0, 0.0), "neg": (lambda t: -t, -1.0)}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(SHEAR_PROFILES)), st.floats(0.0, 6.0, exclude_min=True),
+       st.floats(-20.0, 20.0))
+def test_array_scan_finds_the_per_t_root_bit_for_bit(name, dx1, x2):
+    g, x1_min = SHEAR_PROFILES[name]
+    x1 = x1_min + dx1
+    root, n_roots = per_t_shear_scan(g, x1, x2)
+    if n_roots != 1:
+        with pytest.raises(ShearRootError, match=_root_count_message(n_roots)):
+            shear_graph(g, x1, x2)
+    else:
+        got = shear_graph(g, x1, x2)
+        assert np.float64(got).tobytes() == np.float64(root).tobytes()
+
+
+@pytest.mark.parametrize("name,x1,x2", [
+    ("abs", 0.0, -1.0),    # tent x1*t - |t| meets x2 < 0 twice
+    ("abs", -0.5, -3.0),
+    ("zero", 0.0, 0.0),    # every scan point is an exact root
+    ("neg", -1.0, 0.0),
+    ("zero", 0.0, 0.5),    # constant residual
+    ("abs", 0.5, 0.5),     # the tent stays below x2 > 0
+    ("zero", 1e-3, 1.0),   # the root lies outside the bracket
+])
+def test_array_scan_counts_roots_like_the_per_t_scan(name, x1, x2):
+    g = SHEAR_PROFILES[name][0]
+    _, n_roots = per_t_shear_scan(g, x1, x2)
+    assert n_roots != 1
+    with pytest.raises(ShearRootError, match=_root_count_message(n_roots)):
+        shear_graph(g, x1, x2)
 
 
 class TestCatalogEntries:

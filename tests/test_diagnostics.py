@@ -23,8 +23,9 @@ from hmingraph import (
     sobolev_norm_eps,
     verdict,
 )
+from hmingraph import diagnostics
 
-from conftest import fan
+from conftest import fan, fan_bump
 
 
 def unit_field(f, n=33):
@@ -122,6 +123,44 @@ class TestHolderExponentEstimate:
         f = unit_field(lambda a, b: a)
         with pytest.raises(ValueError, match="bins"):
             holder_exponent_estimate(f, (1e-6, 2e-6))
+
+
+class TestOffsetSetCache:
+    """The offset set is built once per (grid, window) and shared."""
+
+    @pytest.mark.parametrize("n,exhaustive", [(65, False), (17, True)])
+    def test_cached_offsets_give_the_uncached_numbers_bit_for_bit(self, monkeypatch, n, exhaustive):
+        g = Grid((0.0, 1.0), (1.0, 2.0), n, n)
+        u = GridFunction.from_callable(g, lambda a, b: fan_bump(a, b) + np.abs(b - 1.5) ** 0.6)
+        fields = [apply_x1(Frame(u, 0.1), u), GridFunction(g, u.d2())]
+        windows = [(2 * g.h1, 0.25), (0.05, 0.6)]
+        alphas = (0.25, 0.5, 0.75, 0.9)
+
+        def numbers():
+            return [(holder_seminorm(f, a, w), holder_exponent_estimate(f, w))
+                    for f in fields for w in windows for a in alphas]
+
+        offsets = diagnostics._offset_set(g, *windows[0])
+        assert (len(offsets) == n * (2 * n - 1)) == exhaustive
+        cached = numbers()
+        with monkeypatch.context() as m:
+            m.setattr(diagnostics, "_offset_set", diagnostics._offset_set.__wrapped__)
+            uncached = numbers()
+        assert np.array(cached).tobytes() == np.array(uncached).tobytes()
+        assert diagnostics._offset_set(g, *windows[0]) is offsets
+        assert offsets == diagnostics._offset_set.__wrapped__(g, *windows[0])
+
+    def test_cached_offsets_cannot_be_changed(self):
+        g = Grid((0.0, 1.0), (0.0, 1.0), 65, 65)
+        offsets = diagnostics._offset_set(g, 0.03, 0.25)
+        assert isinstance(offsets, tuple)
+        assert all(isinstance(o, tuple) for o in offsets)
+        with pytest.raises(TypeError):
+            offsets[0] = (1, 1)
+        with pytest.raises(TypeError):
+            offsets[0][0] = 1
+        with pytest.raises(AttributeError):
+            offsets.append((1, 1))
 
 
 class TestSobolevNorm:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmingraph import Grid, GridFunction, GridMismatchError, require_same_grid
 
@@ -71,6 +73,76 @@ def test_interp_outside_raises():
         u.interp(1.5, 0.5)
     with pytest.raises(ValueError):
         u.interp(0.5, -0.2)
+
+
+@pytest.mark.parametrize("point", [(np.nan, 0.5), (0.5, np.nan)])
+def test_interp_rejects_nan_in_both_branches(point):
+    u = GridFunction(Grid((0.0, 1.0), (0.0, 1.0), 5, 5), np.zeros((5, 5)))
+    with pytest.raises(ValueError, match="outside grid rectangle"):
+        u.interp(*point)
+    with pytest.raises(ValueError, match="outside grid rectangle"):
+        u.interp(np.array([point[0], 0.5]), np.array([point[1], 0.5]))
+
+
+def _interp_or_error(u, x1, x2):
+    try:
+        return u.interp(x1, x2)
+    except ValueError as err:
+        return str(err)
+
+
+@st.composite
+def grids_and_points(draw):
+    """A random rectangular grid, random node values and probe points.
+
+    Points mix the interior, exact node lines (edges and corners included),
+    and index offsets within a few multiples of the outside tolerance
+    ``1e-12·max(n1, n2)`` of each edge, on both sides of it.
+    """
+    n1, n2 = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    lo1, lo2 = draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))
+    w1, w2 = draw(st.floats(1e-3, 100.0)), draw(st.floats(1e-3, 100.0))
+    g = Grid((lo1, lo1 + w1), (lo2, lo2 + w2), n1, n2)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = GridFunction(g, rng.normal(size=(n1, n2)) * draw(st.sampled_from([1.0, 1e-8, 1e8])))
+    eps = 1e-12 * max(n1, n2)
+
+    def coordinate(lo, hi, h, n):
+        kind = draw(st.sampled_from(["inside", "node", "edge", "near-edge"]))
+        if kind == "inside":
+            return draw(st.floats(lo, hi))
+        if kind == "node":
+            return lo + draw(st.integers(0, n - 1)) * h
+        if kind == "edge":
+            return draw(st.sampled_from([lo, hi]))
+        f = draw(st.sampled_from([0.0, n - 1.0])) + draw(st.floats(-3.0, 3.0)) * eps
+        return lo + f * h
+
+    pts = [(coordinate(lo1, lo1 + w1, g.h1, n1), coordinate(lo2, lo2 + w2, g.h2, n2))
+           for _ in range(draw(st.integers(1, 12)))]
+    return u, pts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(grids_and_points())
+def test_scalar_interp_equals_array_interp_bit_for_bit(case):
+    u, pts = case
+    inside = []
+    for x1, x2 in pts:
+        scalar = _interp_or_error(u, x1, x2)
+        array = _interp_or_error(u, np.array([x1]), np.array([x2]))
+        if isinstance(array, str):
+            assert scalar == array  # both raise, with the same message
+            continue
+        assert isinstance(scalar, float)
+        assert np.float64(scalar).tobytes() == array.tobytes()
+        # NumPy scalars and 0-d arrays give the same bits
+        assert np.float64(u.interp(np.float64(x1), np.asarray(x2))).tobytes() == array.tobytes()
+        inside.append((x1, x2))
+    if inside:
+        x1s, x2s = np.array(inside).T
+        batch = u.interp(x1s, x2s)
+        assert batch.tobytes() == np.array([u.interp(a, b) for a, b in inside]).tobytes()
 
 
 def test_restrict_views_shrink_symmetrically():
