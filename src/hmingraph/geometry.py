@@ -177,6 +177,7 @@ def _flow_coords(
     n_start: int = 32,
     rel_tol: float = 1e-9,
     max_doublings: int = 5,
+    slopes: tuple[float, float] = (0.0, 0.0),
 ):
     """Adapted coordinates (e1, e2, e3) of ``(x, s)`` seen from ``(x0, 0)``.
 
@@ -193,9 +194,15 @@ def _flow_coords(
         eps * e2 = (x - x0)_2 - e1 * (I + s^2 / 3),
         I = integral_0^1 u(gamma(t)) dt  (composite Simpson),
 
-    which the converged path satisfies by construction.  Subinterval counts
-    start at ``n_start`` (even) and double until e2 moves by less than
-    ``rel_tol`` (relative), or ``max_doublings`` is hit.
+    which the converged path satisfies by construction.  The shooting
+    starts from the closed-form drive of :func:`_frozen_coords` for the
+    affine model with value ``u(x0)`` and Euclidean gradient ``slopes``
+    (zero slopes give the flat path's drive), after one secant step on that
+    model at the current subinterval count: the endpoint map amplifies the
+    scheme's own error in the drive by about ``exp(e1 d2u)``, which at rates
+    of tens would send the first trial path off the domain.  Subinterval
+    counts start at ``n_start`` (even) and double until e2 moves by less
+    than ``rel_tol`` (relative), or ``max_doublings`` is hit.
 
     ``u_eval(x1, x2)`` must evaluate anywhere on the path and raise
     ``ValueError`` off its domain, which is converted to
@@ -207,30 +214,42 @@ def _flow_coords(
     """
     e1 = x[0] - x0[0]
     dx2 = x[1] - x0[1]
+    u0 = u_eval(*x0)
+    drive0 = float(_drive(u0, *slopes, e1, dx2, s))
+
+    def model(a, b):
+        return u0 + slopes[0] * (a - x0[0]) + slopes[1] * (b - x0[1])
 
     def shoot(n: int) -> tuple[float, np.ndarray]:
         tau = np.linspace(0.0, 1.0, n + 1)
         dt = 1.0 / n
-
-        def rhs(t, y, c):
-            return e1 * (u_eval(x0[0] + e1 * t, y) + (t * s) ** 2) + c
-
-        c = dx2 - e1 * (u_eval(*x0) + s * s / 3.0)  # zeroth guess: flat path
-        c_prev = y_prev = None
-        slope = 1.0  # exact when u ignores x2
         path = np.empty(n + 1)
-        for _ in range(60):
+
+        def march(f, c) -> float:
+            """Integrate ``g2' = e1 (f(g1, g2) + t^2 s^2) + c`` into ``path``."""
+
+            def rhs(t, y):
+                return e1 * (f(x0[0] + e1 * t, y) + (t * s) ** 2) + c
+
             y = x0[1]
             path[0] = y
+            for k in range(n):
+                t = tau[k]
+                k1 = rhs(t, y)
+                k2 = rhs(t + dt / 2, y + dt * k1 / 2)
+                k3 = rhs(t + dt / 2, y + dt * k2 / 2)
+                k4 = rhs(t + dt, y + dt * k3)
+                y = y + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+                path[k + 1] = y
+            return y
+
+        y_model = march(model, drive0)
+        slope = march(model, drive0 + 1.0) - y_model
+        c = drive0 + (x[1] - y_model) / slope
+        c_prev = y_prev = None
+        for _ in range(60):
             try:
-                for k in range(n):
-                    t = tau[k]
-                    k1 = rhs(t, y, c)
-                    k2 = rhs(t + dt / 2, y + dt * k1 / 2, c)
-                    k3 = rhs(t + dt / 2, y + dt * k2 / 2, c)
-                    k4 = rhs(t + dt, y + dt * k3, c)
-                    y = y + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-                    path[k + 1] = y
+                y = march(u_eval, c)
             except ValueError as exc:
                 raise PathExitsGridError(
                     f"flow path from {x0} to {x} leaves the field's domain"
@@ -302,7 +321,10 @@ def exp_coords_lifted(frame: Frame, x0: tuple[float, float], p: LiftedPoint):
     def u_eval(a, b):
         return frame.u.interp(a, b)
 
-    return _flow_coords(u_eval, (float(x0[0]), float(x0[1])), (p.x1, p.x2), p.s, frame.epsilon)
+    slopes = tuple(float(GridFunction(g, d).interp(x0[0], x0[1]))
+                   for d in (frame.u.d1(), frame.u.d2()))
+    return _flow_coords(u_eval, (float(x0[0]), float(x0[1])), (p.x1, p.x2), p.s, frame.epsilon,
+                        slopes=slopes)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +425,14 @@ def _frozen_coords(ff: FrozenFrame, x1, x2, s):
     e1 = np.asarray(x1, dtype=float) - ff.x0[0]
     dx2 = np.asarray(x2, dtype=float) - ff.x0[1]
     s = np.asarray(s, dtype=float)
+    return e1, _drive(ff.u0, g1, g2, e1, dx2, s) / ff.epsilon, s
+
+
+def _drive(u0, g1, g2, e1, dx2, s):
+    """The drive ``eps e2`` of :func:`_frozen_coords` for value ``u0`` and
+    Euclidean slopes ``(g1, g2)`` at the base point."""
     m0, m1, m2 = _moments(e1 * g2)
-    c = (dx2 - e1 * (ff.u0 * m0 + e1 * g1 * m1 + s * s * m2)) / m0
-    return e1, c / ff.epsilon, s
+    return (dx2 - e1 * (u0 * m0 + e1 * g1 * m1 + s * s * m2)) / m0
 
 
 def _gauge_eps(eps: float, e1, e2, e3):

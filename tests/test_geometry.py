@@ -178,6 +178,25 @@ def test_path_leaving_the_grid_raises():
         exp_coords_lifted(fr, (0.1, 0.5), LiftedPoint(0.9, 0.5, 0.0))
 
 
+def test_steep_field_path_stays_inside_the_grid():
+    # rate k = e1 d2u = 24: the flat path's drive sends the first trial path
+    # off the grid; the closed-form drive keeps it inside, where only the
+    # rounding amplified by about e^24 keeps e2 from settling to 1e-9
+    g = Grid((0.0, 1.0), (-20.0, 20.0), 33, 33)
+    fr = frame_of(lambda a, b: 0.3 + 0.7 * (a - 0.5) + 80.0 * (b - 0.5), eps=0.5, grid=g)
+    x0, p = (0.5, 0.625), LiftedPoint(0.8, 0.6, 0.2)
+    with pytest.raises(FlowConvergenceError, match="subintervals"):
+        exp_coords_lifted(fr, x0, p)
+
+    def u_eval(a, b):
+        return fr.u.interp(a, b)
+
+    e = _flow_coords(u_eval, x0, (p.x1, p.x2), p.s, 0.5, rel_tol=1e-5, slopes=(0.7, 80.0))
+    u0 = float(u_eval(*x0))
+    ff = FrozenFrame(x0=x0, u0=u0, x1u0=0.7 + 80.0 * u0, x2u0=0.5 * 80.0, epsilon=0.5)
+    assert e[1] == pytest.approx(float(_frozen_coords(ff, p.x1, p.x2, p.s)[1]), rel=1e-5)
+
+
 # --------------------------------------------------------- first order model
 
 def test_affine_graphs_reproduce_exactly():

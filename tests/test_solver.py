@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hmingraph import solver
 from hmingraph import (
     BoundaryData,
     ContinuationError,
@@ -12,6 +15,7 @@ from hmingraph import (
     GridFunction,
     NonConvergenceError,
     SolverConfig,
+    affine_graph,
     continuation,
     m_bound,
     picard_solve,
@@ -19,6 +23,7 @@ from hmingraph import (
     solve_eps,
     transfinite_interpolation,
 )
+from hmingraph.solver import LUCache
 
 from conftest import boundary, fan_bump
 
@@ -45,6 +50,40 @@ def test_affine_boundary_recovers_exact_solution(eps):
     assert np.max(np.abs(u.values - (2.0 * X1 - 1.0))) <= 1e-12
     assert rep.final_residual <= 1e-12
     assert rep.iterations <= 3
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    corner=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    sides=st.tuples(st.floats(1.0, 3.0), st.floats(1.0, 3.0)),
+    a=st.floats(-0.5, 0.5),
+    c=st.floats(-0.5, 0.5),
+    eps=st.floats(1e-3, 1.0),
+)
+def test_affine_data_solves_at_once_on_any_rectangle(corner, sides, a, c, eps):
+    # the affine graphs a x1 + c solve the equation for every eps.  Their
+    # nodal residual is pure rounding, which grows with |u| and 1/h^2: at
+    # 17^2 it reaches 1.3e-12 for a = c = 1 and 6.7e-12 for |a|, |c| <= 2,
+    # so slopes and offsets up to 1/2 keep the 1e-12 bound meaningful
+    g = Grid((corner[0], corner[0] + sides[0]), (corner[1], corner[1] + sides[1]), 17, 17)
+    bd = boundary(g, affine_graph(a, c).eval)
+    _, rep = solve_eps(g, bd, eps, SolverConfig(), None)
+    assert rep.converged
+    assert rep.iterations <= 3
+    assert rep.final_residual <= 1e-12
+
+
+def test_newton_stops_at_the_rounding_floor():
+    # the residual of this solve stalls near 1.4e-12, far above 1e-14, so
+    # only the floor 4 eps_mach |u|_inf / h^2 (about 3.7e-12) ends it
+    # before Newton runs on, falls back to Picard and fails
+    g = Grid((0.0, 1.0), (1.0, 2.0), 65, 65)
+    bd = boundary(g, fan_bump)
+    u, rep = solve_eps(g, bd, 0.1, SolverConfig(newton_tol=1e-14), None)
+    assert rep.converged and not rep.used_picard
+    assert rep.message == "converged at the rounding floor"
+    assert 1e-14 < rep.final_residual <= 4 * np.finfo(float).eps * u.sup_norm / g.h1 ** 2
+    assert rep.iterations <= 5
 
 
 def test_solution_agrees_with_lagged_coefficient_route():
@@ -210,4 +249,56 @@ def test_linear_residuals_are_recorded_per_newton_iteration():
     for rep in run.reports:
         assert len(rep.linear_residuals) == rep.iterations
         assert all(r <= cfg.linear_tol for r in rep.linear_residuals)
+        assert len(rep.krylov_iterations) == rep.iterations
+        assert rep.factorizations <= rep.krylov_iterations.count(0)
     assert sum(len(rep.linear_residuals) for rep in run.reports) > 0
+    assert run.reports[0].krylov_iterations[0] == 0  # nothing to reuse yet
+    assert 1 <= sum(rep.factorizations for rep in run.reports) < sum(rep.iterations for rep in run.reports)
+
+
+# ------------------------------------------------------------- LU reuse
+
+class ForgetfulLUCache(LUCache):
+    """Never hands a factorization back, so every Newton step factors afresh."""
+
+    lu = property(lambda self: None, lambda self, value: None)
+
+
+def test_lu_reuse_matches_a_fresh_factorization_per_step(monkeypatch):
+    g = Grid((0.0, 1.0), (1.0, 2.0), 65, 65)
+    bd = boundary(g, fan_bump)
+    reuse = continuation(g, bd, EpsSchedule(), SolverConfig())
+    monkeypatch.setattr(solver, "LUCache", ForgetfulLUCache)
+    fresh = continuation(g, bd, EpsSchedule(), SolverConfig())
+    assert [r.iterations for r in reuse.reports] == [r.iterations for r in fresh.reports]
+    assert all(r.factorizations == r.iterations for r in fresh.reports)
+    assert all(k == 0 for r in fresh.reports for k in r.krylov_iterations)
+    assert sum(r.factorizations for r in reuse.reports) < sum(r.iterations for r in reuse.reports)
+    for a, b in zip(reuse.solutions, fresh.solutions):
+        assert np.max(np.abs(a.values - b.values)) <= 1e-14
+
+
+def test_repeated_continuations_are_bit_identical():
+    g = Grid((0.0, 1.0), (1.0, 2.0), 33, 33)
+    bd = boundary(g, fan_bump)
+    first = continuation(g, bd, EpsSchedule(eps_min=0.01), SolverConfig())
+    second = continuation(g, bd, EpsSchedule(eps_min=0.01), SolverConfig())
+    for a, b in zip(first.solutions, second.solutions):
+        assert np.array_equal(a.values, b.values)
+    assert [r.krylov_iterations for r in first.reports] == [r.krylov_iterations for r in second.reports]
+
+
+def test_stale_preconditioner_falls_back_to_a_fresh_factorization():
+    # the LU of the eps = 1 Jacobian cannot precondition eps = 1e-3 well
+    # enough, so the first step refactors and the solve matches a cold cache
+    g = Grid((0.0, 1.0), (1.0, 2.0), 65, 65)
+    bd = boundary(g, fan_bump)
+    cache = LUCache()
+    u1, _ = solve_eps(g, bd, 1.0, SolverConfig(), None, lu_cache=cache)
+    stale = cache.lu
+    u, rep = solve_eps(g, bd, 1e-3, SolverConfig(), u1, lu_cache=cache)
+    assert rep.converged
+    assert rep.krylov_iterations[0] == 0 and rep.factorizations >= 1
+    assert cache.lu is not stale
+    ref, _ = solve_eps(g, bd, 1e-3, SolverConfig(), u1)
+    assert np.max(np.abs(u.values - ref.values)) <= 1e-14
