@@ -17,6 +17,7 @@ restriction of u to each leaf of its own direction field is affine).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,6 +80,14 @@ def affine_graph(a: float, c: float) -> CatalogEntry:
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _scan_points(lo: float, hi: float) -> np.ndarray:
+    """The 401 scan points of a bracket, built once and shared read-only."""
+    ts = np.linspace(lo, hi, 401)
+    ts.flags.writeable = False
+    return ts
+
+
 def shear_graph(g: Callable, x1: float, x2: float, bracket: tuple[float, float] = (-50.0, 50.0)) -> float:
     """Solve ``x2 = x1*t - g(t)`` for ``t``; the root is the graph height.
 
@@ -86,7 +95,9 @@ def shear_graph(g: Callable, x1: float, x2: float, bracket: tuple[float, float] 
     exactly one must exist.  The bracketed root is polished to full precision
     and checked against the 1e-12 residual postcondition.  ``g`` must act
     elementwise on a NumPy array (the scan evaluates it on all 401 points in
-    one call) as well as on a float.
+    one call) as well as on a float, and must not write into its argument:
+    the scan points are shared by every call with the same bracket and are
+    read-only.
     """
     x1 = float(x1)
     x2 = float(x2)
@@ -94,7 +105,7 @@ def shear_graph(g: Callable, x1: float, x2: float, bracket: tuple[float, float] 
     if not lo < hi:
         raise ShearRootError(f"empty bracket {bracket}")
     phi = lambda t: x1 * t - g(t) - x2
-    ts = np.linspace(lo, hi, 401)
+    ts = _scan_points(lo, hi)
     vals = x1 * ts - g(ts) - x2  # phi, elementwise over the whole scan
     exact = np.flatnonzero(vals == 0.0)
     sign_flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)

@@ -248,11 +248,22 @@ def _replacing(path: Path):
         raise
 
 
+_CSV_BLOCK = 4096  # rows formatted per string operation
+
+
 def _write_csv(path: Path, header: list, rows) -> None:
+    """Write ``rows`` (a 2-D float array, or an iterable of equal rows) as %.17g CSV.
+
+    Each block of rows is formatted by one ``%`` operation on a repeated
+    line template, which gives the same bytes as formatting value by value.
+    """
     with _replacing(path) as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join("%.17g" % float(v) for v in row) + "\n")
+        data = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
+        for start in range(0, len(data), _CSV_BLOCK):
+            block = data[start:start + _CSV_BLOCK]
+            line = ",".join(["%.17g"] * block.shape[1]) + "\n"
+            f.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -261,30 +272,45 @@ def _write_json(path: Path, obj: dict) -> None:
         f.write("\n")
 
 
-def _solution_rows(sol: GridFunction):
+def _solution_rows(sol: GridFunction) -> np.ndarray:
+    """Rows (x1, x2, u), one per node in C order."""
     x1, x2 = sol.grid.nodes()
-    for i in range(sol.grid.n1):
-        for j in range(sol.grid.n2):
-            yield x1[i, j], x2[i, j], sol.values[i, j]
+    return np.column_stack([x1.ravel(), x2.ravel(), sol.values.ravel()])
 
 
 def _read_solution_csv(path: Path) -> GridFunction:
     if not path.exists():
         raise ConfigError(f"{path}: missing run data")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as e:
+        raise ConfigError(f"{path}: unreadable ({e})") from e
     if data.shape[1] != 3:
         raise ConfigError(f"{path}: expected columns x1,x2,u")
     x1s = np.unique(data[:, 0])
     x2s = np.unique(data[:, 1])
     n1, n2 = len(x1s), len(x2s)
-    if n1 * n2 != len(data):
-        raise ConfigError(f"{path}: rows do not form a full lattice")
-    grid = Grid((float(x1s[0]), float(x1s[-1])), (float(x2s[0]), float(x2s[-1])), n1, n2)
-    vals = np.full((n1, n2), np.nan)
     i = np.searchsorted(x1s, data[:, 0])
     j = np.searchsorted(x2s, data[:, 1])
-    vals[i, j] = data[:, 2]
-    return GridFunction(grid, vals)
+    # every node exactly once: a repeated row can hide a missing one
+    if n1 * n2 != len(data) or np.unique(i * n2 + j).size != len(data):
+        raise ConfigError(f"{path}: rows do not form a full lattice")
+    try:
+        grid = Grid((float(x1s[0]), float(x1s[-1])), (float(x2s[0]), float(x2s[-1])), n1, n2)
+        vals = np.empty((n1, n2))
+        vals[i, j] = data[:, 2]
+        return GridFunction(grid, vals)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
+
+
+def _read_json(path: Path, keys: tuple) -> dict:
+    """The ``keys`` of a JSON artifact; ConfigError if it cannot supply them."""
+    try:
+        obj = json.loads(path.read_text())
+        return {k: obj[k] for k in keys}
+    except (ValueError, KeyError, TypeError) as e:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"{path}: unreadable run data ({type(e).__name__}: {e})") from e
 
 
 def _report_dict(report) -> dict:
@@ -304,7 +330,7 @@ def _load_run(run_dir: Path) -> VanishingViscosityRun:
     meta_path = run_dir / "run.json"
     if not meta_path.exists():
         raise ConfigError(f"{meta_path}: missing run data")
-    meta = json.loads(meta_path.read_text())
+    meta = _read_json(meta_path, ("files", "eps_values", "lip_norms", "m_bounds", "sup_diffs"))
     sols = [_read_solution_csv(run_dir / name) for name in meta["files"]]
     if not sols:
         raise ConfigError(f"{run_dir}: run contains no solutions")
@@ -326,13 +352,15 @@ def _load_state(run_dir: Path) -> tuple[GridFunction, float]:
     """Final solution and epsilon from either a solve or a continuation dir."""
     meta_path = run_dir / "run.json"
     if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
+        meta = _read_json(meta_path, ("files", "eps_values"))
+        if not meta["files"] or not meta["eps_values"]:
+            raise ConfigError(f"{run_dir}: run contains no solutions")
         sol = _read_solution_csv(run_dir / meta["files"][-1])
         return sol, float(meta["eps_values"][-1])
     report_path = run_dir / "report.json"
     if report_path.exists():
-        report = json.loads(report_path.read_text())
-        return _read_solution_csv(run_dir / "solution.csv"), float(report["eps"])
+        eps = _read_json(report_path, ("eps",))["eps"]
+        return _read_solution_csv(run_dir / "solution.csv"), float(eps)
     raise ConfigError(f"{run_dir}: no run.json or report.json found")
 
 

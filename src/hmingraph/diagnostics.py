@@ -58,41 +58,21 @@ def intrinsic_derivative(u: GridFunction, k: int) -> GridFunction:
     return out
 
 
-def _offset_quotients(values: np.ndarray, grid: Grid, offsets, lo: float, hi: float):
-    """Yield (separation, max |difference|) per admissible node offset."""
-    n1, n2 = values.shape
-    hi_tol = hi * (1.0 + 1e-12)
-    for di, dj in offsets:
-        if di == 0 and dj == 0:
-            continue
-        sep = np.hypot(di * grid.h1, dj * grid.h2)
-        if sep < lo or sep > hi_tol:
-            continue
-        if dj >= 0:
-            a = values[di:, dj:] if dj else values[di:, :]
-            b = values[: n1 - di, : n2 - dj] if dj else values[: n1 - di, :]
-        else:
-            a = values[di:, :dj]
-            b = values[: n1 - di, -dj:]
-        if a.size == 0:
-            continue
-        yield sep, float(np.max(np.abs(a - b)))
-
-
 @functools.lru_cache(maxsize=8)
 def _offset_set(grid: Grid, lo: float, hi: float) -> tuple:
     """Deterministic offsets covering separations in [lo, hi].
 
     Exhaustive when the grid's pair count is at most PAIR_CAP; otherwise all
     short offsets plus offsets on log-spaced separation shells at a fan of
-    directions (stratified by separation scale).  Cached per ``(grid, lo,
-    hi)``: a ledger asks for the same set once per exponent, field and
-    epsilon.  The tuple of tuples cannot be changed by a caller.
+    directions (stratified by separation scale).  An offset ``(0, -k)``
+    pairs the same nodes as ``(0, k)``, so only the latter is kept.  Cached
+    per ``(grid, lo, hi)``: every field on a grid shares the set.  The tuple
+    of tuples cannot be changed by a caller.
     """
     n1, n2 = grid.n1, grid.n2
     n_nodes = n1 * n2
     if n_nodes * (n_nodes - 1) // 2 <= PAIR_CAP:
-        return tuple((di, dj) for di in range(n1) for dj in range(-(n2 - 1), n2))
+        return tuple((di, dj) for di in range(n1) for dj in range(-(n2 - 1) if di else 1, n2))
     offsets = {(di, dj) for di in range(5) for dj in range(-4, 5)}
     h_min = min(grid.h1, grid.h2)
     r_lo = max(lo, h_min)
@@ -104,7 +84,37 @@ def _offset_set(grid: Grid, lo: float, hi: float) -> tuple:
             dj = int(round(r * np.sin(th) / grid.h2))
             if 0 <= di < n1 and -n2 < dj < n2:
                 offsets.add((di, dj))
-    return tuple(sorted(offsets))
+    return tuple(sorted({(di, abs(dj) if di == 0 else dj) for di, dj in offsets} - {(0, 0)}))
+
+
+def _separation_profile(grid: Grid, lo: float, hi: float, values: np.ndarray) -> tuple:
+    """(separation, max |difference|) arrays over the admissible offsets, in one pass."""
+    n1, n2 = values.shape
+    off = np.array(_offset_set(grid, lo, hi), dtype=np.int64).reshape(-1, 2)
+    seps = np.hypot(off[:, 0] * grid.h1, off[:, 1] * grid.h2)
+    keep = (seps >= lo) & (seps <= hi * (1.0 + 1e-12)) & (off[:, 0] < n1) & (np.abs(off[:, 1]) < n2)
+    dmax = []
+    for di, dj in off[keep].tolist():
+        if dj >= 0:
+            a, b = values[di:, dj:], values[: n1 - di, : n2 - dj]
+        else:
+            a, b = values[di:, :dj], values[: n1 - di, -dj:]
+        dmax.append(float(np.max(np.abs(a - b))))
+    return seps[keep], np.array(dmax, dtype=float)
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_profile(grid: Grid, lo: float, hi: float, shape: tuple, raw: bytes) -> tuple:
+    """The profile of the field whose float64 values are ``raw``, read-only.
+
+    Keyed on the field's content, never on the identity of its array, so
+    writing into ``GridFunction.values`` in place gives a fresh profile.
+    Four entries hold both gradient components of two steps: a ledger asks
+    for each component's profile once per exponent, alternating the two.
+    """
+    sep, dmax = _separation_profile(grid, lo, hi, np.frombuffer(raw).reshape(shape))
+    sep.flags.writeable = dmax.flags.writeable = False
+    return sep, dmax
 
 
 def holder_seminorm(f: GridFunction, alpha: float, window: tuple[float, float]) -> float:
@@ -118,9 +128,10 @@ def holder_seminorm(f: GridFunction, alpha: float, window: tuple[float, float]) 
     lo, hi = float(window[0]), float(window[1])
     if not 0.0 <= lo < hi:
         raise ValueError(f"bad separation window {window}")
+    sep, dmax = _cached_profile(f.grid, lo, hi, f.values.shape, f.values.tobytes())
     best = -1.0
-    for sep, dmax in _offset_quotients(f.values, f.grid, _offset_set(f.grid, lo, hi), lo, hi):
-        best = max(best, dmax / sep ** alpha)
+    for s, d in zip(sep.tolist(), dmax.tolist()):
+        best = max(best, d / s ** alpha)
     if best < 0.0:
         raise ValueError(f"no node pairs with separation in window {window}")
     return best
@@ -136,11 +147,11 @@ def holder_exponent_estimate(f: GridFunction, window: tuple[float, float], nbins
     if not 0.0 < lo < hi:
         raise ValueError(f"bad separation window {window}")
     edges = np.geomspace(lo, hi, nbins + 1)
+    # one estimate per field: a cache here would serve only repeats of the same call
+    sep, dmax = _separation_profile(f.grid, lo, hi, f.values)
+    k = np.minimum(np.searchsorted(edges, sep, side="right") - 1, nbins - 1)
     bin_max = np.zeros(nbins)
-    for sep, dmax in _offset_quotients(f.values, f.grid, _offset_set(f.grid, lo, hi), lo, hi):
-        k = min(int(np.searchsorted(edges, sep, side="right")) - 1, nbins - 1)
-        if k >= 0:
-            bin_max[k] = max(bin_max[k], dmax)
+    np.fmax.at(bin_max, k[k >= 0], dmax[k >= 0])  # fmax, like max(), skips a NaN
     centers = np.sqrt(edges[:-1] * edges[1:])
     ok = bin_max > 0.0
     if int(ok.sum()) < 2:

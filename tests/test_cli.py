@@ -197,6 +197,67 @@ def test_interrupted_write_keeps_the_previous_artifact(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
+def test_block_writer_matches_per_value_formatting(tmp_path, monkeypatch):
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2e-308, -1e-310, 1e308,
+               -1e308, 1.7976931348623157e308, 0.1, 1 / 3, -2.5, 123456789.0]
+    rng = np.random.default_rng(7)
+    data = rng.choice(np.array(special), size=(23, 3))
+    data[:, 1] = rng.standard_normal(23) * 10.0 ** rng.integers(-300, 300, 23)
+    monkeypatch.setattr("hmingraph.cli._CSV_BLOCK", 5)  # several blocks, one short
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["a", "b", "c"], data)
+    want = "a,b,c\n" + "".join(",".join("%.17g" % float(v) for v in row) + "\n" for row in data)
+    assert path.read_text() == want
+    _write_csv(path, ["a", "b", "c"], np.empty((0, 3)))
+    assert path.read_text() == "a,b,c\n"
+
+
+class TestCorruptedRunDirectory:
+    """Damaged artifacts end in exit 1 with the file named, not a traceback."""
+
+    @staticmethod
+    def diagnose(run_dir, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.json", {"diagnose": {"run_dir": str(run_dir)},
+                                              "output_dir": str(tmp_path / "out")})
+        code = main(["diagnose", cfg])
+        return code, capsys.readouterr().err
+
+    def test_repeated_row_hiding_a_missing_node(self, fan_run_dir, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(fan_run_dir, run_dir)
+        path = run_dir / "solution_001.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[5] = lines[4]  # same row count, one node twice and one node never
+        path.write_text("".join(lines))
+        code, err = self.diagnose(run_dir, tmp_path, capsys)
+        assert code == 1
+        assert f"error: {path}: rows do not form a full lattice" in err
+        assert "Traceback" not in err
+
+    def test_truncated_run_json(self, fan_run_dir, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(fan_run_dir, run_dir)
+        path = run_dir / "run.json"
+        path.write_text(path.read_text()[:40])
+        code, err = self.diagnose(run_dir, tmp_path, capsys)
+        assert code == 1
+        assert f"error: {path}: unreadable" in err
+        assert "Traceback" not in err
+
+    def test_report_json_without_eps(self, tmp_path, capsys):
+        solved = tmp_path / "solved"
+        assert main(["solve", write_cfg(tmp_path / "s.json", solve_cfg(solved))]) == 0
+        path = solved / "report.json"
+        for text in (path.read_text()[:30], '{"converged": true}'):
+            path.write_text(text)
+            cfg = write_cfg(tmp_path / "f.json", {"foliate": {"run_dir": str(solved)},
+                                                  "output_dir": str(tmp_path / "fol")})
+            assert main(["foliate", cfg]) == 1
+            err = capsys.readouterr().err
+            assert f"error: {path}: unreadable" in err
+            assert "Traceback" not in err
+
+
 class TestContinuationCommand:
     def test_artifact_layout(self, fan_run_dir):
         names = sorted(p.name for p in fan_run_dir.iterdir())

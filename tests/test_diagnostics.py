@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmingraph import (
     BoundaryData,
@@ -141,10 +143,12 @@ class TestOffsetSetCache:
                     for f in fields for w in windows for a in alphas]
 
         offsets = diagnostics._offset_set(g, *windows[0])
-        assert (len(offsets) == n * (2 * n - 1)) == exhaustive
+        # every offset but (0, 0) and the mirrors (0, -k) of (0, k)
+        assert (len(offsets) == 2 * n * (n - 1)) == exhaustive
         cached = numbers()
         with monkeypatch.context() as m:
             m.setattr(diagnostics, "_offset_set", diagnostics._offset_set.__wrapped__)
+            diagnostics._cached_profile.cache_clear()  # else the profiles hide the offsets
             uncached = numbers()
         assert np.array(cached).tobytes() == np.array(uncached).tobytes()
         assert diagnostics._offset_set(g, *windows[0]) is offsets
@@ -161,6 +165,136 @@ class TestOffsetSetCache:
             offsets[0][0] = 1
         with pytest.raises(AttributeError):
             offsets.append((1, 1))
+
+
+def _old_offset_set(grid, lo, hi):
+    """The offset set as built before the per-field profile: it still holds
+    (0, 0) and both mirrors (0, k), (0, -k)."""
+    n1, n2 = grid.n1, grid.n2
+    n_nodes = n1 * n2
+    if n_nodes * (n_nodes - 1) // 2 <= diagnostics.PAIR_CAP:
+        return [(di, dj) for di in range(n1) for dj in range(-(n2 - 1), n2)]
+    offsets = {(di, dj) for di in range(5) for dj in range(-4, 5)}
+    radii = np.geomspace(max(lo, min(grid.h1, grid.h2)), hi, 48)
+    angles = np.linspace(-np.pi / 2, np.pi / 2, 25)
+    for r in radii:
+        for th in angles:
+            di = int(round(r * np.cos(th) / grid.h1))
+            dj = int(round(r * np.sin(th) / grid.h2))
+            if 0 <= di < n1 and -n2 < dj < n2:
+                offsets.add((di, dj))
+    return sorted(offsets)
+
+
+def _old_quotients(values, grid, lo, hi):
+    """(separation, max |difference|) per offset, one offset at a time."""
+    n1, n2 = values.shape
+    out = []
+    for di, dj in _old_offset_set(grid, lo, hi):
+        if di == 0 and dj == 0:
+            continue
+        sep = np.hypot(di * grid.h1, dj * grid.h2)
+        if sep < lo or sep > hi * (1.0 + 1e-12):
+            continue
+        if dj >= 0:
+            a = values[di:, dj:] if dj else values[di:, :]
+            b = values[: n1 - di, : n2 - dj] if dj else values[: n1 - di, :]
+        else:
+            a = values[di:, :dj]
+            b = values[: n1 - di, -dj:]
+        if a.size:
+            out.append((sep, float(np.max(np.abs(a - b)))))
+    return out
+
+
+def _old_seminorm(quotients, alpha):
+    best = -1.0
+    for sep, dmax in quotients:
+        best = max(best, dmax / sep ** alpha)
+    return best if best >= 0.0 else None
+
+
+def _old_exponent(quotients, lo, hi, nbins=8):
+    edges = np.geomspace(lo, hi, nbins + 1)
+    bin_max = np.zeros(nbins)
+    for sep, dmax in quotients:
+        k = min(int(np.searchsorted(edges, sep, side="right")) - 1, nbins - 1)
+        if k >= 0:
+            bin_max[k] = max(bin_max[k], dmax)
+    ok = bin_max > 0.0
+    if int(ok.sum()) < 2:
+        return None
+    centers = np.sqrt(edges[:-1] * edges[1:])
+    return float(np.clip(np.polyfit(np.log(centers[ok]), np.log(bin_max[ok]), 1)[0], 0.0, 1.0))
+
+
+def _bits(x):
+    return None if x is None else np.float64(x).tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_separation_profile_reproduces_the_per_exponent_passes_bit_for_bit(data):
+    exhaustive = data.draw(st.booleans(), label="exhaustive")
+    if exhaustive:  # at most 1414 nodes: all offsets
+        n1 = data.draw(st.integers(4, 70), label="n1")
+        n2 = data.draw(st.integers(4, min(70, 1414 // n1)), label="n2")
+    else:  # stratified offsets
+        n1 = data.draw(st.integers(21, 70), label="n1")
+        n2 = data.draw(st.integers(-(-1415 // n1), 70), label="n2")
+    w1, w2 = data.draw(st.floats(0.1, 10.0), label="w1"), data.draw(st.floats(0.1, 10.0), label="w2")
+    g = Grid((0.0, w1), (-1.0, w2 - 1.0), n1, n2)
+    assert (n1 * n2 * (n1 * n2 - 1) // 2 <= diagnostics.PAIR_CAP) == exhaustive
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    X1, X2 = g.nodes()
+    vals = np.sin(rng.uniform(0.5, 5.0) * X1) * X2 + rng.uniform(0.0, 0.1) * rng.standard_normal(X1.shape)
+    f = GridFunction(g, vals)
+    h, diag = min(g.h1, g.h2), float(np.hypot(w1, w2))
+    lo = data.draw(st.floats(0.0, 4.0), label="lo/h") * h
+    hi = lo + data.draw(st.floats(0.01, 1.0), label="span") * (diag - lo)
+    alphas = data.draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4), label="alphas")
+
+    quotients = _old_quotients(vals, g, lo, hi)
+    for a in alphas:
+        try:
+            got = holder_seminorm(f, a, (lo, hi))
+        except ValueError:
+            got = None
+        assert _bits(got) == _bits(_old_seminorm(quotients, a))
+    if lo > 0.0:
+        try:
+            got = holder_exponent_estimate(f, (lo, hi))
+        except ValueError:
+            got = None
+        assert _bits(got) == _bits(_old_exponent(quotients, lo, hi))
+
+
+class TestSeparationProfile:
+    def test_writing_into_the_values_changes_the_next_result(self):
+        f = unit_field(lambda a, b: np.sin(3 * a) + b * b)
+        w = (0.05, 0.6)
+        before = (holder_seminorm(f, 0.5, w), holder_exponent_estimate(f, w))
+        f.values[4, 7] += 5.0  # same array object, new content
+        after = (holder_seminorm(f, 0.5, w), holder_exponent_estimate(f, w))
+        fresh = GridFunction(f.grid, f.values.copy())
+        assert after != before
+        assert after == (holder_seminorm(fresh, 0.5, w), holder_exponent_estimate(fresh, w))
+
+    def test_one_pass_serves_every_exponent(self):
+        f = unit_field(lambda a, b: np.cos(2 * a) * b)
+        diagnostics._cached_profile.cache_clear()
+        for a in (0.25, 0.5, 0.75, 0.9):
+            holder_seminorm(GridFunction(f.grid, f.values.copy()), a, (0.05, 0.6))
+        info = diagnostics._cached_profile.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_cached_profile_cannot_be_changed(self):
+        f = unit_field(lambda a, b: a * b)
+        sep, dmax = diagnostics._cached_profile(f.grid, 0.05, 0.6, f.values.shape, f.values.tobytes())
+        with pytest.raises(ValueError):
+            sep[0] = 1.0
+        with pytest.raises(ValueError):
+            dmax[0] = 1.0
 
 
 class TestSobolevNorm:

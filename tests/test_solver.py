@@ -73,6 +73,27 @@ def test_affine_data_solves_at_once_on_any_rectangle(corner, sides, a, c, eps):
     assert rep.final_residual <= 1e-12
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    shift=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+    eps=st.floats(1e-3, 1.0),
+    n=st.integers(17, 33),
+)
+def test_translating_domain_and_data_translates_the_solution(shift, eps, n):
+    # no coordinate enters the equation, so moving the rectangle by (a, b)
+    # and reading the data at (x1 - a, x2 - b) moves the solution with it;
+    # the shifted nodes and spacings differ from the unshifted ones by
+    # rounding only
+    a, b = shift
+    g = Grid((0.0, 1.0), (1.0, 2.0), n, n)
+    gs = Grid((a, 1.0 + a), (1.0 + b, 2.0 + b), n, n)
+    u, rep = solve_eps(g, boundary(g, fan_bump), eps, SolverConfig(), None)
+    us, rep_s = solve_eps(gs, boundary(gs, lambda x1, x2: fan_bump(x1 - a, x2 - b)), eps,
+                          SolverConfig(), None)
+    assert rep.converged and rep_s.converged
+    assert np.max(np.abs(us.values - u.values)) <= 1e-10 * (1.0 + u.sup_norm)
+
+
 def test_newton_stops_at_the_rounding_floor():
     # the residual of this solve stalls near 1.4e-12, far above 1e-14, so
     # only the floor 4 eps_mach |u|_inf / h^2 (about 3.7e-12) ends it
