@@ -18,11 +18,11 @@ restriction of u to each leaf of its own direction field is affine).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "CatalogEntry",
@@ -42,7 +42,8 @@ class DomainError(ValueError):
 
 
 class ShearRootError(ValueError):
-    """The shear equation has no root, or several, in the bracket."""
+    """The shear equation has no root, or several, in the bracket, or its
+    bracketed root cannot be polished (a NaN residual, or no convergence)."""
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,80 @@ def affine_graph(a: float, c: float) -> CatalogEntry:
     )
 
 
+_BRENT_XTOL = 1e-15
+_BRENT_RTOL = 8.9e-16
+_BRENT_MAXITER = 100
+
+
+def _ieee_div(a: float, b: float) -> float:
+    """``a / b`` as C computes it: a zero divisor gives ±inf or NaN, no error."""
+    if b == 0.0:
+        if a == 0.0 or math.isnan(a):
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+    return a / b
+
+
+def _brent_polish(f: Callable, xa: float, xb: float) -> float:
+    """Root of ``f`` in ``[xa, xb]`` by Brent's method (inverse quadratic
+    interpolation, secant steps and bisection).
+
+    A line-by-line port of the C routine behind ``scipy.optimize.brentq``:
+    the same iterates, the same stopping test ``|xblk - xcur|/2 <
+    (xtol + rtol*|xcur|)/2`` and the same result, bit for bit, at
+    ``xtol=1e-15``, ``rtol=8.9e-16`` and 100 iterations.  A NaN value of
+    ``f``, a bracket without a sign change and a polish that has not
+    converged after 100 iterations raise :class:`ShearRootError`.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ShearRootError(f"the shear residual is NaN at t={x!r}")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ShearRootError(f"no sign change of the shear residual on [{xpre!r}, {xcur!r}]")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = _ieee_div(-fcur * (xcur - xpre), fcur - fpre)
+            else:  # extrapolate
+                dpre = _ieee_div(fpre - fcur, xpre - xcur)
+                dblk = _ieee_div(fblk - fcur, xblk - xcur)
+                stry = _ieee_div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ShearRootError(
+        f"root polishing did not converge in {_BRENT_MAXITER} iterations (last t={xcur!r})")
+
+
 @functools.lru_cache(maxsize=16)
 def _scan_points(lo: float, hi: float) -> np.ndarray:
     """The 401 scan points of a bracket, built once and shared read-only."""
@@ -93,7 +168,10 @@ def shear_graph(g: Callable, x1: float, x2: float, bracket: tuple[float, float] 
 
     A 401-point scan over the bracket locates sign changes of the residual;
     exactly one must exist.  The bracketed root is polished to full precision
-    and checked against the 1e-12 residual postcondition.  ``g`` must act
+    by Brent's method (the iterates of ``scipy.optimize.brentq``, ported,
+    bit for bit) and checked against the 1e-12 residual postcondition; a
+    NaN residual or a polish that does not converge raises
+    :class:`ShearRootError` too.  ``g`` must act
     elementwise on a NumPy array (the scan evaluates it on all 401 points in
     one call) as well as on a float, and must not write into its argument:
     the scan points are shared by every call with the same bracket and are
@@ -120,7 +198,7 @@ def shear_graph(g: Callable, x1: float, x2: float, bracket: tuple[float, float] 
         root = float(ts[exact[0]])
     else:
         k = sign_flips[0]
-        root = brentq(phi, ts[k], ts[k + 1], xtol=1e-15, rtol=8.9e-16)
+        root = _brent_polish(phi, ts[k], ts[k + 1])
     if abs(x2 - x1 * root + g(root)) > 1e-12:
         raise ShearRootError(f"root polishing failed at ({x1:g}, {x2:g})")
     return float(root)

@@ -20,10 +20,10 @@ Leaves are independent of one another; everything here is read-only in ``u``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .grid import GridFunction
 
@@ -241,7 +241,14 @@ def foliation_cover(u: GridFunction, seed_spacing: float) -> list[Leaf]:
 
 
 def coverage_fraction(u: GridFunction, leaves: list[Leaf], radius: float | None = None) -> float:
-    """Fraction of interior grid nodes within ``radius`` of some leaf sample."""
+    """Fraction of interior grid nodes within ``radius`` of some leaf sample.
+
+    A node counts when ``sqrt(d1*d1 + d2*d2) <= radius`` for the coordinate
+    differences to some sample, the test (and the arithmetic) of a k-d
+    tree's nearest-neighbour query.  Only the nodes in an index window of
+    ``ceil(radius/h)`` around each sample's nearest node are tested, one
+    window offset at a time over all samples.
+    """
     g = u.grid
     if radius is None:
         radius = max(g.h1, g.h2)
@@ -249,9 +256,26 @@ def coverage_fraction(u: GridFunction, leaves: list[Leaf], radius: float | None 
         return 0.0
     samples = np.concatenate([leaf.points for leaf in leaves])
     x1, x2 = g.nodes()
-    nodes = np.column_stack([x1[1:-1, 1:-1].ravel(), x2[1:-1, 1:-1].ravel()])
-    dist, _ = cKDTree(samples).query(nodes, k=1)
-    return float(np.mean(dist <= radius))
+    lo1, lo2 = g.x1_range[0], g.x2_range[0]
+    # A node within radius of a sample is at most radius/h + 1/2 indices from
+    # the sample's nearest node index, hence at most ceil(radius/h).  Clipping
+    # that index onto the grid only brings it nearer to every grid node.
+    i0 = np.clip(np.rint((samples[:, 0] - lo1) / g.h1), 0, g.n1 - 1).astype(np.intp)
+    j0 = np.clip(np.rint((samples[:, 1] - lo2) / g.h2), 0, g.n2 - 1).astype(np.intp)
+    w1 = min(math.ceil(radius / g.h1), g.n1)
+    w2 = min(math.ceil(radius / g.h2), g.n2)
+    covered = np.zeros((g.n1, g.n2), dtype=bool)
+    for di in range(-w1, w1 + 1):
+        i = i0 + di
+        for dj in range(-w2, w2 + 1):
+            j = j0 + dj
+            inside = (i >= 1) & (i <= g.n1 - 2) & (j >= 1) & (j <= g.n2 - 2)
+            ii, jj = i[inside], j[inside]
+            d1 = x1[ii, jj] - samples[inside, 0]
+            d2 = x2[ii, jj] - samples[inside, 1]
+            near = np.sqrt(d1 * d1 + d2 * d2) <= radius
+            covered[ii[near], jj[near]] = True
+    return float(np.mean(covered[1:-1, 1:-1]))
 
 
 def leaf_table(leaf: Leaf) -> np.ndarray:

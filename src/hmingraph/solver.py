@@ -30,6 +30,8 @@ _PERMC_SPEC = "MMD_AT_PLUS_A"
 # only if the true residual is within this fraction of SolverConfig.linear_tol
 _KRYLOV_MAXITER = 15
 _KRYLOV_MARGIN = 0.1
+# GMRES extrapolates its mean contraction to the cap only after this many iterations
+_KRYLOV_MIN_RATE_ITERS = 3
 # a residual sup within this many roundings of |u|_inf / h^2 is converged
 _ROUNDING_FLOOR_C = 4.0
 
@@ -178,6 +180,11 @@ def _gmres(A, b, precondition, target: float, maxiter: int):
     until the least-squares estimate is at most ``target``.  Left
     preconditioning would minimize ``|M^-1 r|``, which can be tiny while
     ``|r|`` is not.
+
+    After ``k >= 3`` iterations a try that would miss ``target`` even if its
+    mean contraction so far, ``(est/beta)^(1/k)``, held until ``maxiter``
+    stops early: ``est * (est/beta)^((maxiter - k)/k) > target`` returns
+    ``(None, k)``, and the caller refactors as it would after a full miss.
     """
     x0 = precondition(b)
     r = b - A @ x0
@@ -196,8 +203,12 @@ def _gmres(A, b, precondition, target: float, maxiter: int):
         e = np.zeros(j + 2)
         e[0] = beta
         y = np.linalg.lstsq(H[:j + 2, :j + 1], e, rcond=None)[0]
-        if np.linalg.norm(H[:j + 2, :j + 1] @ y - e) <= target or H[j + 1, j] == 0.0:
+        est = float(np.linalg.norm(H[:j + 2, :j + 1] @ y - e))
+        if est <= target or H[j + 1, j] == 0.0:
             return x0 + np.column_stack(Z) @ y, j + 1
+        k = j + 1
+        if k >= _KRYLOV_MIN_RATE_ITERS and est * (est / beta) ** ((maxiter - k) / k) > target:
+            return None, k
         V.append(w / H[j + 1, j])
     return None, maxiter
 

@@ -1,8 +1,10 @@
 """Closed-form graph catalog: values, flags, root solving, stationarity."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -19,6 +21,7 @@ from hmingraph import (
     residual_div,
     shear_graph,
 )
+from hmingraph.catalog import _brent_polish
 
 
 class TestPaulsGraph:
@@ -143,6 +146,68 @@ def test_array_scan_counts_roots_like_the_per_t_scan(name, x1, x2):
     assert n_roots != 1
     with pytest.raises(ShearRootError, match=_root_count_message(n_roots)):
         shear_graph(g, x1, x2)
+
+
+# profiles for the polish, smooth and not, each usable on a float
+POLISH_PROFILES = {
+    "abs": abs,
+    "zero": lambda t: 0.0,
+    "neg": lambda t: -t,
+    "sin": lambda t: 0.3 * math.sin(t),
+    "cubic": lambda t: t ** 3,
+    "bump": lambda t: math.exp(-t * t),
+    "tanh": lambda t: math.tanh(3.0 * t),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(POLISH_PROFILES)), st.floats(-3.0, 6.0), st.floats(-40.0, 40.0),
+       st.floats(-14.0, 1.5), st.floats(-14.0, 1.5))
+def test_polish_equals_scipy_brentq_bit_for_bit(name, x1, root, log_left, log_right):
+    # the bracket straddles a chosen root; it need not be the only one
+    g = POLISH_PROFILES[name]
+    x2 = x1 * root - g(root)
+    lo, hi = root - 10.0 ** log_left, root + 10.0 ** log_right
+    phi = lambda t: x1 * t - g(t) - x2
+    assume(phi(lo) * phi(hi) < 0.0)
+    expect, info = brentq(phi, lo, hi, xtol=1e-15, rtol=8.9e-16, full_output=True, disp=False)
+    if not info.converged:  # e.g. a cubic's triple root at 0
+        with pytest.raises(ShearRootError, match=f"converge.*t={expect!r}"):
+            _brent_polish(phi, lo, hi)
+        return
+    got = _brent_polish(phi, lo, hi)
+    assert np.float64(got).tobytes() == np.float64(expect).tobytes()
+
+
+class TestPolishErrors:
+    def test_nan_residual_raises_shear_root_error(self):
+        # the first bisection lands on t = 0.5, where the residual is NaN
+        f = lambda t: math.nan if 0.4 < t < 0.6 else t - 0.5
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(f, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+        with pytest.raises(ShearRootError, match="NaN at t=0.5"):
+            _brent_polish(f, 0.0, 1.0)
+        with pytest.raises(ShearRootError, match="NaN at t=0.0"):
+            _brent_polish(lambda t: math.nan, 0.0, 1.0)
+
+    def test_no_convergence_in_100_iterations_raises_shear_root_error(self):
+        # a step residual on a huge bracket only bisects: ~1000 halvings
+        f = lambda t: -1.0 if t < 1.0 else 1.0
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            brentq(f, -1e300, 1e300, xtol=1e-15, rtol=8.9e-16)
+        with pytest.raises(ShearRootError, match="did not converge in 100 iterations"):
+            _brent_polish(f, -1e300, 1e300)
+
+    def test_bracket_without_sign_change_raises_shear_root_error(self):
+        with pytest.raises(ShearRootError, match="no sign change"):
+            _brent_polish(lambda t: t * t + 1.0, -1.0, 1.0)
+
+    def test_nan_inside_a_scan_cell_reaches_shear_graph_callers(self):
+        # no scan point sees the NaN, so the scan finds one flip in
+        # [0, 0.25] and the polish steps onto the NaN around t = 0.1
+        g = lambda t: np.where(np.abs(np.asarray(t) - 0.1) < 1e-3, np.nan, 0.0)
+        with pytest.raises(ShearRootError, match="NaN"):
+            shear_graph(g, 1.0, 0.1)
 
 
 class TestCatalogEntries:

@@ -4,10 +4,13 @@ import json
 import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hmingraph
 from hmingraph.cli import ConfigError, _RunLock, _write_csv, boundary_expression, canonical_json, main
 
 
@@ -398,3 +401,15 @@ def test_installed_entry_point_smoke(tmp_path):
     proc = subprocess.run([exe, "solve", cfg], capture_output=True, text=True)
     assert proc.returncode == 0
     assert (out / "report.json").exists()
+
+
+def test_cli_import_loads_neither_scipy_optimize_nor_scipy_spatial():
+    # every CLI process pays its imports; scipy supplies sparse matrices and
+    # SuperLU only
+    src = str(Path(hmingraph.__file__).resolve().parents[1])
+    code = ("import sys, hmingraph.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

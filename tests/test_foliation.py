@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from hmingraph import (
     Grid,
@@ -15,6 +18,7 @@ from hmingraph import (
     pauls_graph,
     trace_leaf,
 )
+from hmingraph.foliation import Leaf
 
 
 def field(f, rect=((0.0, 1.0), (0.0, 1.0)), n=33):
@@ -101,6 +105,58 @@ def test_cover_reaches_nearly_every_interior_node():
     h = u.grid.h1
     leaves = foliation_cover(u, h)
     assert coverage_fraction(u, leaves) >= 0.99
+
+
+def kdtree_coverage(u, leaves, radius=None):
+    """Reference: the nearest-sample distance of every interior node."""
+    g = u.grid
+    if radius is None:
+        radius = max(g.h1, g.h2)
+    if not leaves:
+        return 0.0
+    samples = np.concatenate([leaf.points for leaf in leaves])
+    x1, x2 = g.nodes()
+    nodes = np.column_stack([x1[1:-1, 1:-1].ravel(), x2[1:-1, 1:-1].ravel()])
+    dist, _ = cKDTree(samples).query(nodes, k=1)
+    return float(np.mean(dist <= radius))
+
+
+def sample_leaf(points):
+    k = len(points)
+    return Leaf(start=(0.0, 0.0), t_samples=np.zeros(k), points=np.asarray(points, dtype=float),
+                u_values=np.zeros(k))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 24), st.integers(3, 24), st.floats(-2.0, 1.0), st.floats(0.1, 3.0),
+       st.floats(-2.0, 1.0), st.floats(0.1, 3.0), st.sampled_from([None, 0.3, 1.0, 1.5, 2.7]),
+       st.integers(0, 2 ** 32 - 1))
+def test_coverage_matches_a_kdtree_bit_for_bit(n1, n2, lo1, w1, lo2, w2, radius_cells, seed):
+    # rectangular cells, samples at exactly the radius from a node along a
+    # random direction or an axis, and samples anywhere (off the grid too)
+    g = Grid((lo1, lo1 + w1), (lo2, lo2 + w2), n1, n2)
+    u = GridFunction(g, np.zeros((n1, n2)))
+    radius = None if radius_cells is None else radius_cells * max(g.h1, g.h2)
+    r = max(g.h1, g.h2) if radius is None else radius
+    rng = np.random.default_rng(seed)
+    x1, x2 = g.nodes()
+    k = 12
+    i, j = rng.integers(0, n1, k), rng.integers(0, n2, k)
+    angle = rng.uniform(0.0, 2.0 * np.pi, k)
+    on_circle = np.column_stack([x1[i, j] + r * np.cos(angle), x2[i, j] + r * np.sin(angle)])
+    on_axis = np.column_stack([x1[i, j], x2[i, j] + r * np.sign(np.cos(angle))])
+    anywhere = rng.uniform(-5.0, 5.0, (k, 2))
+    leaves = [sample_leaf(on_circle), sample_leaf(on_axis), sample_leaf(anywhere)]
+    for subset in (leaves, leaves[:1], leaves[1:2], leaves[2:]):
+        assert coverage_fraction(u, subset, radius) == kdtree_coverage(u, subset, radius)
+
+
+def test_coverage_of_a_traced_cover_matches_a_kdtree():
+    u = field(lambda a, b: np.sin(2 * a) * 0.4 + 0.2 * b, rect=((0.0, 1.0), (0.0, 2.0)), n=41)
+    leaves = foliation_cover(u, 0.05)
+    for radius in (None, 0.004, 0.02, 0.05):
+        assert coverage_fraction(u, leaves, radius) == kdtree_coverage(u, leaves, radius)
+    assert coverage_fraction(u, []) == 0.0
 
 
 def test_leaves_never_cross():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -323,3 +324,18 @@ def test_stale_preconditioner_falls_back_to_a_fresh_factorization():
     assert cache.lu is not stale
     ref, _ = solve_eps(g, bd, 1e-3, SolverConfig(), u1)
     assert np.max(np.abs(u.values - ref.values)) <= 1e-14
+
+
+def test_gmres_gives_up_before_the_cap_when_the_cap_cannot_be_reached(monkeypatch):
+    # no preconditioner on a 1-D Laplacian: the residual falls far too
+    # slowly to reach 1e-10 |b| within 15 iterations
+    n = 400
+    A = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csr")
+    b = np.random.default_rng(3).standard_normal(n)
+    target = 1e-10 * np.linalg.norm(b)
+    x, its = solver._gmres(A, b, np.copy, target, solver._KRYLOV_MAXITER)
+    assert x is None and its == solver._KRYLOV_MIN_RATE_ITERS < solver._KRYLOV_MAXITER
+    # the full try misses too, so giving up early loses no solution
+    monkeypatch.setattr(solver, "_KRYLOV_MIN_RATE_ITERS", solver._KRYLOV_MAXITER + 1)
+    assert solver._gmres(A, b, np.copy, target, solver._KRYLOV_MAXITER) == (None, solver._KRYLOV_MAXITER)
+
