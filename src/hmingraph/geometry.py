@@ -470,12 +470,16 @@ def _lattice_distances(
     mesh: float,
     box: tuple[float, float, float],
 ):
-    """Distances from the lattice center, shaped ``(N1, N2, N3)``, and the spacings.
+    """Breadth-first levels from the lattice center and their distances.
 
-    Every move costs ``mesh``, so a shortest path has the fewest moves; each
-    breadth-first level's value is the previous one plus ``mesh``, rounded as
+    Returns ``(levels, values, spacings)``: ``levels`` is an int32 array shaped
+    ``(N1, N2, N3)`` holding each node's level, or -1 where the sweep never
+    arrives, and ``values[levels]`` is the distance (``values[-1]`` is
+    ``inf``).  Every move costs ``mesh``, so a shortest path has the fewest
+    moves; level ``l``'s value is level ``l - 1``'s plus ``mesh``, rounded as
     Dijkstra rounds ``dist[u] + w``, so the distances equal Dijkstra's bit for
-    bit (``inf`` at unreached nodes).  See :func:`dist_oracle` for the lattice.
+    bit.  The sweep keeps the one int32 per node and per-level frontier
+    arrays, nothing else node-sized.  See :func:`dist_oracle` for the lattice.
     """
     if mesh <= 0:
         raise ValueError("mesh must be positive")
@@ -493,52 +497,48 @@ def _lattice_distances(
             "(the vertical spacing scales with eps*mesh); coarsen the mesh or shrink the box")
 
     # node (i, j, k) ~ (x0_1 + (i - n1) a1, x0_2 + (j - n2) a2, (k - n3) a3),
-    # stored at flat index (i N2 + j) N3 + k
-    I = np.arange(N1).reshape(-1, 1, 1)
-    J = np.arange(N2).reshape(1, -1, 1)
-    K = np.arange(N3)
-    X1 = ff.x0[0] + (I - n1) * a1
-    X2 = ff.x0[1] + (J - n2) * a2
-    S = (K - n3) * a3
-    coeff = eval_p1(ff, X1, X2) + S ** 2  # d2-coefficient of frozen X1 field
-
-    # X1 moves: exact in x1, sheared in x2, snapped to the lattice; -1 marks
-    # a move that leaves it.  X2 moves (two cells in x2) and X3 moves (one
-    # cell in s) are fixed offsets of the flat index.
-    x1_moves = []
-    for sign in (+1, -1):
-        ti = I + sign
-        tj = J + np.rint(sign * mesh * coeff / a2).astype(np.int64)
-        ok = (ti >= 0) & (ti < N1) & (tj >= 0) & (tj < N2)
-        x1_moves.append(np.where(ok, (ti * N2 + tj) * N3 + K, -1).ravel())
+    # stored at flat index (i N2 + j) N3 + k.  The d2-coefficient of the
+    # frozen X1 field at a node is p1[i, j] + s2[k].
+    p1 = eval_p1(ff, ff.x0[0] + (np.arange(N1)[:, None] - n1) * a1,
+                 ff.x0[1] + (np.arange(N2) - n2) * a2)
+    s2 = ((np.arange(N3) - n3) * a3) ** 2
 
     n_nodes = N1 * N2 * N3
     center = (n1 * N2 + n2) * N3 + n3
-    dist = np.full(n_nodes, np.inf)
-    dist[center] = 0.0
-    owner = np.empty(n_nodes, dtype=np.int64)
+    levels = np.full(n_nodes, -1, dtype=np.int32)
+    levels[center] = 0
+    values = [0.0]
     frontier = np.array([center])
-    level = 0.0
-    while frontier.size:
-        level = level + mesh
-        j = frontier // N3 % N2
-        k = frontier % N3
-        nxt = np.concatenate([
-            x1_moves[0][frontier],
-            x1_moves[1][frontier],
+    while True:
+        i, jk = np.divmod(frontier, N2 * N3)
+        j, k = np.divmod(jk, N3)
+        # X1 moves: exact in x1, sheared in x2, snapped to the lattice.  X2
+        # moves (two cells in x2) and X3 moves (one cell in s) are fixed
+        # offsets of the flat index.
+        coeff = p1[i, j] + s2[k]
+        nxt = []
+        for sign in (+1, -1):
+            ti = i + sign
+            tj = j + np.rint(sign * mesh * coeff / a2).astype(np.int64)
+            ok = (ti >= 0) & (ti < N1) & (tj >= 0) & (tj < N2)
+            nxt.append(((ti * N2 + tj) * N3 + k)[ok])
+        nxt = np.concatenate(nxt + [
             frontier[j + 2 < N2] + 2 * N3,
             frontier[j >= 2] - 2 * N3,
             frontier[k + 1 < N3] + 1,
             frontier[k >= 1] - 1,
         ])
-        nxt = nxt[nxt >= 0]
-        nxt = nxt[dist[nxt] == np.inf]
+        nxt = nxt[levels[nxt] == -1]
+        if not nxt.size:
+            break
         # keep one copy of each node: the last position scattered to it wins
-        pos = np.arange(nxt.size)
-        owner[nxt] = pos
-        frontier = nxt[owner[nxt] == pos]
-        dist[frontier] = level
-    return dist.reshape(N1, N2, N3), (a1, a2, a3)
+        tags = -2 - np.arange(nxt.size, dtype=np.int32)
+        levels[nxt] = tags
+        frontier = nxt[levels[nxt] == tags]
+        levels[frontier] = len(values)
+        values.append(values[-1] + mesh)
+    values.append(np.inf)
+    return levels.reshape(N1, N2, N3), np.array(values), (a1, a2, a3)
 
 
 def _oracle_sweep(
@@ -547,11 +547,12 @@ def _oracle_sweep(
     box: tuple[float, float, float],
 ):
     """One breadth-first sweep (uniform edge weight, so equal to Dijkstra) from
-    the lattice center; ``query(p)`` reads the node nearest ``p``.  See
-    :func:`dist_oracle`.
+    the lattice center; ``query(p)`` reads the distance of the node nearest
+    ``p`` as ``values[levels[node]]``.  The sweep holds one int32 level per
+    node, so the 4 M-node budget is about 16 MB.  See :func:`dist_oracle`.
     """
-    dist, (a1, a2, a3) = _lattice_distances(ff, mesh, box)
-    N1, N2, N3 = dist.shape
+    levels, values, (a1, a2, a3) = _lattice_distances(ff, mesh, box)
+    N1, N2, N3 = levels.shape
     n1, n2, n3 = N1 // 2, N2 // 2, N3 // 2
 
     def query(p: LiftedPoint) -> float:
@@ -560,7 +561,7 @@ def _oracle_sweep(
         qk = n3 + int(round(p.s / a3))
         if not (0 <= qi < N1 and 0 <= qj < N2 and 0 <= qk < N3):
             raise UnreachableError("query point outside the oracle lattice box")
-        d = float(dist[qi, qj, qk])
+        d = float(values[levels[qi, qj, qk]])
         if not np.isfinite(d):
             raise UnreachableError("query node not reached by the lattice sweep")
         return d

@@ -18,7 +18,7 @@ from hmingraph import (
     pauls_graph,
     trace_leaf,
 )
-from hmingraph.foliation import Leaf
+from hmingraph.foliation import Leaf, _march
 
 
 def field(f, rect=((0.0, 1.0), (0.0, 1.0)), n=33):
@@ -157,6 +157,65 @@ def test_coverage_of_a_traced_cover_matches_a_kdtree():
     for radius in (None, 0.004, 0.02, 0.05):
         assert coverage_fraction(u, leaves, radius) == kdtree_coverage(u, leaves, radius)
     assert coverage_fraction(u, []) == 0.0
+
+
+def _five_call_march(u, start, dt, t_max, sign):
+    """RK4 march with its own k1 per step and a separate exit test."""
+    s1, s2 = start
+    ts, ys = [], []
+    t, y = 0.0, s2
+    h = sign * dt
+    for _ in range(int(np.floor(t_max / dt + 1e-12))):
+        try:
+            k1 = u.interp(s1 + t, y)
+            k2 = u.interp(s1 + t + h / 2, y + h * k1 / 2)
+            k3 = u.interp(s1 + t + h / 2, y + h * k2 / 2)
+            k4 = u.interp(s1 + t + h, y + h * k3)
+            y_next = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            u.interp(s1 + t + h, y_next)
+        except ValueError:
+            break
+        t, y = t + h, y_next
+        ts.append(t)
+        ys.append(y)
+    return ts, ys
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_march_reuses_the_exit_slope_bit_for_bit(data):
+    # a bilinear field whose sign and size send the march out through the
+    # drawn edge (or let it run out of time), on a random rectangle
+    edge = data.draw(st.sampled_from(["left", "right", "bottom", "top", None]), label="edge")
+    n1, n2 = data.draw(st.integers(3, 40), label="n1"), data.draw(st.integers(3, 40), label="n2")
+    lo1, lo2 = data.draw(st.floats(-2.0, 2.0), label="lo1"), data.draw(st.floats(-2.0, 2.0), label="lo2")
+    w1, w2 = data.draw(st.floats(0.1, 3.0), label="w1"), data.draw(st.floats(0.1, 3.0), label="w2")
+    g = Grid((lo1, lo1 + w1), (lo2, lo2 + w2), n1, n2)
+    sign = {"left": -1, "right": +1}.get(edge) or data.draw(st.sampled_from([-1, 1]), label="sign")
+    if edge in ("left", "right"):
+        base = data.draw(st.floats(-0.2, 0.2), label="base") * w2 / w1
+    elif edge in ("bottom", "top"):
+        base = (1 if edge == "top" else -1) * sign * data.draw(st.floats(2.0, 20.0), label="slope") * w2 / w1
+    else:
+        base = data.draw(st.floats(-3.0, 3.0), label="base")
+    c = [data.draw(st.floats(-0.1, 0.1), label=f"c{k}") for k in range(3)]
+    u = GridFunction.from_callable(g, lambda a, b: base * (
+        1.0 + c[0] * (a - lo1) / w1 + c[1] * (b - lo2) / w2 + c[2] * (a - lo1) * (b - lo2) / (w1 * w2)))
+    f1 = data.draw(st.floats(0.4, 0.6) if edge in ("bottom", "top") else st.floats(0.0, 1.0),
+                   label="start x1")
+    f2 = data.draw(st.floats(0.35, 0.65) if edge else st.floats(0.0, 1.0), label="start x2")
+    start = (lo1 + f1 * w1, lo2 + f2 * w2)
+    dt = data.draw(st.floats(0.003, 0.1), label="dt cells") * w1
+    t_max = 2.0 * w1 if edge else data.draw(st.floats(0.0, 2.0), label="t_max") * w1
+    ts, ys = _march(u, start, dt, t_max, sign)
+    assert (ts, ys) == _five_call_march(u, start, dt, t_max, sign)
+    if edge and ts:
+        # the march stopped within one step of the drawn edge
+        slope = max(abs(v) for v in u.values.ravel())
+        last = {"left": start[0] + ts[-1] - lo1, "right": lo1 + w1 - start[0] - ts[-1],
+                "bottom": ys[-1] - lo2, "top": lo2 + w2 - ys[-1]}[edge]
+        reach = dt if edge in ("left", "right") else dt * slope
+        assert -1e-9 <= last <= 1.01 * reach
 
 
 def test_leaves_never_cross():

@@ -1,6 +1,7 @@
 """Frames, lifting, adapted coordinates, and distance gauges."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,7 +387,9 @@ def test_breadth_first_sweep_equals_dijkstra_bit_for_bit(data):
     cells = [data.draw(st.floats(0.3, c), label=f"cells {k}") for k, c in enumerate((24, 40, 24))]
     box = (cells[0] * mesh, cells[1] * eps * mesh / 2.0, cells[2] * mesh)
     ref = _dijkstra_reference(ff, mesh, box)
-    dist, spacing = _lattice_distances(ff, mesh, box)
+    levels, values, spacing = _lattice_distances(ff, mesh, box)
+    assert levels.dtype == np.int32
+    dist = values[levels]
     assert dist.shape == ref.shape
     assert np.array_equal(dist.view(np.int64), ref.view(np.int64))  # inf included
 
@@ -407,6 +410,22 @@ def test_breadth_first_sweep_equals_dijkstra_bit_for_bit(data):
                 query(p)
         else:
             assert query(p) == ref[idx]
+
+
+@pytest.mark.parametrize("u0, x1u0, d2u", [(0.0, 0.0, 0.0), (0.7, 0.4, 0.8)])
+def test_sweep_keeps_one_int32_per_node(u0, x1u0, d2u):
+    # eps = 0.1, mesh 0.01: a 41 x 301 x 41 lattice of 505,981 nodes; the
+    # int32 levels take 4 bytes per node, the per-level frontiers the rest
+    ff = FrozenFrame(x0=(0.5, 1.5), u0=u0, x1u0=x1u0, x2u0=0.1 * d2u, epsilon=0.1)
+    mesh, box = 0.01, (0.2, 0.075, 0.2)
+    tracemalloc.start()
+    try:
+        query = _oracle_sweep(ff, mesh, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 41 * 301 * 41
+    assert query(LiftedPoint(0.55, 1.5, 0.05)) > 0.0
 
 
 def test_lattice_walker_guards_against_huge_graphs():
