@@ -18,6 +18,7 @@ import ast
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -521,21 +522,28 @@ def cmd_distance(cfg: dict, out: Path) -> int:
         ff = taylor_p1(Frame(sol, eps), x0)
     except ValueError as e:
         raise ConfigError(f"distance.x0: {e}") from e
+    rng = np.random.default_rng(seed)
+
+    def candidates():
+        for _ in range(50 * n_points):
+            off = rng.uniform(-0.45, 0.45, size=3) * np.array(box)
+            p = LiftedPoint(x0[0] + off[0], x0[1] + off[1], off[2])
+            d_eps = dist_surrogate_eps(ff, p)
+            if not d_eps < min_sep:
+                yield p, d_eps
+
+    # the sweep stops at the farthest of the first n_points candidates; it
+    # runs to the end when one of them is unreachable, the only case in which
+    # more candidates are drawn
+    draws = candidates()
+    first = list(itertools.islice(draws, n_points))
     try:
-        oracle = _oracle_sweep(ff, mesh, box)  # one lattice sweep serves all queries
+        oracle = _oracle_sweep(ff, mesh, box, targets=[p for p, _ in first])
     except ValueError as e:
         raise ConfigError(f"distance: {e}") from e
-    rng = np.random.default_rng(seed)
     rows = []
     ratios = []
-    k = 0
-    while len(rows) < n_points and k < 50 * n_points:
-        k += 1
-        off = rng.uniform(-0.45, 0.45, size=3) * np.array(box)
-        p = LiftedPoint(x0[0] + off[0], x0[1] + off[1], off[2])
-        d_eps = dist_surrogate_eps(ff, p)
-        if d_eps < min_sep:
-            continue
+    for p, d_eps in itertools.chain(first, draws):
         try:
             d_orc = oracle(p)
         except UnreachableError:
@@ -543,6 +551,8 @@ def cmd_distance(cfg: dict, out: Path) -> int:
         d_cc = dist_surrogate_cc(ff, p)
         rows.append((p.x1, p.x2, p.s, d_eps, d_cc, d_orc, d_orc / d_eps))
         ratios.append(d_orc / d_eps)
+        if len(rows) == n_points:
+            break
     if len(rows) < n_points:
         raise ConfigError("distance: could not sample the requested number of points")
     _write_csv(out / "distance.csv",

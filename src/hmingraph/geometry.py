@@ -397,9 +397,16 @@ def _moments(k: np.ndarray):
     closed = [np.expm1(kc) / kc]
     for j in (1, 2):
         closed.append((j * closed[-1] - 1.0) / kc)
-    # |k| < 1/2: the terms past n = 17 are below 0.5**18 / 19!
-    series = [math.factorial(j) * sum(ks ** n / math.factorial(n + j + 1) for n in range(18))
-              for j in range(3)]
+    # |k| < 1/2: the terms past n = 17 are below 0.5**18 / 19!  Each power
+    # serves all three sums, which add their terms in order of n from 0.
+    power = ks ** 0
+    series = [power / math.factorial(j + 1) for j in range(3)]
+    for n in range(1, 18):
+        power = ks ** n
+        for j in range(3):
+            series[j] += power / math.factorial(n + j + 1)
+    for j in range(3):
+        series[j] *= math.factorial(j)
     return [np.where(small, a, b) for a, b in zip(series, closed)]
 
 
@@ -465,57 +472,78 @@ def dist_surrogate_cc(ff: FrozenFrame, p: LiftedPoint) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_distances(
-    ff: FrozenFrame,
-    mesh: float,
-    box: tuple[float, float, float],
-):
-    """Breadth-first levels from the lattice center and their distances.
+class _LatticeSweep:
+    """Breadth-first sweep of the oracle lattice from its center, advanced
+    one level at a time.
 
-    Returns ``(levels, values, spacings)``: ``levels`` is an int32 array shaped
-    ``(N1, N2, N3)`` holding each node's level, or -1 where the sweep never
-    arrives, and ``values[levels]`` is the distance (``values[-1]`` is
-    ``inf``).  Every move costs ``mesh``, so a shortest path has the fewest
-    moves; level ``l``'s value is level ``l - 1``'s plus ``mesh``, rounded as
-    Dijkstra rounds ``dist[u] + w``, so the distances equal Dijkstra's bit for
-    bit.  The sweep keeps the one int32 per node and per-level frontier
-    arrays, nothing else node-sized.  See :func:`dist_oracle` for the lattice.
+    ``levels`` is an int32 array with one entry per node, in flat order
+    ``(i N2 + j) N3 + k``: the node's level, or -1 where the sweep has not
+    arrived (yet).  ``values[l]`` is level ``l``'s distance: level ``l - 1``'s
+    plus ``mesh``, rounded as Dijkstra rounds ``dist[u] + w``.  A level is
+    final once assigned, so a sweep stopped early and resumed later labels
+    every node exactly as one uninterrupted sweep does.  The sweep keeps the
+    one int32 per node and per-level frontier arrays, nothing else
+    node-sized.  See :func:`dist_oracle` for the lattice.
     """
-    if mesh <= 0:
-        raise ValueError("mesh must be positive")
-    eps = ff.epsilon
-    a1 = mesh
-    a2 = eps * mesh / 2.0
-    a3 = mesh
-    n1 = max(1, int(round(box[0] / a1)))
-    n2 = max(1, int(round(box[1] / a2)))
-    n3 = max(1, int(round(box[2] / a3)))
-    N1, N2, N3 = 2 * n1 + 1, 2 * n2 + 1, 2 * n3 + 1
-    if N1 * N2 * N3 > 4_000_000:
-        raise ValueError(
-            f"oracle lattice would hold {N1 * N2 * N3} nodes "
-            "(the vertical spacing scales with eps*mesh); coarsen the mesh or shrink the box")
 
-    # node (i, j, k) ~ (x0_1 + (i - n1) a1, x0_2 + (j - n2) a2, (k - n3) a3),
-    # stored at flat index (i N2 + j) N3 + k.  The d2-coefficient of the
-    # frozen X1 field at a node is p1[i, j] + s2[k].
-    p1 = eval_p1(ff, ff.x0[0] + (np.arange(N1)[:, None] - n1) * a1,
-                 ff.x0[1] + (np.arange(N2) - n2) * a2)
-    s2 = ((np.arange(N3) - n3) * a3) ** 2
+    def __init__(self, ff: FrozenFrame, mesh: float, box: tuple[float, float, float]):
+        if mesh <= 0:
+            raise ValueError("mesh must be positive")
+        self.ff, self.mesh = ff, mesh
+        eps = ff.epsilon
+        self.spacings = (mesh, eps * mesh / 2.0, mesh)
+        self.half = tuple(max(1, int(round(b / a))) for b, a in zip(box, self.spacings))
+        N1, N2, N3 = self.shape = tuple(2 * n + 1 for n in self.half)
+        if N1 * N2 * N3 > 4_000_000:
+            raise ValueError(
+                f"oracle lattice would hold {N1 * N2 * N3} nodes "
+                "(the vertical spacing scales with eps*mesh); coarsen the mesh or shrink the box")
 
-    n_nodes = N1 * N2 * N3
-    center = (n1 * N2 + n2) * N3 + n3
-    levels = np.full(n_nodes, -1, dtype=np.int32)
-    levels[center] = 0
-    values = [0.0]
-    frontier = np.array([center])
-    while True:
+        # node (i, j, k) ~ (x0_1 + (i - n1) a1, x0_2 + (j - n2) a2, (k - n3) a3).
+        # The d2-coefficient of the frozen X1 field at a node is p1[i, j] + s2[k].
+        (n1, n2, n3), (a1, a2, a3) = self.half, self.spacings
+        self.p1 = eval_p1(ff, ff.x0[0] + (np.arange(N1)[:, None] - n1) * a1,
+                          ff.x0[1] + (np.arange(N2) - n2) * a2)
+        self.s2 = ((np.arange(N3) - n3) * a3) ** 2
+        center = (n1 * N2 + n2) * N3 + n3
+        self.levels = np.full(N1 * N2 * N3, -1, dtype=np.int32)
+        self.levels[center] = 0
+        self.values = [0.0]
+        self.frontier = np.array([center])
+
+    def node(self, p: LiftedPoint):
+        """Flat index of the node nearest ``p``, or None outside the lattice."""
+        (n1, n2, n3), (a1, a2, a3) = self.half, self.spacings
+        N1, N2, N3 = self.shape
+        qi = n1 + int(round((p.x1 - self.ff.x0[0]) / a1))
+        qj = n2 + int(round((p.x2 - self.ff.x0[1]) / a2))
+        qk = n3 + int(round(p.s / a3))
+        if not (0 <= qi < N1 and 0 <= qj < N2 and 0 <= qk < N3):
+            return None
+        return (qi * N2 + qj) * N3 + qk
+
+    def run(self, nodes=None) -> None:
+        """Sweep on until every flat index in ``nodes`` has a level (every
+        reachable node when None), or until the frontier is empty."""
+        if nodes is not None:
+            nodes = np.asarray(nodes, dtype=np.int64)
+        while self.frontier.size:
+            if nodes is not None:
+                nodes = nodes[self.levels[nodes] < 0]
+                if not nodes.size:
+                    return
+            self._step()
+
+    def _step(self) -> None:
+        """Label the next level; leaves the frontier empty when none is left."""
+        N1, N2, N3 = self.shape
+        levels, frontier, mesh, a2 = self.levels, self.frontier, self.mesh, self.spacings[1]
         i, jk = np.divmod(frontier, N2 * N3)
         j, k = np.divmod(jk, N3)
         # X1 moves: exact in x1, sheared in x2, snapped to the lattice.  X2
         # moves (two cells in x2) and X3 moves (one cell in s) are fixed
         # offsets of the flat index.
-        coeff = p1[i, j] + s2[k]
+        coeff = self.p1[i, j] + self.s2[k]
         nxt = []
         for sign in (+1, -1):
             ti = i + sign
@@ -530,41 +558,69 @@ def _lattice_distances(
         ])
         nxt = nxt[levels[nxt] == -1]
         if not nxt.size:
-            break
+            self.frontier = nxt
+            return
         # keep one copy of each node: the last position scattered to it wins
         tags = -2 - np.arange(nxt.size, dtype=np.int32)
         levels[nxt] = tags
-        frontier = nxt[levels[nxt] == tags]
-        levels[frontier] = len(values)
-        values.append(values[-1] + mesh)
-    values.append(np.inf)
-    return levels.reshape(N1, N2, N3), np.array(values), (a1, a2, a3)
+        self.frontier = nxt[levels[nxt] == tags]
+        levels[self.frontier] = len(self.values)
+        self.values.append(self.values[-1] + mesh)
+
+
+def _lattice_distances(
+    ff: FrozenFrame,
+    mesh: float,
+    box: tuple[float, float, float],
+):
+    """Breadth-first levels from the lattice center and their distances.
+
+    Returns ``(levels, values, spacings)``: ``levels`` is an int32 array shaped
+    ``(N1, N2, N3)`` holding each node's level, or -1 where the sweep never
+    arrives, and ``values[levels]`` is the distance (``values[-1]`` is
+    ``inf``).  Every move costs ``mesh``, so a shortest path has the fewest
+    moves, and the distances equal Dijkstra's bit for bit.  This is the full
+    sweep of :class:`_LatticeSweep`; :func:`_oracle_sweep` stops one at its
+    farthest target instead.
+    """
+    sweep = _LatticeSweep(ff, mesh, box)
+    sweep.run()
+    return sweep.levels.reshape(sweep.shape), np.array(sweep.values + [np.inf]), sweep.spacings
 
 
 def _oracle_sweep(
     ff: FrozenFrame,
     mesh: float,
     box: tuple[float, float, float],
+    targets: Sequence[LiftedPoint] | None = None,
 ):
-    """One breadth-first sweep (uniform edge weight, so equal to Dijkstra) from
-    the lattice center; ``query(p)`` reads the distance of the node nearest
-    ``p`` as ``values[levels[node]]``.  The sweep holds one int32 level per
-    node, so the 4 M-node budget is about 16 MB.  See :func:`dist_oracle`.
+    """One breadth-first sweep (uniform edge weight, so equal to Dijkstra)
+    from the lattice center; ``query(p)`` reads the distance of the node
+    nearest ``p``.
+
+    Without ``targets`` the whole lattice is swept.  With them the sweep
+    stops at the level of the farthest in-box target node, or when the
+    frontier runs out; ``query`` resumes the same sweep for a node that has
+    no level yet.  Levels are final once assigned, so every distance and
+    every :class:`UnreachableError` is what the full sweep gives.  The sweep
+    holds one int32 level per node, so the 4 M-node budget is about 16 MB.
+    See :func:`dist_oracle`.
     """
-    levels, values, (a1, a2, a3) = _lattice_distances(ff, mesh, box)
-    N1, N2, N3 = levels.shape
-    n1, n2, n3 = N1 // 2, N2 // 2, N3 // 2
+    sweep = _LatticeSweep(ff, mesh, box)
+    if targets is None:
+        sweep.run()
+    else:
+        sweep.run([n for n in map(sweep.node, targets) if n is not None])
 
     def query(p: LiftedPoint) -> float:
-        qi = n1 + int(round((p.x1 - ff.x0[0]) / a1))
-        qj = n2 + int(round((p.x2 - ff.x0[1]) / a2))
-        qk = n3 + int(round(p.s / a3))
-        if not (0 <= qi < N1 and 0 <= qj < N2 and 0 <= qk < N3):
+        node = sweep.node(p)
+        if node is None:
             raise UnreachableError("query point outside the oracle lattice box")
-        d = float(values[levels[qi, qj, qk]])
-        if not np.isfinite(d):
+        sweep.run([node])
+        level = sweep.levels[node]
+        if level < 0:
             raise UnreachableError("query node not reached by the lattice sweep")
-        return d
+        return sweep.values[level]
 
     return query
 
@@ -627,7 +683,8 @@ def dist_oracle_many(
     box: tuple[float, float, float] = (0.2, 0.2, 0.2),
 ) -> list:
     """Oracle distances for many points; each breadth-first sweep (uniform edge
-    weight, so equal to Dijkstra) is paid once.
+    weight, so equal to Dijkstra) is paid once, and stops at the level of the
+    farthest point, with the same distances as a full sweep.
 
     Same semantics as :func:`dist_oracle`, including the minimum over
     coarsened sweeps and its monotonicity under mesh halving only while the
@@ -635,7 +692,7 @@ def dist_oracle_many(
     """
     best = np.full(len(points), np.inf)
     for m in _oracle_meshes(mesh, box):
-        query = _oracle_sweep(ff, m, box)
+        query = _oracle_sweep(ff, m, box, targets=points)
         for k, p in enumerate(points):
             try:
                 best[k] = min(best[k], query(p))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import hmingraph
+from hmingraph import UnreachableError, cli
 from hmingraph.cli import ConfigError, _RunLock, _write_csv, boundary_expression, canonical_json, main
 
 
@@ -383,6 +384,79 @@ class TestDistanceCommand:
         rows = np.loadtxt(out / "distance.csv", delimiter=",", skiprows=1)
         assert rows.shape == (6, 7)
         assert np.all(np.isfinite(rows))
+
+    @staticmethod
+    def run_against_full_sweep(cfg, tmp_path, monkeypatch):
+        """Run ``distance`` on the targeted sweep and on a full sweep.
+
+        Returns the two runs' ``distance.csv`` and ``distance.json`` bytes,
+        the number of candidates the targeted run found unreachable, and its
+        number of surrogate evaluations, one per drawn candidate."""
+        path = write_cfg(tmp_path / "c.json", cfg)
+        sweep, surrogate = cli._oracle_sweep, cli.dist_surrogate_eps
+        unreachable, draws = [], []
+
+        def counted(ff, mesh, box, targets=None):
+            query = sweep(ff, mesh, box, targets=targets)
+
+            def counted_query(p):
+                try:
+                    return query(p)
+                except UnreachableError:
+                    unreachable.append(p)
+                    raise
+
+            return counted_query
+
+        def counted_surrogate(ff, p):
+            draws.append(p)
+            return surrogate(ff, p)
+
+        out = {}
+        for name, fn in (("targeted", counted),
+                         ("full", lambda ff, mesh, box, targets=None: sweep(ff, mesh, box))):
+            monkeypatch.setattr(cli, "_oracle_sweep", fn)
+            monkeypatch.setattr(cli, "dist_surrogate_eps",
+                                counted_surrogate if name == "targeted" else surrogate)
+            monkeypatch.setenv("HMINGRAPH_OUT", str(tmp_path / name))
+            assert main(["distance", path]) == 0
+            out[name] = [(tmp_path / name / f).read_bytes() for f in ("distance.csv", "distance.json")]
+        return out["targeted"], out["full"], len(unreachable), len(draws)
+
+    @staticmethod
+    def draws_through_last_row(cfg, csv: bytes):
+        """The draws a one-candidate-at-a-time loop makes: up to and including
+        the one that gives the table's last row."""
+        sec = cfg["distance"]
+        box = np.array(sec.get("box", (0.2, 0.2, 0.2)))
+        last = [float(v) for v in csv.decode().splitlines()[-1].split(",")[:3]]
+        rng = np.random.default_rng(sec["seed"])
+        for k in range(1, 50 * sec.get("n_points", 20) + 1):
+            off = rng.uniform(-0.45, 0.45, size=3) * box
+            if [sec["x0"][0] + off[0], sec["x0"][1] + off[1], off[2]] == last:
+                return k
+        return None
+
+    @pytest.mark.parametrize("seed", [3, 18, 1234])
+    def test_targeted_sweep_writes_the_full_sweeps_bytes(self, fan_run_dir, tmp_path, monkeypatch,
+                                                          seed):
+        cfg = {"distance": {"run_dir": str(fan_run_dir), "x0": [0.5, 1.5], "seed": seed}}
+        targeted, full, _, draws = self.run_against_full_sweep(cfg, tmp_path, monkeypatch)
+        assert targeted == full
+        assert draws == self.draws_through_last_row(cfg, targeted[0])
+
+    def test_unreachable_candidates_are_skipped_as_by_the_full_sweep(self, tmp_path, monkeypatch):
+        # on u = 0 the X1 moves of the 0.04 lattice never shift x2 (s^2 <=
+        # 0.04 is below a quarter of eps), and X2 moves take two cells, so
+        # half of the x2 rows are never reached
+        assert main(["solve", write_cfg(tmp_path / "s.json",
+                                        solve_cfg(tmp_path / "flat", boundary={"expr": "0"}))]) == 0
+        cfg = {"distance": {"run_dir": str(tmp_path / "flat"), "x0": [0.5, 0.5], "mesh": 0.04,
+                            "n_points": 8, "seed": 3}}
+        targeted, full, unreachable, draws = self.run_against_full_sweep(cfg, tmp_path, monkeypatch)
+        assert unreachable > 0
+        assert targeted == full
+        assert draws == self.draws_through_last_row(cfg, targeted[0])
 
     def test_off_node_base_point_is_exit_1(self, fan_run_dir, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.json", {

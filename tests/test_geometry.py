@@ -258,6 +258,35 @@ def test_closed_form_matches_the_shooter_on_frozen_frames(k_range, data):
     assert abs(got[1] - ref[1]) / max(1.0, abs(ref[1])) <= 1e-9
 
 
+def _moments_with_powers_per_j(k):
+    # the moments as computed with ks ** n evaluated once per j
+    small = np.abs(k) < 0.5
+    kc = np.where(small, 1.0, k)
+    ks = np.where(small, k, 0.0)
+    closed = [np.expm1(kc) / kc]
+    for j in (1, 2):
+        closed.append((j * closed[-1] - 1.0) / kc)
+    series = [math.factorial(j) * sum(ks ** n / math.factorial(n + j + 1) for n in range(18))
+              for j in range(3)]
+    return [np.where(small, a, b) for a, b in zip(series, closed)]
+
+
+_SWITCH = [0.0, -0.0, 0.5, -0.5, 1e-300, -1e-300,
+           math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+           math.nextafter(-0.5, 0.0), math.nextafter(-0.5, -1.0)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(ks=st.lists(st.one_of(st.sampled_from(_SWITCH), st.floats(-0.6, 0.6), st.floats(-40.0, 40.0)),
+                   min_size=1, max_size=40))
+def test_moments_share_their_powers_bit_for_bit(ks):
+    k = np.array(ks)
+    for got, want in zip(geometry._moments(k), _moments_with_powers_per_j(k)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for got, want in zip(geometry._moments(k[0]), _moments_with_powers_per_j(k[0])):
+        assert np.asarray(got).view(np.int64) == np.asarray(want).view(np.int64)
+
+
 def test_shooter_raises_when_its_tolerances_are_missed():
     # rate k = e1 d2u = 24: the endpoint map amplifies rounding by about
     # e^24, so doubling the subintervals never settles e2 to 1e-9
@@ -371,9 +400,8 @@ def _dijkstra_reference(ff, mesh, box):
     return dijkstra(graph, directed=True, indices=center).reshape(N1, N2, N3)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_breadth_first_sweep_equals_dijkstra_bit_for_bit(data):
+def _draw_lattice(data):
+    """A random frozen frame, mesh and box: at most 49 x 81 x 49 nodes at every eps."""
     eps = 10.0 ** data.draw(st.floats(math.log10(0.03), 0.0), label="log10 eps")
     ff = FrozenFrame(
         x0=(data.draw(st.floats(-1.0, 1.0), label="x0_1"), data.draw(st.floats(-1.0, 1.0), label="x0_2")),
@@ -383,9 +411,23 @@ def test_breadth_first_sweep_equals_dijkstra_bit_for_bit(data):
         epsilon=eps,
     )
     mesh = data.draw(st.floats(0.005, 0.08), label="mesh")
-    # half-widths in lattice cells: at most 49 x 81 x 49 nodes at every eps
+    # half-widths in lattice cells
     cells = [data.draw(st.floats(0.3, c), label=f"cells {k}") for k, c in enumerate((24, 40, 24))]
     box = (cells[0] * mesh, cells[1] * eps * mesh / 2.0, cells[2] * mesh)
+    return ff, mesh, box
+
+
+def _point_at(ff, node, shape, spacing):
+    """The lifted point at flat lattice index ``node``."""
+    idx = np.unravel_index(node, shape)
+    off = [(i - n // 2) * a for i, n, a in zip(idx, shape, spacing)]
+    return LiftedPoint(ff.x0[0] + off[0], ff.x0[1] + off[1], off[2])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_breadth_first_sweep_equals_dijkstra_bit_for_bit(data):
+    ff, mesh, box = _draw_lattice(data)
     ref = _dijkstra_reference(ff, mesh, box)
     levels, values, spacing = _lattice_distances(ff, mesh, box)
     assert levels.dtype == np.int32
@@ -400,16 +442,59 @@ def test_breadth_first_sweep_equals_dijkstra_bit_for_bit(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="query seed"))
     nodes = np.concatenate([rng.permutation(inf_nodes)[:200], rng.choice(reached, 200)])
     query = _oracle_sweep(ff, mesh, box)
-    half = np.array(ref.shape) // 2
     for node in nodes:
-        idx = np.unravel_index(node, ref.shape)
-        off = [(i - c) * a for i, c, a in zip(idx, half, spacing)]
-        p = LiftedPoint(ff.x0[0] + off[0], ff.x0[1] + off[1], off[2])
-        if np.isinf(ref[idx]):
+        p = _point_at(ff, node, ref.shape, spacing)
+        if np.isinf(ref.flat[node]):
             with pytest.raises(UnreachableError):
                 query(p)
         else:
-            assert query(p) == ref[idx]
+            assert query(p) == ref.flat[node]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_targeted_sweep_equals_the_full_sweep(data):
+    ff, mesh, box = _draw_lattice(data)
+    full, values, spacing = _lattice_distances(ff, mesh, box)
+    shape, flat = full.shape, full.ravel()
+    reached, unreached = np.flatnonzero(flat >= 0), np.flatnonzero(flat < 0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="target seed"))
+    kind = data.draw(st.sampled_from(["reached", "unreached", "outside", "empty", "centre"]),
+                     label="targets")
+    nodes = {
+        "reached": list(rng.choice(reached, 20)),
+        "unreached": list(rng.choice(reached, 5)) + list(rng.permutation(unreached)[:1]),
+        "outside": list(rng.choice(reached, 5)),
+        "empty": [],
+        "centre": [flat.size // 2],
+    }[kind]
+    targets = [_point_at(ff, n, shape, spacing) for n in nodes]
+    outside = LiftedPoint(ff.x0[0] + (shape[0] // 2 + 1) * spacing[0], ff.x0[1], 0.0)
+    if kind == "outside":
+        targets.insert(2, outside)
+
+    # the eager phase labels the levels up to the farthest target's, or
+    # every reachable node when a target is never reached
+    sweep = geometry._LatticeSweep(ff, mesh, box)
+    sweep.run([n for n in map(sweep.node, targets) if n is not None])
+    assert sweep.node(outside) is None
+    last = np.inf if np.any(flat[nodes] < 0) else max(flat[nodes], default=0)
+    assert np.array_equal(sweep.levels, np.where(flat <= last, flat, -1))
+    assert np.array_equal(np.array(sweep.values), values[:len(sweep.values)])
+
+    # query: the full sweep's float on every target and, resuming, on random
+    # other nodes in random order; UnreachableError exactly where it raises
+    query = _oracle_sweep(ff, mesh, box, targets=targets)
+    others = np.concatenate([rng.permutation(unreached)[:50], rng.choice(reached, 100)])
+    for node in np.concatenate([np.array(nodes, dtype=np.int64), rng.permutation(others)]):
+        p = _point_at(ff, node, shape, spacing)
+        if flat[node] < 0:
+            with pytest.raises(UnreachableError, match="not reached"):
+                query(p)
+        else:
+            assert query(p) == values[flat[node]]
+    with pytest.raises(UnreachableError, match="outside"):
+        query(outside)
 
 
 @pytest.mark.parametrize("u0, x1u0, d2u", [(0.0, 0.0, 0.0), (0.7, 0.4, 0.8)])
@@ -426,6 +511,25 @@ def test_sweep_keeps_one_int32_per_node(u0, x1u0, d2u):
         tracemalloc.stop()
     assert peak <= 8 * 41 * 301 * 41
     assert query(LiftedPoint(0.55, 1.5, 0.05)) > 0.0
+
+
+def test_targeted_sweep_keeps_one_int32_per_node():
+    # the sweep of the test above, stopped at 20 points drawn in +-0.45 box
+    # as the distance command draws its candidates; the full sweep gives the
+    # same distances
+    ff = FrozenFrame(x0=(0.5, 1.5), u0=0.7, x1u0=0.4, x2u0=0.08, epsilon=0.1)
+    mesh, box = 0.01, (0.2, 0.075, 0.2)
+    offsets = np.random.default_rng(3).uniform(-0.45, 0.45, size=(20, 3)) * box
+    pts = [LiftedPoint(0.5 + d[0], 1.5 + d[1], d[2]) for d in offsets]
+    tracemalloc.start()
+    try:
+        query = _oracle_sweep(ff, mesh, box, targets=pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 41 * 301 * 41
+    full = _oracle_sweep(ff, mesh, box)
+    assert [query(p) for p in pts] == [full(p) for p in pts]
 
 
 def test_lattice_walker_guards_against_huge_graphs():
