@@ -16,13 +16,11 @@ from .geometry import (
     UnreachableError,
     apply_x1,
     apply_x2,
-    dist_oracle,
     dist_oracle_many,
     dist_surrogate_cc,
     dist_surrogate_eps,
     eval_p1,
     exp_coords_lifted,
-    lift_frame,
     taylor_p1,
     taylor_remainder_exponent,
 )
@@ -32,8 +30,6 @@ from .operators import (
     aij_from_gradient,
     coefficients,
     jacobian_assemble,
-    linear_operator_matrix,
-    linearized_apply,
     residual_div,
     residual_nondiv,
 )

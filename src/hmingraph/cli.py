@@ -165,21 +165,27 @@ def _boundary_from(cfg: dict, grid: Grid) -> BoundaryData:
         raise ConfigError(f"boundary evaluation failed: {e}") from e
 
 
+# keys of the retired Picard fallback: accepted and ignored, so older configs still run
+_RETIRED_SOLVER_KEYS = {"picard_fallback", "max_picard_iter"}
+
+
 def _solver_from(cfg: dict) -> SolverConfig:
     sec = _section(cfg, "solver", required=False)
-    base = SolverConfig()
     known = {f.name for f in dataclasses.fields(SolverConfig)}
-    bad = set(sec) - known
+    bad = set(sec) - known - _RETIRED_SOLVER_KEYS
     if bad:
         raise ConfigError(f"solver: unknown keys {sorted(bad)}; valid keys {sorted(known)}")
-    return dataclasses.replace(base, **sec)
+    return SolverConfig(**{k: v for k, v in sec.items() if k in known})
 
 
 def _schedule_from(cfg: dict) -> EpsSchedule:
     sec = _section(cfg, "schedule")
+    known = {f.name for f in dataclasses.fields(EpsSchedule)}
+    bad = set(sec) - known
+    if bad:
+        raise ConfigError(f"schedule: unknown keys {sorted(bad)}; valid keys {sorted(known)}")
     try:
-        kwargs = {k: sec[j] for k, j in (("eps_start", "eps_start"), ("factor", "factor"),
-                                         ("eps_min", "eps_min")) if j in sec}
+        kwargs = dict(sec)
         if "max_steps" in sec:
             kwargs["max_steps"] = int(sec["max_steps"])
         return EpsSchedule(**kwargs)
@@ -513,6 +519,8 @@ def cmd_distance(cfg: dict, out: Path) -> int:
         raise ConfigError("distance.x0 is required")
     x0 = (float(sec["x0"][0]), float(sec["x0"][1]))
     n_points = int(sec.get("n_points", 20))
+    if n_points < 1:
+        raise ConfigError(f"distance.n_points must be at least 1, got {n_points}")
     mesh = float(sec.get("mesh", 0.01))
     box = tuple(sec.get("box", (0.2, 0.2, 0.2)))
     seed = int(sec.get("seed", 0))

@@ -43,13 +43,11 @@ __all__ = [
     "UnreachableError",
     "apply_x1",
     "apply_x2",
-    "lift_frame",
     "exp_coords_lifted",
     "taylor_p1",
     "eval_p1",
     "dist_surrogate_eps",
     "dist_surrogate_cc",
-    "dist_oracle",
     "dist_oracle_many",
     "taylor_remainder_exponent",
 ]
@@ -156,11 +154,6 @@ class LiftedFrame:
     def commutator_313(self, f: Callable, p: LiftedPoint) -> float:
         """Closed form ``[X3~, [X1~, X3~]] f = -2 d2 f``."""
         return -2.0 * self._directional(f, p, (0.0, 1.0, 0.0))
-
-
-def lift_frame(frame: Frame, step: float = 1e-4) -> LiftedFrame:
-    """Lift the planar frame to the slab; see :class:`LiftedFrame`."""
-    return LiftedFrame(frame, step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +476,7 @@ class _LatticeSweep:
     final once assigned, so a sweep stopped early and resumed later labels
     every node exactly as one uninterrupted sweep does.  The sweep keeps the
     one int32 per node and per-level frontier arrays, nothing else
-    node-sized.  See :func:`dist_oracle` for the lattice.
+    node-sized.  See :func:`dist_oracle_many` for the lattice.
     """
 
     def __init__(self, ff: FrozenFrame, mesh: float, box: tuple[float, float, float]):
@@ -604,7 +597,7 @@ def _oracle_sweep(
     no level yet.  Levels are final once assigned, so every distance and
     every :class:`UnreachableError` is what the full sweep gives.  The sweep
     holds one int32 level per node, so the 4 M-node budget is about 16 MB.
-    See :func:`dist_oracle`.
+    See :func:`dist_oracle_many`.
     """
     sweep = _LatticeSweep(ff, mesh, box)
     if targets is None:
@@ -641,54 +634,40 @@ def _oracle_meshes(mesh: float, box: tuple[float, float, float]) -> list:
     return meshes
 
 
-def dist_oracle(
-    ff: FrozenFrame,
-    p: LiftedPoint,
-    mesh: float,
-    box: tuple[float, float, float] = (0.2, 0.2, 0.2),
-) -> float:
-    """Control-distance estimate for the frozen frame by a lattice sweep.
-
-    Nodes form a box-shaped lattice centered at ``(x0, 0)`` with spacings
-    ``(mesh, eps*mesh/2, mesh)``; each node has six outgoing edges, the
-    explicit Euler steps of parameter length ``mesh`` along the positive and
-    negative frozen fields, snapped to the nearest lattice node.  Edge weight
-    equals the parameter length, so a breadth-first sweep (uniform edge
-    weight, so equal to Dijkstra) from the center returns upper-biased
-    control distances.
-
-    Snap rounding means a single sweep is not monotone under mesh halving,
-    so the reported value is the minimum over the sweep at ``mesh`` and its
-    power-of-two coarsenings up to the cap ``min(box) / 3``; every
-    contributing sweep remains an upper-bound estimate.  While the coarser
-    mesh of a halving pair is at most that cap the coarsening sets nest, so
-    refinement is monotone non-increasing by construction.  Above the cap
-    the chain is the single sweep at ``mesh`` and halving carries no such
-    guarantee.
-
-    ``box`` holds the lattice half-widths per coordinate.  Maneuvers are
-    confined to the box, so it must enclose the paths that matter: in
-    particular vertical displacements ride on lift-coordinate excursions of
-    amplitude about the cube root of the displacement when the direct
-    vertical field is expensive (small eps).  A query outside the box, or on
-    a node the sweep never reached, raises :class:`UnreachableError`.
-    """
-    return dist_oracle_many(ff, [p], mesh, box)[0]
-
-
 def dist_oracle_many(
     ff: FrozenFrame,
     points: Sequence[LiftedPoint],
     mesh: float,
     box: tuple[float, float, float] = (0.2, 0.2, 0.2),
 ) -> list:
-    """Oracle distances for many points; each breadth-first sweep (uniform edge
-    weight, so equal to Dijkstra) is paid once, and stops at the level of the
-    farthest point, with the same distances as a full sweep.
+    """Control-distance estimates for the frozen frame by lattice sweeps.
 
-    Same semantics as :func:`dist_oracle`, including the minimum over
-    coarsened sweeps and its monotonicity under mesh halving only while the
-    coarser mesh is at most ``min(box) / 3``.
+    Nodes form a box-shaped lattice centered at ``(x0, 0)`` with spacings
+    ``(mesh, eps*mesh/2, mesh)``; each node has six outgoing edges, the
+    explicit Euler steps of parameter length ``mesh`` along the positive and
+    negative frozen fields, snapped to the nearest lattice node.  Edge weight
+    equals the parameter length, so a breadth-first sweep (uniform edge
+    weight, so equal to Dijkstra) from the center gives lattice control
+    distances, and a point reads the distance of its nearest node.  Snapping
+    makes each reading an estimate, not a bound: a coarse sweep can snap a
+    nearby point onto the center and read 0.
+
+    Snap rounding also means a single sweep is not monotone under mesh
+    halving, so the reported value is the minimum over the sweep at ``mesh``
+    and its power-of-two coarsenings up to the cap ``min(box) / 3``.  While
+    the coarser mesh of a halving pair is at most that cap the coarsening
+    sets nest, so refinement is monotone non-increasing by construction.
+    Above the cap the chain is the single sweep at ``mesh`` and halving
+    carries no such guarantee.  Each sweep is paid once for all points and
+    stops at the level of the farthest one, with the same distances as a
+    full sweep.
+
+    ``box`` holds the lattice half-widths per coordinate.  Maneuvers are
+    confined to the box, so it must enclose the paths that matter: in
+    particular vertical displacements ride on lift-coordinate excursions of
+    amplitude about the cube root of the displacement when the direct
+    vertical field is expensive (small eps).  A point outside the box, or on
+    a node that no sweep reached, raises :class:`UnreachableError`.
     """
     best = np.full(len(points), np.inf)
     for m in _oracle_meshes(mesh, box):

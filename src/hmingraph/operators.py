@@ -5,13 +5,12 @@ divergence-form operator
 
     L u = X1( X1 u / W ) + X2( X2 u / W ),     W = sqrt(1 + |grad u|^2),
 
-its non-divergence companion
+or its non-divergence companion
 
     N u = sum_ij a_ij(grad u) Xi(Xj u),
-    a_ij(p) = delta_ij - p_i p_j / (1 + |p|^2),
+    a_ij(p) = delta_ij - p_i p_j / (1 + |p|^2).
 
-or the linear equation coefficients ``a_ij / W`` that the field's derivatives
-satisfy.  Here ``grad u = (X1 u, X2 u)`` for the frame fields of a
+Here ``grad u = (X1 u, X2 u)`` for the frame fields of a
 :class:`~hmingraph.geometry.Frame`.  The two forms satisfy ``W L u = N u``
 for smooth fields when the outer field in N is applied to the full inner
 derivative, and the discretizations below reproduce the identity to O(h^2).
@@ -19,7 +18,9 @@ derivative, and the discretizations below reproduce the identity to O(h^2).
 The divergence form is kept conservative: fluxes ``Xi u / W`` are evaluated
 at half nodes between grid points (compact staggered stencils) and the outer
 fields difference them back to the node, so affine fields are discrete
-solutions with exactly zero residual.
+solutions with exactly zero residual.  Its exact Jacobian is assembled in
+the interior unknowns, and so is the lagged-coefficient operator
+``Xi( (1/W) Xi z )`` that the Jacobian-free reference solve iterates.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .geometry import Frame, apply_x1, apply_x2
-from .grid import GridFunction, require_same_grid
+from .grid import GridFunction
 
 __all__ = [
     "CoefficientField",
@@ -40,8 +41,6 @@ __all__ = [
     "coefficients",
     "residual_div",
     "residual_nondiv",
-    "linearized_apply",
-    "linear_operator_matrix",
     "jacobian_assemble",
     "interior_index_maps",
 ]
@@ -180,57 +179,8 @@ def residual_nondiv(frame: Frame) -> Residual:
 
 
 # ---------------------------------------------------------------------------
-# linearized operator
+# assembled operators
 # ---------------------------------------------------------------------------
-
-
-def _half_coeffs(hd: _HalfData, kind: str):
-    """Coefficient ratios b_ij at half nodes: full ``a/W`` or lagged ``I/W``."""
-    if kind == "full":
-        bx11, bx12 = hd.a11_x / hd.W_x, hd.a12_x / hd.W_x
-        by11, by12, by22 = hd.a11_y / hd.W_y, hd.a12_y / hd.W_y, hd.a22_y / hd.W_y
-    elif kind == "picard":
-        zx = np.zeros_like(hd.W_x)
-        zy = np.zeros_like(hd.W_y)
-        bx11, bx12 = 1.0 / hd.W_x, zx
-        by11, by12, by22 = 1.0 / hd.W_y, zy, 1.0 / hd.W_y
-    else:
-        raise ValueError(f"unknown coefficient kind {kind!r}")
-    return bx11, bx12, by11, by12, by22
-
-
-def linearized_apply(frame: Frame, z: GridFunction) -> GridFunction:
-    """Apply ``M z = Xi( (a_ij / W) Xj z )`` in conservative flux form.
-
-    Coefficients are frozen from the frame's u; the map is linear in z and
-    annihilates constants.  Values are produced at interior nodes (the
-    boundary ring of the output is zero).
-    """
-    require_same_grid(frame.u, z)
-    hd = _HalfData(frame)
-    bx11, bx12, by11, by12, by22 = _half_coeffs(hd, "full")
-    zv = z.values
-    h1, h2, eps = hd.h1, hd.h2, hd.eps
-
-    d1z_x = (zv[1:, 1:-1] - zv[:-1, 1:-1]) / h1
-    d2z_x = (zv[:-1, 2:] + zv[1:, 2:] - zv[:-1, :-2] - zv[1:, :-2]) / (4 * h2)
-    q1x = d1z_x + hd.ubar_x * d2z_x
-    q2x = eps * d2z_x
-    F1x = bx11 * q1x + bx12 * q2x
-
-    d2z_y = (zv[1:-1, 1:] - zv[1:-1, :-1]) / h2
-    d1z_y = (zv[2:, :-1] + zv[2:, 1:] - zv[:-2, :-1] - zv[:-2, 1:]) / (4 * h1)
-    q1y = d1z_y + hd.ubar_y * d2z_y
-    q2y = eps * d2z_y
-    F1y = by11 * q1y + by12 * q2y
-    F2y = by12 * q1y + by22 * q2y
-
-    out = (
-        (F1x[1:, :] - F1x[:-1, :]) / h1
-        + hd.uI * (F1y[:, 1:] - F1y[:, :-1]) / h2
-        + eps * (F2y[:, 1:] - F2y[:, :-1]) / h2
-    )
-    return _full_field(frame.u.grid, out)
 
 
 def interior_index_maps(n1: int, n2: int):
@@ -248,98 +198,67 @@ _OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), 
 
 @functools.lru_cache(maxsize=8)
 def _offset_pattern(n1: int, n2: int):
-    """CSR structure of the interior and boundary blocks on an ``n1 x n2`` grid.
+    """CSR structure of the interior block on an ``n1 x n2`` grid.
 
     The values of a 9-offset operator are laid out as the row-major interior
-    arrays of :data:`_OFFSETS`, concatenated.  Each block is returned as
-    ``(gather, indices, indptr, shape)``: ``values[gather]`` is the block's
-    CSR ``data`` (rows in order, columns sorted within a row, as COO -> CSR
-    conversion gives).  Interior columns number the unknowns row-major, and
-    boundary columns number the ring nodes in flat-index order.
+    arrays of :data:`_OFFSETS`, concatenated.  Returns ``(gather, indices,
+    indptr)``: ``values[gather]`` is the block's CSR ``data`` (rows in order,
+    columns sorted within a row, as COO -> CSR conversion gives), and both
+    rows and columns number the interior unknowns row-major.  Offsets that
+    land on the boundary ring have no column.
     """
-    m1, m2 = n1 - 2, n2 - 2
+    m = (n1 - 2) * (n2 - 2)
     ii, jj = np.meshgrid(np.arange(1, n1 - 1), np.arange(1, n2 - 1), indexing="ij")
-    rows = np.tile(((ii - 1) * m2 + (jj - 1)).ravel(), len(_OFFSETS))
+    rows = np.tile(np.arange(m), len(_OFFSETS))
     cols = np.concatenate([((ii + di) * n2 + (jj + dj)).ravel() for di, dj in _OFFSETS])
-
     _, inv = interior_index_maps(n1, n2)
-    bnd_flat = np.flatnonzero(inv < 0)
-    binv = -np.ones(n1 * n2, dtype=np.int64)
-    binv[bnd_flat] = np.arange(bnd_flat.size)
-    blocks = []
-    for take, colmap, ncols in ((inv[cols] >= 0, inv, m1 * m2), (inv[cols] < 0, binv, bnd_flat.size)):
-        sel = np.flatnonzero(take)
-        r, c = rows[sel], colmap[cols[sel]]
-        order = np.lexsort((c, r))
-        shape = (m1 * m2, ncols)
-        idx = np.int32 if max(*shape, sel.size) <= np.iinfo(np.int32).max else np.int64
-        indptr = np.zeros(m1 * m2 + 1, dtype=idx)
-        np.cumsum(np.bincount(r, minlength=m1 * m2), out=indptr[1:])
-        block = (sel[order], c[order].astype(idx), indptr, shape)
-        for a in block[:3]:
-            a.setflags(write=False)
-        blocks.append(block)
-    return tuple(blocks)
+    sel = np.flatnonzero(inv[cols] >= 0)
+    r, c = rows[sel], inv[cols[sel]]
+    order = np.lexsort((c, r))
+    idx = np.int32 if max(m, sel.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(m + 1, dtype=idx)
+    np.cumsum(np.bincount(r, minlength=m), out=indptr[1:])
+    pattern = (sel[order], c[order].astype(idx), indptr)
+    for a in pattern:
+        a.setflags(write=False)
+    return pattern
 
 
-def _offset_matrix(D: dict, n1: int, n2: int) -> tuple[csr_matrix, csr_matrix]:
-    """Assemble 9-offset coefficient arrays into interior/boundary matrices.
+def _offset_matrix(D: dict, n1: int, n2: int) -> csr_matrix:
+    """Assemble 9-offset coefficient arrays into the interior-block matrix.
 
     ``D[(di, dj)]`` holds, for every interior node, the row coefficient of
-    the neighbor at that offset.  Returns ``(A_int, A_bnd)`` with columns
-    split between interior unknowns and boundary nodes.  Only the values are
-    gathered per call; the structure comes from :func:`_offset_pattern`, and
-    each matrix gets its own copy of it, so in-place sparse operations on a
-    returned matrix cannot reach the cache.
+    the neighbor at that offset.  Only the values are gathered per call; the
+    structure comes from :func:`_offset_pattern`, and the matrix gets its
+    own copy of it, so in-place sparse operations on it cannot reach the
+    cache.
     """
+    gather, indices, indptr = _offset_pattern(n1, n2)
     vals = np.concatenate([D[off].ravel() for off in _OFFSETS])
-    A_int, A_bnd = (
-        csr_matrix((vals[gather], indices.copy(), indptr.copy()), shape=shape)
-        for gather, indices, indptr, shape in _offset_pattern(n1, n2)
-    )
-    return A_int, A_bnd
+    m = (n1 - 2) * (n2 - 2)
+    return csr_matrix((vals[gather], indices.copy(), indptr.copy()), shape=(m, m))
 
 
-def linear_operator_matrix(frame: Frame, kind: str = "full"):
-    """Sparse matrix of the flux-form linear operator with frozen coefficients.
+def _lagged_matrix(frame: Frame) -> csr_matrix:
+    """Interior block A of the lagged operator ``Xi( (1/W) Xi z )``, frozen at u.
 
-    ``kind='full'`` uses ``a_ij / W`` (the equation satisfied by derivative
-    components), ``kind='picard'`` the lagged ``delta_ij / W`` fixed-point
-    operator.  Returns ``(A_int, A_bnd, bnd_values_of)`` where the operator
-    applied to a full field z equals ``A_int z_int + A_bnd z_bnd`` at
-    interior nodes and ``bnd_values_of(values)`` extracts the boundary part
-    in matching order.
+    The whole operator applied to u is ``residual_div(u)``, so for a z with
+    u's boundary ring one lagged-coefficient sweep is
+    ``A (z - u) = -residual_div(u)``.
     """
     hd = _HalfData(frame)
-    A_int, A_bnd = _offset_matrix(_operator_offsets(hd, kind), hd.n1, hd.n2)
-
-    def bnd_values_of(values: np.ndarray) -> np.ndarray:
-        n1, n2 = frame.u.grid.n1, frame.u.grid.n2
-        _, inv = interior_index_maps(n1, n2)
-        return values.ravel()[inv < 0]
-
-    return A_int, A_bnd, bnd_values_of
+    return _offset_matrix(_lagged_offsets(hd), hd.n1, hd.n2)
 
 
-def _operator_offsets(hd: _HalfData, kind: str) -> dict:
-    """Per-offset row coefficients of the frozen-coefficient operator."""
-    bx11, bx12, by11, by12, by22 = _half_coeffs(hd, kind)
-    h1, h2, eps, uI = hd.h1, hd.h2, hd.eps, hd.uI
-
-    # x-half stencil coefficients for the flux F1x
-    cxL = -bx11 / h1
-    cxR = bx11 / h1
-    cxD = (bx11 * hd.ubar_x + bx12 * eps) / (4 * h2)
-    # y-half coefficients for F1y and F2y
-    cyB1 = -(by11 * hd.ubar_y + by12 * eps) / h2
-    cyT1 = -cyB1
-    cyS1 = by11 / (4 * h1)
-    cyB2 = -(by12 * hd.ubar_y + by22 * eps) / h2
-    cyT2 = -cyB2
-    cyS2 = by12 / (4 * h1)
-
+def _lagged_offsets(hd: _HalfData) -> dict:
+    """Per-offset row coefficients of the lagged operator."""
+    h1, h2, eps = hd.h1, hd.h2, hd.eps
+    bx, by = 1.0 / hd.W_x, 1.0 / hd.W_y
+    cyB1 = -by * hd.ubar_y / h2
+    cyB2 = -by * eps / h2
     return _combine_offsets(
-        h1, h2, eps, uI, cxL, cxR, cxD, cyB1, cyT1, cyS1, cyB2, cyT2, cyS2, delta=None,
+        h1, h2, eps, hd.uI, -bx / h1, bx / h1, bx * hd.ubar_x / (4 * h2),
+        cyB1, -cyB1, by / (4 * h1), cyB2, -cyB2, np.zeros_like(by), delta=None,
     )
 
 
@@ -403,8 +322,7 @@ def jacobian_assemble(frame: Frame) -> csr_matrix:
     the vertical difference of the first flux.
     """
     hd = _HalfData(frame)
-    A_int, _ = _offset_matrix(_jacobian_offsets(hd), hd.n1, hd.n2)
-    return A_int
+    return _offset_matrix(_jacobian_offsets(hd), hd.n1, hd.n2)
 
 
 def _jacobian_offsets(hd: _HalfData) -> dict:

@@ -6,11 +6,12 @@ with ``residual_div(u) = 0`` at every interior node.  Newton iterates with
 the exact sparse Jacobian and Armijo backtracking on the residual 2-norm;
 its linear systems are solved by GMRES preconditioned with the LU of an
 earlier Jacobian, refactoring only when that stale LU stops being good
-enough.  When a step stagnates, a lagged-coefficient fixed point (Picard)
-is used to re-enter Newton's basin.  :func:`continuation` walks a
-geometric eps schedule, warm-starting each solve from the previous solution
-and the previous LU, and records the uniform bounds whose stability is the
-whole point of the limit.
+enough.  A step that stagnates ends the solve with
+:class:`NonConvergenceError`.  :func:`picard_solve`, a Jacobian-free
+lagged-coefficient fixed point, is an independent reference for the Newton
+route.  :func:`continuation` walks a geometric eps schedule, warm-starting
+each solve from the previous solution and the previous LU, and records the
+uniform bounds whose stability is the whole point of the limit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from scipy.sparse.linalg import splu
 
 from .geometry import Frame, apply_x1, apply_x2
 from .grid import Grid, GridFunction
-from .operators import jacobian_assemble, linear_operator_matrix, residual_div
+from .operators import _lagged_matrix, jacobian_assemble, residual_div
 
 # SuperLU column ordering for every factorization here: minimum degree on A^T + A
 _PERMC_SPEC = "MMD_AT_PLUS_A"
@@ -93,8 +94,6 @@ class SolverConfig:
     armijo_shrink: float = 0.5
     min_step: float = 2.0 ** -20
     linear_tol: float = 1e-8
-    picard_fallback: bool = True
-    max_picard_iter: int = 60
 
 
 @dataclass
@@ -109,7 +108,7 @@ class NewtonReport:
     linear_residuals: list = dc_field(default_factory=list)  # |J d - rhs| / |rhs| per iteration
     krylov_iterations: list = dc_field(default_factory=list)  # per iteration; 0 = fresh LU
     factorizations: int = 0
-    used_picard: bool = False
+    used_picard: bool = False  # always False: Newton has no fallback; report.json keeps the key
     message: str = ""
 
 
@@ -251,7 +250,9 @@ def solve_eps(
     iterate is accepted once its residual sup is at most ``newton_tol``, or
     at most the rounding floor ``4 eps_mach |u|_inf / h^2`` (h the smaller
     spacing) that a second-difference residual cannot go below; the report
-    then says "converged at the rounding floor" and Picard is not tried.
+    then says "converged at the rounding floor".  A step whose linear solve
+    misses ``linear_tol`` or whose line search falls below ``min_step``
+    ends the solve, as does ``max_newton_iter``.
 
     Each Newton step goes through :func:`spsolve` with ``lu_cache`` (a fresh
     :class:`LUCache` when None): GMRES preconditioned by the LU of an
@@ -264,8 +265,7 @@ def solve_eps(
     tolerance.  Factorizations use the column ordering ``MMD_AT_PLUS_A``,
     minimum degree on the pattern of ``J^T + J``: on the structurally
     symmetric 9-point pattern it leaves about a third less fill than the
-    default COLAMD.  The Picard fallback factors each of its matrices
-    afresh.
+    default COLAMD.
     """
     if grid != boundary.grid:
         raise ValueError("boundary data lives on a different grid")
@@ -288,7 +288,6 @@ def solve_eps(
         lu_cache = LUCache()
     factorizations_before = lu_cache.factorizations
     floor_per_unit_u = _ROUNDING_FLOOR_C * np.finfo(float).eps / min(grid.h1, grid.h2) ** 2
-    picard_budget = 1 if config.picard_fallback else 0
     it = 0
     while True:
         r = _interior_residual(grid, u, eps)
@@ -314,35 +313,25 @@ def solve_eps(
         report.linear_residuals.append(lin_res)
         report.krylov_iterations.append(krylov_its)
         if not np.all(np.isfinite(delta)) or lin_res > config.linear_tol:
-            stagnated = True
-        else:
-            # Armijo on the residual 2-norm
-            r2 = np.linalg.norm(r)
-            lam = 1.0
-            stagnated = False
-            while True:
-                trial = u.copy()
-                trial[1:-1, 1:-1] += lam * delta.reshape(r.shape)
-                tr = _interior_residual(grid, trial, eps)
-                if np.linalg.norm(tr) <= (1.0 - config.armijo_c * lam) * r2:
-                    u = trial
-                    report.step_lengths.append(lam)
-                    break
-                lam *= config.armijo_shrink
-                if lam < config.min_step:
-                    stagnated = True
-                    break
-
-        if stagnated:
-            if picard_budget > 0:
-                picard_budget -= 1
-                report.used_picard = True
-                tol = 1e-12 * (1.0 + float(np.max(np.abs(u))))
-                sol, _, _ = picard_solve(grid, boundary, eps, tol, config.max_picard_iter,
-                                         initial_guess=GridFunction(grid, u))
-                u = sol.values
-            else:
+            break
+        # Armijo on the residual 2-norm
+        r2 = np.linalg.norm(r)
+        lam = 1.0
+        stagnated = False
+        while True:
+            trial = u.copy()
+            trial[1:-1, 1:-1] += lam * delta.reshape(r.shape)
+            tr = _interior_residual(grid, trial, eps)
+            if np.linalg.norm(tr) <= (1.0 - config.armijo_c * lam) * r2:
+                u = trial
+                report.step_lengths.append(lam)
                 break
+            lam *= config.armijo_shrink
+            if lam < config.min_step:
+                stagnated = True
+                break
+        if stagnated:
+            break
         it += 1
 
     r = _interior_residual(grid, u, eps)
@@ -369,11 +358,15 @@ def picard_solve(
 ):
     """Pure lagged-coefficient fixed point, independent of the Newton path.
 
-    Iterates the linear solves ``Xi( (1/W_k) Xi u_{k+1} ) = 0`` until the
-    sup-update drops below ``tol``.  Returns ``(solution, sweeps, converged)``;
-    without convergence the solution is the last iterate.  This is also the
-    fallback :func:`solve_eps` takes to re-enter Newton's basin; each sweep
-    factors its matrix afresh through :func:`spsolve`.
+    Each sweep solves ``Xi( (1/W_k) Xi u_{k+1} ) = 0`` with the coefficients
+    frozen at ``u_k``, in defect-correction form: the lagged operator
+    applied to ``u_k`` is ``residual_div(u_k)``, so the update solves
+    ``A_k (u_{k+1} - u_k) = -residual_div(u_k)`` on the interior and the
+    boundary ring never enters.  Sweeps stop once the sup-update is at most
+    ``tol``.  Returns ``(solution, sweeps, converged)``; without convergence
+    the solution is the last iterate.  No Jacobian is formed, which makes
+    this a reference for :func:`solve_eps`; each sweep factors its matrix
+    afresh through :func:`spsolve`.
     """
     if initial_guess is None:
         vals = transfinite_interpolation(boundary).values
@@ -381,13 +374,11 @@ def picard_solve(
         vals = boundary.impose(initial_guess.values[1:-1, 1:-1])
     for k in range(max_iter):
         fr = Frame(GridFunction(grid, vals), eps)
-        A_int, A_bnd, bnd_of = linear_operator_matrix(fr, kind="picard")
-        rhs = -A_bnd @ bnd_of(boundary.values)
-        z, _ = spsolve(A_int.tocsc(), rhs)
-        new = boundary.impose(z.reshape(grid.n1 - 2, grid.n2 - 2))
-        change = float(np.max(np.abs(new - vals)))
-        vals = new
-        if change <= tol:
+        r = residual_div(fr).interior(1)
+        dz, _ = spsolve(_lagged_matrix(fr).tocsc(), -r.ravel())
+        vals = vals.copy()
+        vals[1:-1, 1:-1] += dz.reshape(r.shape)
+        if float(np.max(np.abs(dz))) <= tol:
             return GridFunction(grid, vals), k + 1, True
     return GridFunction(grid, vals), max_iter, False
 

@@ -104,6 +104,14 @@ class TestSolve:
         assert main(["solve", write_cfg(tmp_path / "c.json", cfg)]) == 1
         assert "newton_iterations" in capsys.readouterr().err
 
+    def test_retired_picard_keys_are_accepted_and_ignored(self, tmp_path):
+        plain, retired = tmp_path / "plain", tmp_path / "retired"
+        main(["solve", write_cfg(tmp_path / "p.json", solve_cfg(plain))])
+        cfg = solve_cfg(retired, solver={"picard_fallback": True, "max_picard_iter": 5})
+        assert main(["solve", write_cfg(tmp_path / "r.json", cfg)]) == 0
+        assert '"used_picard": false' in (retired / "report.json").read_text()
+        assert (retired / "solution.csv").read_bytes() == (plain / "solution.csv").read_bytes()
+
 
 class TestConfigHandling:
     def test_malformed_json_reports_position(self, tmp_path, capsys):
@@ -272,6 +280,14 @@ class TestContinuationCommand:
         assert len(meta["sup_diffs"]) == 2
         ledger = json.loads((fan_run_dir / "ledger.json").read_text())
         assert [r["eps"] for r in ledger["rows"]] == [1.0, 0.5, 0.25]
+
+    def test_unknown_schedule_key_is_named(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = solve_cfg(out, schedule={"eps_start": 1.0, "eps_stop": 0.25})
+        del cfg["eps"]
+        assert main(["continuation", write_cfg(tmp_path / "c.json", cfg)]) == 1
+        assert "eps_stop" in capsys.readouterr().err
+        assert not (out / "run.json").exists()
 
     def test_reruns_are_byte_identical(self, fan_run_dir, tmp_path, monkeypatch):
         other = tmp_path / "rerun"
@@ -457,6 +473,22 @@ class TestDistanceCommand:
         assert unreachable > 0
         assert targeted == full
         assert draws == self.draws_through_last_row(cfg, targeted[0])
+
+    @pytest.mark.parametrize("n_points", [0, -3], ids=["zero", "negative"])
+    def test_n_points_below_one_is_exit_1_before_any_artifact(self, fan_run_dir, tmp_path,
+                                                              n_points):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path / "c.json", {
+            "distance": {"run_dir": str(fan_run_dir), "x0": [0.5, 1.5], "n_points": n_points},
+            "output_dir": str(out),
+        })
+        env = {**os.environ, "PYTHONPATH": str(Path(hmingraph.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "hmingraph.cli", "distance", cfg],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "distance.n_points" in proc.stderr
+        assert not (out / "distance.csv").exists()
 
     def test_off_node_base_point_is_exit_1(self, fan_run_dir, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.json", {

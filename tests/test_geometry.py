@@ -15,18 +15,17 @@ from hmingraph import (
     Frame,
     Grid,
     GridFunction,
+    LiftedFrame,
     LiftedPoint,
     PathExitsGridError,
     UnreachableError,
     apply_x1,
     apply_x2,
-    dist_oracle,
     dist_oracle_many,
     dist_surrogate_cc,
     dist_surrogate_eps,
     eval_p1,
     exp_coords_lifted,
-    lift_frame,
     pauls_graph,
     taylor_p1,
     taylor_remainder_exponent,
@@ -116,7 +115,7 @@ def test_leafwise_constant_graph_annihilated_off_the_kink():
 
 def test_lifted_field_at_s_zero_matches_plane_field():
     fr = frame_of(lambda a, b: a + 0.5 * b)
-    lf = lift_frame(fr)
+    lf = LiftedFrame(fr)
     f = lambda x1, x2, s: x1**2 + x2
     p = (0.5, 0.5)
     planar = 2 * p[0] + (p[0] + 0.5 * p[1]) * 1.0
@@ -125,14 +124,14 @@ def test_lifted_field_at_s_zero_matches_plane_field():
 
 def test_first_bracket_vanishes_at_zero_height():
     fr = frame_of(lambda a, b: a)
-    lf = lift_frame(fr)
+    lf = LiftedFrame(fr)
     val = lf.commutator_13(lambda x1, x2, s: x2, LiftedPoint(0.5, 0.5, 0.0))
     assert val == pytest.approx(0.0, abs=1e-6)
 
 
 def test_first_bracket_scales_with_height():
     fr = frame_of(lambda a, b: a)
-    lf = lift_frame(fr)
+    lf = LiftedFrame(fr)
     val = lf.commutator_13(lambda x1, x2, s: x2, LiftedPoint(0.5, 0.5, 0.3))
     assert val == pytest.approx(-0.6, rel=1e-6)
 
@@ -140,7 +139,7 @@ def test_first_bracket_scales_with_height():
 @pytest.mark.parametrize("s", [0.0, 0.3, -0.5])
 def test_double_bracket_reaches_the_missing_direction(s):
     fr = frame_of(lambda a, b: a * b)
-    lf = lift_frame(fr)
+    lf = LiftedFrame(fr)
     val = lf.commutator_313(lambda x1, x2, s: x2, LiftedPoint(0.4, 0.6, s))
     assert val == pytest.approx(-2.0, rel=1e-4)
 
@@ -340,9 +339,9 @@ def test_gauge_pair_stays_comparable(eps):
 def test_lattice_walker_zero_at_base_and_linear_in_height():
     fr = frame_of(lambda a, b: 0.1 * a, eps=0.5)
     ff = taylor_p1(fr, (0.5, 0.5))
-    assert dist_oracle(ff, LiftedPoint(0.5, 0.5, 0.0), 0.05) == 0.0
+    assert dist_oracle_many(ff, [LiftedPoint(0.5, 0.5, 0.0)], 0.05)[0] == 0.0
     # straight vertical run costs its parameter length up to O(mesh)
-    d = dist_oracle(ff, LiftedPoint(0.5, 0.5, 0.3), 0.05, box=(0.2, 0.2, 0.5))
+    d = dist_oracle_many(ff, [LiftedPoint(0.5, 0.5, 0.3)], 0.05, box=(0.2, 0.2, 0.5))[0]
     assert d == pytest.approx(0.3, abs=0.06)
 
 
@@ -352,7 +351,7 @@ def test_lattice_walker_monotone_under_mesh_halving():
     fr = frame_of(lambda a, b: 0.3 * a + 0.1, eps=0.5)
     ff = taylor_p1(fr, (0.5, 0.5))
     p = LiftedPoint(0.58, 0.48, 0.12)
-    vals = [dist_oracle(ff, p, mesh) for mesh in (0.04, 0.02, 0.01)]
+    vals = [dist_oracle_many(ff, [p], mesh)[0] for mesh in (0.04, 0.02, 0.01)]
     assert vals[0] >= vals[1] >= vals[2]
 
 
@@ -536,7 +535,7 @@ def test_lattice_walker_guards_against_huge_graphs():
     fr = frame_of(lambda a, b: 0.1 * a, eps=1e-3)
     ff = taylor_p1(fr, (0.5, 0.5))
     with pytest.raises(ValueError, match="lattice"):
-        dist_oracle(ff, LiftedPoint(0.52, 0.5, 0.0), 1e-3)
+        dist_oracle_many(ff, [LiftedPoint(0.52, 0.5, 0.0)], 1e-3)
 
 
 # ------------------------------------------------------------- model error

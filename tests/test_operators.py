@@ -4,23 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.sparse as sp
 from scipy.sparse import coo_matrix
 
 from hmingraph import (
     Frame,
     Grid,
     GridFunction,
-    GridMismatchError,
     aij_from_gradient,
     coefficients,
     jacobian_assemble,
-    linear_operator_matrix,
-    linearized_apply,
     residual_div,
     residual_nondiv,
 )
 
-from hmingraph.operators import _HalfData, _jacobian_offsets, _operator_offsets, interior_index_maps
+from hmingraph.operators import (
+    _HalfData,
+    _jacobian_offsets,
+    _lagged_matrix,
+    _lagged_offsets,
+    interior_index_maps,
+)
 
 from conftest import bench_grid_n, fan_bump, sample
 
@@ -143,74 +147,6 @@ def test_residual_shift_invariant_for_height_independent_graphs():
     assert np.allclose(r0, r1, atol=1e-13)
 
 
-# ------------------------------------------------------------- linearization
-
-def test_linearized_kills_constants():
-    g = bench_grid_n(17)
-    fr = Frame(sample(g, fan_bump), 0.5)
-    z = GridFunction(g, np.full((17, 17), 4.0))
-    assert np.max(np.abs(linearized_apply(fr, z).values[1:-1, 1:-1])) <= 1e-13
-
-
-def test_linearized_reduces_to_flat_laplacian_for_zero_graph():
-    g = Grid((0.0, 1.0), (0.0, 1.0), 33, 33)
-    fr = Frame(GridFunction(g, np.zeros((33, 33))), 1.0)
-    z = GridFunction.from_callable(g, lambda a, b: a * a)
-    out = linearized_apply(fr, z)
-    assert np.allclose(out.values[1:-1, 1:-1], 2.0, atol=1e-10)
-
-
-def test_linearized_is_linear():
-    g = bench_grid_n(17)
-    fr = Frame(sample(g, fan_bump), 0.5)
-    z1 = sample(g, lambda a, b: np.cos(a) + b)
-    z2 = sample(g, lambda a, b: a * b * b)
-    combo = GridFunction(g, 1.5 * z1.values - 0.5 * z2.values)
-    lhs = linearized_apply(fr, combo).values
-    rhs = 1.5 * linearized_apply(fr, z1).values - 0.5 * linearized_apply(fr, z2).values
-    assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-def test_linearized_grid_mismatch_raises():
-    g1 = bench_grid_n(17)
-    g2 = bench_grid_n(19)
-    fr = Frame(sample(g1, fan_bump), 0.5)
-    with pytest.raises(GridMismatchError):
-        linearized_apply(fr, sample(g2, fan_bump))
-
-
-def test_linearized_agrees_with_independent_nodal_route():
-    # second route: plain nodal derivatives instead of staggered fluxes;
-    # the two discretizations of the same operator meet at O(h^2)
-    def nodal_route(fr, z):
-        c = coefficients(fr)
-        g = fr.u.grid
-        u = fr.u.values
-
-        def gf(vals):
-            return GridFunction(g, vals)
-
-        def ax1(vals):
-            f = gf(vals)
-            return f.d1() + u * f.d2()
-
-        def ax2(vals):
-            return fr.epsilon * gf(vals).d2()
-
-        b11, b12, b22 = c.a11 / c.w, c.a12 / c.w, c.a22 / c.w
-        zx1, zx2 = ax1(z.values), ax2(z.values)
-        return ax1(b11 * zx1 + b12 * zx2) + ax2(b12 * zx1 + b22 * zx2)
-
-    sups = []
-    for n in (33, 65):
-        g = bench_grid_n(n)
-        fr = Frame(sample(g, fan_bump), 0.5)
-        z = sample(g, lambda a, b: np.sin(2.0 * a) * b)
-        d = linearized_apply(fr, z).values - nodal_route(fr, z)
-        sups.append(np.max(np.abs(d[2:-2, 2:-2])))
-    assert 3.0 <= sups[0] / sups[1] <= 5.0
-
-
 # ----------------------------------------------------------------- jacobian
 
 def test_jacobian_rows_stay_within_nine_point_stencil():
@@ -219,6 +155,22 @@ def test_jacobian_rows_stay_within_nine_point_stencil():
     J = jacobian_assemble(fr)
     nnz_per_row = np.diff(J.indptr)
     assert nnz_per_row.max() <= 9
+
+
+@pytest.mark.parametrize("n1,n2,eps", [(17, 17, 1.0), (9, 23, 0.1), (33, 12, 1e-3)])
+def test_jacobian_of_the_zero_graph_is_the_five_point_laplacian(n1, n2, eps):
+    # at u = 0 every coefficient is flat and no transport term survives, so
+    # the Jacobian is the 5-point matrix of d1^2 + eps^2 d2^2, bit for bit
+    g = Grid((0.0, 1.0), (1.0, 2.0), n1, n2)
+    J = jacobian_assemble(Frame(GridFunction(g, np.zeros((n1, n2))), eps))
+
+    def second_difference(m, h):
+        return sp.diags([np.ones(m - 1), -2.0 * np.ones(m), np.ones(m - 1)], [-1, 0, 1]) / h**2
+
+    m1, m2 = n1 - 2, n2 - 2
+    lap = (sp.kron(second_difference(m1, g.h1), sp.identity(m2))
+           + eps**2 * sp.kron(sp.identity(m1), second_difference(m2, g.h2)))
+    assert np.array_equal(J.toarray(), lap.toarray())
 
 
 def test_jacobian_matches_directional_difference():
@@ -311,10 +263,8 @@ def test_cached_assembly_matches_coo_route_and_the_residual(data):
 
     J = jacobian_assemble(fr)
     assert_same_bits(J, coo_route(_jacobian_offsets(hd), n1, n2)[0])
-    A_int, A_bnd, bnd_of = linear_operator_matrix(fr, kind="picard")
-    ref_int, ref_bnd = coo_route(_operator_offsets(hd, "picard"), n1, n2)
-    assert_same_bits(A_int, ref_int)
-    assert_same_bits(A_bnd, ref_bnd)
+    ref_int, ref_bnd = coo_route(_lagged_offsets(hd), n1, n2)
+    assert_same_bits(_lagged_matrix(fr), ref_int)
 
     # J is the derivative of the residual along smooth directions
     _, dfull = smooth_field(data, n1, n2, "d")
@@ -331,5 +281,6 @@ def test_cached_assembly_matches_coo_route_and_the_residual(data):
 
     # the lagged operator frozen at u, applied to u, is the residual itself
     r = residual_div(fr).interior(1).ravel()
-    au = A_int @ u[1:-1, 1:-1].ravel() + A_bnd @ bnd_of(u)
+    _, inv = interior_index_maps(n1, n2)
+    au = ref_int @ u[1:-1, 1:-1].ravel() + ref_bnd @ u.ravel()[inv < 0]
     assert np.max(np.abs(au - r)) <= 1e-10 * np.max(np.abs(r))

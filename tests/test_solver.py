@@ -98,7 +98,7 @@ def test_translating_domain_and_data_translates_the_solution(shift, eps, n):
 def test_newton_stops_at_the_rounding_floor():
     # the residual of this solve stalls near 1.4e-12, far above 1e-14, so
     # only the floor 4 eps_mach |u|_inf / h^2 (about 3.7e-12) ends it
-    # before Newton runs on, falls back to Picard and fails
+    # before Newton runs on and stagnates
     g = Grid((0.0, 1.0), (1.0, 2.0), 65, 65)
     bd = boundary(g, fan_bump)
     u, rep = solve_eps(g, bd, 0.1, SolverConfig(newton_tol=1e-14), None)
@@ -118,17 +118,18 @@ def test_solution_agrees_with_lagged_coefficient_route():
     assert np.max(np.abs(un.values - up.values)) <= 1e-6
 
 
-def test_picard_fallback_recovers_the_newton_solution():
-    # a zero linear tolerance refuses every Newton step, so the one Picard
-    # fallback has to carry the solve
+def test_a_refused_newton_step_ends_the_solve():
+    # a zero linear tolerance refuses the first Newton step, which ends the
+    # solve with the starting guess as its best iterate
     g = Grid((0.0, 1.0), (1.0, 2.0), 33, 33)
     bd = boundary(g, fan_bump)
-    un, _ = solve_eps(g, bd, 0.5, SolverConfig(), None)
-    up, rep = solve_eps(g, bd, 0.5, SolverConfig(linear_tol=0.0), None)
-    assert rep.converged and rep.used_picard
-    assert rep.step_lengths == []
-    assert len(rep.linear_residuals) == rep.iterations
-    assert np.max(np.abs(up.values - un.values)) <= 1e-10
+    with pytest.raises(NonConvergenceError) as exc:
+        solve_eps(g, bd, 0.5, SolverConfig(linear_tol=0.0), None)
+    rep = exc.value.report
+    assert not rep.converged and not rep.used_picard
+    assert rep.iterations == 0 and rep.step_lengths == []
+    assert len(rep.linear_residuals) == 1
+    assert np.array_equal(exc.value.best.values, transfinite_interpolation(bd).values)
 
 
 def test_solved_interior_obeys_boundary_range():
@@ -165,7 +166,7 @@ def test_report_residual_matches_reevaluation():
 def test_nonconvergence_carries_best_iterate():
     g = unit_grid_n(33)
     bd = boundary(g, fan_bump)
-    cfg = SolverConfig(max_newton_iter=2, picard_fallback=False)
+    cfg = SolverConfig(max_newton_iter=2)
     with pytest.raises(NonConvergenceError) as exc:
         solve_eps(g, bd, 1e-3, cfg, None)
     err = exc.value
@@ -254,7 +255,7 @@ def test_continuation_failure_keeps_partial_run():
     # is one short for the second step
     g = unit_grid_n(17)
     bd = boundary(g, lambda a, b: 2.0 * np.sin(2 * np.pi * a) * b + 0.3 * b)
-    cfg = SolverConfig(max_newton_iter=14, picard_fallback=False)
+    cfg = SolverConfig(max_newton_iter=14)
     with pytest.raises(ContinuationError) as exc:
         continuation(g, bd, EpsSchedule(factor=0.005, eps_min=1e-4), cfg)
     err = exc.value
