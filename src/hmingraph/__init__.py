@@ -9,7 +9,6 @@ from .grid import Grid, GridFunction, GridMismatchError, require_same_grid
 from .geometry import (
     FlowConvergenceError,
     Frame,
-    FrozenFrame,
     LiftedFrame,
     LiftedPoint,
     PathExitsGridError,
@@ -25,8 +24,6 @@ from .geometry import (
     taylor_remainder_exponent,
 )
 from .operators import (
-    CoefficientField,
-    Residual,
     aij_from_gradient,
     coefficients,
     jacobian_assemble,
@@ -37,10 +34,8 @@ from .solver import (
     BoundaryData,
     ContinuationError,
     EpsSchedule,
-    NewtonReport,
     NonConvergenceError,
     SolverConfig,
-    VanishingViscosityRun,
     continuation,
     m_bound,
     picard_solve,
@@ -48,9 +43,7 @@ from .solver import (
     transfinite_interpolation,
 )
 from .foliation import (
-    Leaf,
     LeafTraceError,
-    LieDerivativeSample,
     coverage_fraction,
     fit_leaf,
     foliation_cover,
@@ -62,7 +55,6 @@ from .diagnostics import (
     DiagnosticsBudgets,
     NormLedger,
     NormLedgerRow,
-    RegularityVerdict,
     derivative_equation_residuals,
     holder_exponent_estimate,
     holder_seminorm,
@@ -72,14 +64,12 @@ from .diagnostics import (
     verdict,
 )
 from .catalog import (
-    CatalogEntry,
     DomainError,
     ShearRootError,
     affine_graph,
     catalog,
     make_entry,
     pauls_graph,
-    shear_entry,
     shear_graph,
 )
 

@@ -204,18 +204,17 @@ def shear_graph(g: Callable, x1: float, x2: float, bracket: tuple[float, float] 
     return float(root)
 
 
-def shear_entry(g: Callable, name: str, bracket: tuple[float, float] = (-50.0, 50.0),
-                domain: Callable | None = None, **flags) -> CatalogEntry:
+def shear_entry(g: Callable, name: str, domain: Callable | None = None, **flags) -> CatalogEntry:
     """Wrap a shear profile ``g`` as a grid-evaluable catalog entry.
 
     ``g`` must act elementwise on a NumPy array, as :func:`shear_graph`
     requires; the entry still solves one node at a time.
     """
-    ev = np.vectorize(lambda a, b: shear_graph(g, a, b, bracket=bracket), otypes=[float])
+    ev = np.vectorize(lambda a, b: shear_graph(g, a, b), otypes=[float])
 
     def default_domain(x1, x2):
         try:
-            shear_graph(g, x1, x2, bracket=bracket)
+            shear_graph(g, x1, x2)
             return True
         except ShearRootError:
             return False

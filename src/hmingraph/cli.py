@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import argparse
 import ast
+import collections
 import contextlib
 import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -27,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .catalog import DomainError, ShearRootError, make_entry
+from .catalog import DomainError, ShearRootError, catalog, make_entry
 from .diagnostics import DiagnosticsBudgets, norm_ledger, verdict
 from .foliation import coverage_fraction, fit_leaf, foliation_cover, leaf_table
 from .geometry import (
@@ -89,22 +91,94 @@ def _provenance(cfg: dict) -> dict:
     return {"config_sha256": _config_hash(cfg), "version": __version__}
 
 
-def _section(cfg: dict, key: str, required: bool = True) -> dict:
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"config key {key!r} is required for this command")
-        return {}
-    if not isinstance(cfg[key], dict):
-        raise ConfigError(f"config key {key!r} must be an object")
-    return cfg[key]
+# Config readers.  A value reader returns the value it reads, or raises
+# ValueError saying what it expected; _read reads a section by a table of them.
 
 
-def _grid_from(cfg: dict) -> Grid:
-    sec = _section(cfg, "grid")
+def _finite(v) -> bool:  # a boolean is not a number
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and -math.inf < v < math.inf
+
+
+def _numbers(v, n=None) -> bool:  # a list of n finite numbers, of any length if n is None
+    return isinstance(v, list) and n in (None, len(v)) and all(map(_finite, v))
+
+
+def _reader(ok, expected: str, convert=lambda v: v):
+    def read(v):
+        if not ok(v):
+            raise ValueError(f"expected {expected}, got {v!r}")
+        return convert(v)
+    return read
+
+
+def _integer(lo: int):
+    return _reader(lambda v: _finite(v) and int(v) == v >= lo, f"an integer of at least {lo}", int)
+
+
+_number = _reader(_finite, "a finite number")  # as given: an integer stays one in artifacts
+_positive = _reader(lambda v: _finite(v) and v > 0, "a positive number", float)
+_string = _reader(lambda v: isinstance(v, str), "a string")
+_path = _reader(lambda v: isinstance(v, str), "a string", Path)
+_interval = _reader(lambda v: _numbers(v, 2) and v[0] < v[1], "[lo, hi] with lo < hi", tuple)
+_entry = _reader(lambda v: v in sorted(catalog()), f"one of {sorted(catalog())}")
+_BY_ANNOTATION = {  # the readers of dataclass fields
+    "float": _number, "int": _integer(0), "tuple": _reader(_numbers, "a list of numbers", tuple),
+    "tuple[float, float] | None": _reader(lambda v: v is None or _numbers(v, 2), "null or a pair",
+                                          lambda v: v and tuple(v))}
+
+# ``table`` maps each key to a value reader, to a nested _Section, or to None
+# for a retired key (accepted and ignored); ``required`` keys must be present;
+# ``into``, if given, is called with the keys read
+_Section = collections.namedtuple("_Section", "table required into", defaults=((), None))
+
+
+def _fields(cls, **retired) -> _Section:
+    """The section of dataclass ``cls``: one key per field, read by its annotation."""
+    return _Section({f.name: _BY_ANNOTATION[f.type] for f in dataclasses.fields(cls)} | retired,
+                    into=cls)
+
+
+def _read(obj, section: _Section, name: str = ""):
+    """Read the config object ``obj``, at dotted path ``name``, by ``section``.
+
+    Returns the keys present, as read, or ``section.into`` called with them.
+    An unknown key, a missing required key, or a value rejected by its reader
+    or by ``into`` (whose ValueError must begin with the key) is a
+    :class:`ConfigError` naming ``<name>.<key>``.  The top level (``name``
+    empty) admits other keys: one file may carry several commands' sections.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name}: expected an object, got {obj!r}")
+    at = lambda key: f"{name}.{key}" if name else key
+    for key in section.required:
+        if key not in obj:
+            raise ConfigError(f"{at(key)}: required for this command")
+    out = {}
+    for key, value in obj.items():
+        reader = section.table.get(key)
+        if key not in section.table:
+            if name:
+                raise ConfigError(f"{at(key)}: unknown key; valid keys {sorted(section.table)}")
+        elif isinstance(reader, _Section):
+            out[key] = _read(value, reader, at(key))
+        elif reader:
+            try:
+                out[key] = reader(value)
+            except ValueError as e:
+                raise ConfigError(f"{at(key)}: {e}") from e
     try:
-        return Grid(tuple(sec["x1"]), tuple(sec["x2"]), int(sec["n1"]), int(sec["n2"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"grid: {e}") from e
+        return out if section.into is None else section.into(**out)
+    except ValueError as e:
+        raise ConfigError(f"{name}.{e}") from e
+
+
+_OUTPUT = _Section({"output_dir": _string})
+_GRID = _Section({"x1": _interval, "x2": _interval, "n1": _integer(3), "n2": _integer(3)},
+                 ("x1", "x2", "n1", "n2"), lambda x1, x2, n1, n2: Grid(x1, x2, n1, n2))
+_PARAMS = _Section({"a": _number, "c": _number})  # the affine entry's; others take none
+_BOUNDARY = _Section({"expr": _string, "catalog": _entry, "params": _PARAMS})
+# the retired Picard fallback's keys are accepted and ignored, so older configs still run
+_SOLVER = _fields(SolverConfig, picard_fallback=None, max_picard_iter=None)
 
 
 _EXPR_FUNCS = {
@@ -147,54 +221,21 @@ def boundary_expression(src: str):
     return f
 
 
-def _boundary_from(cfg: dict, grid: Grid) -> BoundaryData:
-    sec = _section(cfg, "boundary")
+def _boundary_from(sec: dict, grid: Grid) -> BoundaryData:
     if "expr" in sec:
         f = boundary_expression(sec["expr"])
     elif "catalog" in sec:
-        try:
-            entry = make_entry(sec["catalog"], sec.get("params"))
-        except KeyError as e:
-            raise ConfigError(f"boundary.catalog: {e.args[0]}") from e
-        f = entry.eval
+        f = make_entry(sec["catalog"], sec.get("params")).eval
     else:
-        raise ConfigError("boundary needs either 'expr' or 'catalog'")
+        raise ConfigError("boundary.expr: required unless boundary.catalog is given")
     try:
         return BoundaryData.from_callable(grid, lambda a, b: np.asarray(f(a, b), dtype=float))
     except (DomainError, ShearRootError, ValueError) as e:
         raise ConfigError(f"boundary evaluation failed: {e}") from e
 
 
-# keys of the retired Picard fallback: accepted and ignored, so older configs still run
-_RETIRED_SOLVER_KEYS = {"picard_fallback", "max_picard_iter"}
-
-
-def _solver_from(cfg: dict) -> SolverConfig:
-    sec = _section(cfg, "solver", required=False)
-    known = {f.name for f in dataclasses.fields(SolverConfig)}
-    bad = set(sec) - known - _RETIRED_SOLVER_KEYS
-    if bad:
-        raise ConfigError(f"solver: unknown keys {sorted(bad)}; valid keys {sorted(known)}")
-    return SolverConfig(**{k: v for k, v in sec.items() if k in known})
-
-
-def _schedule_from(cfg: dict) -> EpsSchedule:
-    sec = _section(cfg, "schedule")
-    known = {f.name for f in dataclasses.fields(EpsSchedule)}
-    bad = set(sec) - known
-    if bad:
-        raise ConfigError(f"schedule: unknown keys {sorted(bad)}; valid keys {sorted(known)}")
-    try:
-        kwargs = dict(sec)
-        if "max_steps" in sec:
-            kwargs["max_steps"] = int(sec["max_steps"])
-        return EpsSchedule(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"schedule: {e}") from e
-
-
 def _out_dir(cfg: dict) -> Path:
-    d = os.environ.get("HMINGRAPH_OUT") or cfg.get("output_dir")
+    d = os.environ.get("HMINGRAPH_OUT") or _read(cfg, _OUTPUT).get("output_dir")
     if not d:
         raise ConfigError("output_dir missing (set it in the config or via HMINGRAPH_OUT)")
     path = Path(d)
@@ -376,32 +417,27 @@ def _load_state(run_dir: Path) -> tuple[GridFunction, float]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_solve(cfg: dict, out: Path) -> int:
-    grid = _grid_from(cfg)
-    boundary = _boundary_from(cfg, grid)
-    if "eps" not in cfg:
-        raise ConfigError("config key 'eps' is required for solve")
-    eps = float(cfg["eps"])
-    config = _solver_from(cfg)
+def cmd_solve(c: dict, out: Path, prov: dict) -> int:
+    boundary = _boundary_from(c["boundary"], c["grid"])
     code = 0
     try:
-        sol, report = solve_eps(grid, boundary, eps, config=config)
+        sol, report = solve_eps(c["grid"], boundary, c["eps"], c.get("solver", SolverConfig()))
     except NonConvergenceError as e:
         sol, report = e.best, e.report
         code = 2
     _write_csv(out / "solution.csv", ["x1", "x2", "u"], _solution_rows(sol))
-    _write_json(out / "report.json", {**_provenance(cfg), "eps": eps, **_report_dict(report)})
+    _write_json(out / "report.json", {**prov, "eps": c["eps"], **_report_dict(report)})
     return code
 
 
-def _write_run(cfg: dict, out: Path, run: VanishingViscosityRun) -> None:
+def _write_run(prov: dict, out: Path, run: VanishingViscosityRun) -> None:
     files = []
     for k, sol in enumerate(run.solutions):
         name = f"solution_{k:03d}.csv"
         _write_csv(out / name, ["x1", "x2", "u"], _solution_rows(sol))
         files.append(name)
     _write_json(out / "run.json", {
-        **_provenance(cfg),
+        **prov,
         "eps_values": list(run.eps_values),
         "lip_norms": list(run.lip_norms),
         "m_bounds": list(run.m_bounds),
@@ -410,30 +446,25 @@ def _write_run(cfg: dict, out: Path, run: VanishingViscosityRun) -> None:
     })
     if run.solutions:
         ledger = norm_ledger(run)
-        _write_json(out / "ledger.json", {**_provenance(cfg), **ledger.as_dict()})
+        _write_json(out / "ledger.json", {**prov, **ledger.as_dict()})
 
 
-def cmd_continuation(cfg: dict, out: Path) -> int:
-    grid = _grid_from(cfg)
-    boundary = _boundary_from(cfg, grid)
-    schedule = _schedule_from(cfg)
-    config = _solver_from(cfg)
+def cmd_continuation(c: dict, out: Path, prov: dict) -> int:
+    boundary = _boundary_from(c["boundary"], c["grid"])
     try:
-        run = continuation(grid, boundary, schedule, config=config)
+        run = continuation(c["grid"], boundary, c["schedule"], c.get("solver", SolverConfig()))
     except ContinuationError as e:
-        _write_run(cfg, out, e.partial_run)
+        _write_run(prov, out, e.partial_run)
         print(f"continuation stalled at eps={e.eps:g}: {e}", file=sys.stderr)
         return 2
-    _write_run(cfg, out, run)
+    _write_run(prov, out, run)
     return 0
 
 
-def cmd_foliate(cfg: dict, out: Path) -> int:
-    sec = _section(cfg, "foliate")
-    if "run_dir" not in sec:
-        raise ConfigError("foliate.run_dir is required")
-    sol, _eps = _load_state(Path(sec["run_dir"]))
-    spacing = float(sec.get("seed_spacing", 2 * max(sol.grid.h1, sol.grid.h2)))
+def cmd_foliate(c: dict, out: Path, prov: dict) -> int:
+    sec = c["foliate"]
+    sol, _eps = _load_state(sec["run_dir"])
+    spacing = sec.get("seed_spacing", 2 * max(sol.grid.h1, sol.grid.h2))
     leaves = foliation_cover(sol, spacing)
     summary = []
     for k, leaf in enumerate(leaves):
@@ -449,7 +480,7 @@ def cmd_foliate(cfg: dict, out: Path) -> int:
             })
         summary.append(row)
     _write_json(out / "leaves.json", {
-        **_provenance(cfg),
+        **prov,
         "seed_spacing": spacing,
         "coverage": coverage_fraction(sol, leaves),
         "leaves": summary,
@@ -457,39 +488,16 @@ def cmd_foliate(cfg: dict, out: Path) -> int:
     return 0
 
 
-def _budgets_from(sec: dict) -> DiagnosticsBudgets:
-    known = {f.name for f in dataclasses.fields(DiagnosticsBudgets)}
-    raw = sec.get("budgets", {})
-    bad = set(raw) - known
-    if bad:
-        raise ConfigError(f"diagnose.budgets: unknown keys {sorted(bad)}")
-    kwargs = dict(raw)
-    if "alphas" in kwargs:
-        kwargs["alphas"] = tuple(kwargs["alphas"])
-    if "window" in kwargs and kwargs["window"] is not None:
-        kwargs["window"] = tuple(kwargs["window"])
-    return DiagnosticsBudgets(**kwargs)
-
-
-def cmd_diagnose(cfg: dict, out: Path) -> int:
-    sec = _section(cfg, "diagnose")
-    if "run_dir" not in sec:
-        raise ConfigError("diagnose.run_dir is required")
-    run = _load_run(Path(sec["run_dir"]))
-    vd = verdict(run, _budgets_from(sec))
-    _write_json(out / "verdict.json", {**_provenance(cfg), **vd.as_dict()})
+def cmd_diagnose(c: dict, out: Path, prov: dict) -> int:
+    sec = c["diagnose"]
+    vd = verdict(_load_run(sec["run_dir"]), sec.get("budgets", DiagnosticsBudgets()))
+    _write_json(out / "verdict.json", {**prov, **vd.as_dict()})
     return 0
 
 
-def cmd_example(cfg: dict, out: Path) -> int:
-    sec = _section(cfg, "example")
-    if "name" not in sec:
-        raise ConfigError("example.name is required")
-    try:
-        entry = make_entry(sec["name"], sec.get("params"))
-    except KeyError as e:
-        raise ConfigError(f"example.name: {e.args[0]}") from e
-    grid = _grid_from(cfg)
+def cmd_example(c: dict, out: Path, prov: dict) -> int:
+    grid = c["grid"]
+    entry = make_entry(c["example"]["name"], c["example"].get("params"))
     x1, x2 = grid.nodes()
     try:
         vals = np.asarray(entry.eval(x1, x2), dtype=float)
@@ -498,7 +506,7 @@ def cmd_example(cfg: dict, out: Path) -> int:
     _write_csv(out / "example.csv", ["x1", "x2", "u"],
                _solution_rows(GridFunction(grid, vals)))
     _write_json(out / "example.json", {
-        **_provenance(cfg),
+        **prov,
         "name": entry.name,
         "flags": {
             "minimal_H0": entry.minimal_H0,
@@ -510,27 +518,20 @@ def cmd_example(cfg: dict, out: Path) -> int:
     return 0
 
 
-def cmd_distance(cfg: dict, out: Path) -> int:
-    sec = _section(cfg, "distance")
-    if "run_dir" not in sec:
-        raise ConfigError("distance.run_dir is required")
-    sol, eps = _load_state(Path(sec["run_dir"]))
-    if "x0" not in sec:
-        raise ConfigError("distance.x0 is required")
-    x0 = (float(sec["x0"][0]), float(sec["x0"][1]))
-    n_points = int(sec.get("n_points", 20))
-    if n_points < 1:
-        raise ConfigError(f"distance.n_points must be at least 1, got {n_points}")
-    mesh = float(sec.get("mesh", 0.01))
-    box = tuple(sec.get("box", (0.2, 0.2, 0.2)))
-    seed = int(sec.get("seed", 0))
+def cmd_distance(c: dict, out: Path, prov: dict) -> int:
+    sec = c["distance"]
+    sol, eps = _load_state(sec["run_dir"])
+    x0 = sec["x0"]
+    n_points = sec.get("n_points", 20)
+    mesh = sec.get("mesh", 0.01)
+    box = sec.get("box", (0.2, 0.2, 0.2))
     # the lattice cannot resolve separations of a few cells; stay above them
-    min_sep = float(sec.get("min_separation", 4.0 * mesh))
+    min_sep = sec.get("min_separation", 4.0 * mesh)
     try:
         ff = taylor_p1(Frame(sol, eps), x0)
     except ValueError as e:
         raise ConfigError(f"distance.x0: {e}") from e
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(sec.get("seed", 0))
 
     def candidates():
         for _ in range(50 * n_points):
@@ -566,7 +567,7 @@ def cmd_distance(cfg: dict, out: Path) -> int:
     _write_csv(out / "distance.csv",
                ["x1", "x2", "s", "surrogate_eps", "surrogate_cc", "oracle", "ratio"], rows)
     _write_json(out / "distance.json", {
-        **_provenance(cfg),
+        **prov,
         "eps": eps,
         "mesh": mesh,
         "n_points": len(rows),
@@ -576,13 +577,25 @@ def cmd_distance(cfg: dict, out: Path) -> int:
     return 0
 
 
-_COMMANDS = {
-    "solve": cmd_solve,
-    "continuation": cmd_continuation,
-    "foliate": cmd_foliate,
-    "diagnose": cmd_diagnose,
-    "example": cmd_example,
-    "distance": cmd_distance,
+_COMMANDS = {  # each command and the config sections it reads
+    "solve": (cmd_solve, _Section(
+        {"grid": _GRID, "boundary": _BOUNDARY, "eps": _positive, "solver": _SOLVER},
+        ("grid", "boundary", "eps"))),
+    "continuation": (cmd_continuation, _Section(
+        {"grid": _GRID, "boundary": _BOUNDARY, "schedule": _fields(EpsSchedule), "solver": _SOLVER},
+        ("grid", "boundary", "schedule"))),
+    "foliate": (cmd_foliate, _Section({"foliate": _Section(
+        {"run_dir": _path, "seed_spacing": _positive}, ("run_dir",))}, ("foliate",))),
+    "diagnose": (cmd_diagnose, _Section({"diagnose": _Section(
+        {"run_dir": _path, "budgets": _fields(DiagnosticsBudgets)}, ("run_dir",))}, ("diagnose",))),
+    "example": (cmd_example, _Section(
+        {"grid": _GRID, "example": _Section({"name": _entry, "params": _PARAMS}, ("name",))},
+        ("grid", "example"))),
+    "distance": (cmd_distance, _Section({"distance": _Section({
+        "run_dir": _path, "x0": _reader(lambda v: _numbers(v, 2), "[x1, x2]", tuple),
+        "n_points": _integer(1), "mesh": _positive, "seed": _integer(0), "min_separation": _number,
+        "box": _reader(lambda v: _numbers(v, 3) and min(v) > 0, "3 positive numbers", tuple),
+    }, ("run_dir", "x0"))}, ("distance",))),
 }
 
 
@@ -596,11 +609,13 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=f"run the {name} pipeline from a JSON config")
         p.add_argument("config", help="path to the declarative JSON config")
     args = parser.parse_args(argv)
+    command, section = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
+        c = _read(cfg, section)  # the whole config, before a run is loaded or a file written
         out = _out_dir(cfg)
         with _RunLock(out):
-            return _COMMANDS[args.command](cfg, out)
+            return command(c, out, _provenance(cfg))
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

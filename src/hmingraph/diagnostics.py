@@ -137,12 +137,13 @@ def holder_seminorm(f: GridFunction, alpha: float, window: tuple[float, float]) 
     return best
 
 
-def holder_exponent_estimate(f: GridFunction, window: tuple[float, float], nbins: int = 8) -> float:
+def holder_exponent_estimate(f: GridFunction, window: tuple[float, float]) -> float:
     """Slope of log(max |difference|) against log(separation), clipped to [0, 1].
 
     An estimate near 1 indicates Lipschitz-like behaviour on the window; a
     jump discontinuity drives it toward 0.
     """
+    nbins = 8
     lo, hi = float(window[0]), float(window[1])
     if not 0.0 < lo < hi:
         raise ValueError(f"bad separation window {window}")
@@ -277,32 +278,27 @@ def _default_window(grid: Grid) -> tuple[float, float]:
     return (2 * h, 0.25 * width)
 
 
-def norm_ledger(run: VanishingViscosityRun, alphas=DEFAULT_ALPHAS,
-                window: tuple[float, float] | None = None,
-                extra_orders: tuple = ()) -> NormLedger:
+def norm_ledger(run: VanishingViscosityRun) -> NormLedger:
     """Assemble the per-epsilon norm rows monitored along a continuation run.
 
     Each row records the coarse size bound M, the order-2 scaled Sobolev norm
-    of u, the order-1 norm of its vertical derivative, any extra (m, p)
-    norms, and Holder seminorms of both gradient components at the requested
-    exponents.
+    of u, the order-1 norm of its vertical derivative, and Holder seminorms
+    of both gradient components at ``DEFAULT_ALPHAS`` on the default window.
     """
     rows = []
     for eps, sol in zip(run.eps_values, run.solutions):
         frame = Frame(sol, eps)
         grid = sol.grid
-        win = _default_window(grid) if window is None else window
+        win = _default_window(grid)
         norms = {
             "u_W22_eps": sobolev_norm_eps(frame, 2, 2),
             "d2u_W12_eps": sobolev_norm_eps(frame, 1, 2, of=GridFunction(grid, sol.d2())),
         }
-        for (mm, pp) in extra_orders:
-            norms[f"u_W{mm}{pp}_eps"] = sobolev_norm_eps(frame, mm, pp)
         p1 = apply_x1(frame, sol)
         p2 = apply_x2(frame, sol)
         hold = tuple(
             (a, max(holder_seminorm(p1, a, win), holder_seminorm(p2, a, win)))
-            for a in alphas
+            for a in DEFAULT_ALPHAS
         )
         rows.append(NormLedgerRow(eps=eps, M=m_bound(frame), norms=norms, holder=hold))
     return NormLedger(rows)
@@ -318,6 +314,14 @@ class DiagnosticsBudgets:
     residual_cap: float = 0.5
     margin_fraction: float = 0.1
     window: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if not all(0.0 < a < 1.0 for a in self.alphas):
+            raise ValueError(f"alphas: each must lie in (0, 1), got {self.alphas}")
+        if self.window is not None and not 0.0 <= self.window[0] < self.window[1]:
+            raise ValueError(f"window: need 0 <= lo < hi, got {self.window}")
+        if not self.margin_fraction < 0.5:  # else the verdict's interior window is empty
+            raise ValueError(f"margin_fraction: must be below 0.5, got {self.margin_fraction}")
 
 
 @dataclass(frozen=True)

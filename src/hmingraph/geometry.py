@@ -117,22 +117,21 @@ class LiftedFrame:
     """Evaluators for the lifted fields at points of ``Omega x (-1, 1)``.
 
     The ``apply_*`` methods differentiate a callable ``f(x1, x2, s)`` by a
-    centered difference of length ``step`` along the field direction frozen
+    centered difference of length 1e-4 along the field direction frozen
     at the evaluation point, exact for f polynomial of degree <= 2 along the
     line.  The commutator evaluators implement the closed forms
     ``[X1~, X3~] = -2 s d2`` and ``[X3~, [X1~, X3~]] = -2 d2``.
     """
 
-    def __init__(self, frame: Frame, step: float = 1e-4):
+    def __init__(self, frame: Frame):
         self.frame = frame
-        self.step = float(step)
 
     def coefficient(self, p: LiftedPoint) -> float:
         """The d2-coefficient ``u(x) + s^2`` of X1~ at ``p``."""
         return float(self.frame.u.interp(p.x1, p.x2)) + p.s ** 2
 
     def _directional(self, f: Callable, p: LiftedPoint, v: tuple) -> float:
-        h = self.step
+        h = 1e-4
         return (
             f(p.x1 + h * v[0], p.x2 + h * v[1], p.s + h * v[2])
             - f(p.x1 - h * v[0], p.x2 - h * v[1], p.s - h * v[2])
@@ -167,9 +166,7 @@ def _flow_coords(
     x: tuple[float, float],
     s: float,
     eps: float,
-    n_start: int = 32,
     rel_tol: float = 1e-9,
-    max_doublings: int = 5,
     slopes: tuple[float, float] = (0.0, 0.0),
 ):
     """Adapted coordinates (e1, e2, e3) of ``(x, s)`` seen from ``(x0, 0)``.
@@ -194,13 +191,13 @@ def _flow_coords(
     model at the current subinterval count: the endpoint map amplifies the
     scheme's own error in the drive by about ``exp(e1 d2u)``, which at rates
     of tens would send the first trial path off the domain.  Subinterval
-    counts start at ``n_start`` (even) and double until e2 moves by less
-    than ``rel_tol`` (relative), or ``max_doublings`` is hit.
+    counts start at 32 and double until e2 moves by less than ``rel_tol``
+    (relative), at most five times.
 
     ``u_eval(x1, x2)`` must evaluate anywhere on the path and raise
     ``ValueError`` off its domain, which is converted to
     :class:`PathExitsGridError`.  If 60 secant steps miss the endpoint, or
-    ``max_doublings`` doublings leave e2 moving by more than ``rel_tol``,
+    five doublings leave e2 moving by more than ``rel_tol``,
     :class:`FlowConvergenceError` is raised instead of returning an
     unverified e2; the endpoint map amplifies rounding by about
     ``exp(e1 d2u)``, so this happens for rates ``e1 d2u`` of a few tens.
@@ -276,10 +273,10 @@ def _flow_coords(
         integral = _simpson(uvals, 1.0 / n)
         return (dx2 - e1 * (integral + s * s / 3.0)) / eps
 
-    n = n_start
+    n = 32
     e2 = e2_at(n)
     change = math.inf
-    for _ in range(max_doublings):
+    for _ in range(5):
         n *= 2
         e2_next = e2_at(n)
         change = abs(e2_next - e2) / max(1.0, abs(e2_next))
@@ -693,17 +690,15 @@ def taylor_remainder_exponent(
     frame: Frame,
     x0: tuple[float, float],
     radii: Sequence[float],
-    min_samples: int = 8,
-    drop_below: float = 1e-14,
 ) -> float:
     """Log-log slope of ``|u - P1|`` against the frozen gauge around ``x0``.
 
     Grid nodes whose surrogate distance from the base falls inside
     ``[min(radii), max(radii)]`` contribute one sample each, in row-major
-    order; samples with remainder below ``drop_below`` are discarded (exactly
+    order; samples with remainder below 1e-14 are discarded (exactly
     reproduced fields would otherwise poison the regression), and if
-    everything is discarded the fit is reported as ``inf``.  Fewer than
-    ``min_samples`` surviving samples raise ``ValueError``.  The distance is
+    everything is discarded the fit is reported as ``inf``.  Fewer than 8
+    surviving samples raise ``ValueError``.  The distance is
     :func:`dist_surrogate_eps` in closed-form frozen coordinates, evaluated
     for all candidate nodes in one array pass.
     """
@@ -718,12 +713,12 @@ def taylor_remainder_exponent(
     dist = _gauge_eps(ff.epsilon, *_frozen_coords(ff, x1, x2, 0.0))
     inside = (lo <= dist) & (dist <= hi)
     rem = np.abs(frame.u.values[cand] - eval_p1(ff, x1, x2))
-    keep = inside & ~(rem < drop_below)
+    keep = inside & ~(rem < 1e-14)
     n_inside = int(inside.sum())
     logs_d, logs_r = np.log(dist[keep]), np.log(rem[keep])
-    if n_inside >= min_samples and logs_d.size == 0:
+    if n_inside >= 8 and logs_d.size == 0:
         return math.inf  # model reproduces u on the whole window
-    if len(logs_d) < min_samples:
+    if len(logs_d) < 8:
         raise ValueError(
             f"only {len(logs_d)} usable samples in radius window [{lo}, {hi}]"
         )

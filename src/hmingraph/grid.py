@@ -80,14 +80,6 @@ class Grid:
             (lo1 - tol <= x1 <= hi1 + tol) and (lo2 - tol <= x2 <= hi2 + tol)
         )
 
-    def interior_slice(self, margin: int = 1) -> tuple[slice, slice]:
-        """Index slices selecting nodes at least ``margin`` layers from the edge."""
-        if margin < 0:
-            raise ValueError("margin must be non-negative")
-        if 2 * margin >= min(self.n1, self.n2):
-            raise ValueError("margin leaves no nodes")
-        return slice(margin, self.n1 - margin), slice(margin, self.n2 - margin)
-
     def node_index(self, x1: float, x2: float, tol: float = 1e-9) -> tuple[int, int]:
         """Indices of the node coinciding with ``(x1, x2)``.
 

@@ -95,6 +95,10 @@ class SolverConfig:
     min_step: float = 2.0 ** -20
     linear_tol: float = 1e-8
 
+    def __post_init__(self):
+        if not 0.0 < self.armijo_shrink < 1.0:  # else the line search never ends
+            raise ValueError(f"armijo_shrink: must lie in (0, 1), got {self.armijo_shrink}")
+
 
 @dataclass
 class NewtonReport:
@@ -398,12 +402,13 @@ class EpsSchedule:
     max_steps: int = 64
 
     def __post_init__(self):
-        if not (self.eps_start > 0 and self.eps_min > 0):
-            raise ValueError("eps bounds must be positive")
+        for name in ("eps_start", "eps_min"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
         if not (0 < self.factor < 1):
-            raise ValueError("factor must lie in (0, 1)")
+            raise ValueError(f"factor: must lie in (0, 1), got {self.factor}")
         if self.eps_min > self.eps_start:
-            raise ValueError("eps_min exceeds eps_start")
+            raise ValueError(f"eps_min: exceeds eps_start, {self.eps_min} > {self.eps_start}")
 
     def values(self) -> list[float]:
         out = [self.eps_start]

@@ -1,0 +1,190 @@
+"""Malformed configs: every one ends in exit 1 naming its key, before any artifact."""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hmingraph.cli import main
+
+GRID = {"x1": [0, 1], "x2": [1, 2], "n1": 17, "n2": 17}
+SOLVER = {"newton_tol": 1e-10, "max_newton_iter": 30, "armijo_c": 1e-4, "armijo_shrink": 0.5,
+          "min_step": 1e-6, "linear_tol": 1e-8}
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """A finished solve and continuation for the read-back commands, and a
+    directory for the outputs of the configs under test."""
+    base = tmp_path_factory.mktemp("configs")
+    for command, cfg in (
+        ("solve", {"grid": GRID, "boundary": {"expr": "x2 / (x1 + 2)"}, "eps": 0.5}),
+        ("continuation", {"grid": GRID, "boundary": {"expr": "x2 / (x1 + 2)"},
+                          "schedule": {"eps_start": 1.0, "factor": 0.5, "eps_min": 0.5}}),
+    ):
+        code, err = run(command, {**cfg, "output_dir": str(base / command)}, base)
+        assert code == 0, err
+    return base
+
+
+def run(command, cfg, base):
+    """``main`` in-process on ``cfg``: its exit code and its stderr."""
+    path = Path(tempfile.mkdtemp(dir=base)) / "config.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, str(path)])
+    return code, err.getvalue()
+
+
+def valid_configs(base):
+    """One config per command, each section holding every key it reads."""
+    solve_dir, run_dir = str(base / "solve"), str(base / "continuation")
+    return {
+        "solve": ("solve", {"grid": GRID, "boundary": {"expr": "x2 / (x1 + 2)"}, "eps": 0.5,
+                            "solver": SOLVER}),
+        "solve-catalog": ("solve", {"grid": GRID, "eps": 0.5, "boundary": {
+            "catalog": "affine", "params": {"a": 2, "c": -1}}}),
+        "continuation": ("continuation", {
+            "grid": GRID, "boundary": {"expr": "x2 / (x1 + 2)"}, "solver": SOLVER,
+            "schedule": {"eps_start": 1.0, "factor": 0.5, "eps_min": 0.5, "max_steps": 3}}),
+        "foliate": ("foliate", {"foliate": {"run_dir": run_dir, "seed_spacing": 0.2}}),
+        "diagnose": ("diagnose", {"diagnose": {"run_dir": run_dir, "budgets": {
+            "alphas": [0.5], "holder_cap": 50.0, "x2u_cap": 0.5, "residual_cap": 0.5,
+            "margin_fraction": 0.1, "window": [0.1, 0.3]}}}),
+        "example": ("example", {"example": {"name": "affine", "params": {"a": 1, "c": 0}},
+                                "grid": GRID}),
+        "distance": ("distance", {"distance": {
+            "run_dir": solve_dir, "x0": [0.5, 1.5], "n_points": 2, "mesh": 0.05,
+            "box": [0.2, 0.2, 0.2], "seed": 1, "min_separation": 0.2}}),
+    }
+
+
+# (config, dotted path of a section; "" is the top level)
+SECTIONS = [
+    ("solve", ""), ("solve", "grid"), ("solve", "boundary"), ("solve", "solver"),
+    ("solve-catalog", "boundary"), ("solve-catalog", "boundary.params"),
+    ("continuation", ""), ("continuation", "grid"), ("continuation", "boundary"),
+    ("continuation", "schedule"), ("continuation", "solver"),
+    ("foliate", ""), ("foliate", "foliate"),
+    ("diagnose", ""), ("diagnose", "diagnose"), ("diagnose", "diagnose.budgets"),
+    ("example", ""), ("example", "grid"), ("example", "example"), ("example", "example.params"),
+    ("distance", ""), ("distance", "distance"),
+]
+MUTATIONS = ("wrong type", "zero", "negative", "nan", "wrong length", "extra key")
+
+
+def mutated(value, kind):
+    return {
+        "wrong type": 5 if isinstance(value, str) else "x",
+        "zero": 0,
+        "negative": -1,
+        "nan": math.nan,
+        "wrong length": value + value[:1] if isinstance(value, list) else [value],
+    }[kind]
+
+
+def section_of(cfg, path):
+    for key in filter(None, path.split(".")):
+        cfg = cfg[key]
+    return cfg
+
+
+def test_every_valid_config_runs(runs):
+    for name, (command, cfg) in valid_configs(runs).items():
+        out = Path(tempfile.mkdtemp(dir=runs))
+        code, err = run(command, {**cfg, "output_dir": str(out)}, runs)
+        assert code == 0, (name, err)
+        assert any(out.iterdir())
+
+
+@pytest.mark.parametrize("name, path", SECTIONS, ids=[f"{n}:{p or 'top'}" for n, p in SECTIONS])
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_one_mutated_key_ends_in_0_1_or_2_and_1_names_it(runs, name, path, data):
+    command, cfg = valid_configs(runs)[name]
+    out = Path(tempfile.mkdtemp(dir=runs)) / "out"
+    cfg = json.loads(json.dumps({**cfg, "output_dir": str(out)}))
+    section = section_of(cfg, path)
+    kind = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    if kind == "extra key":
+        key = "unread"
+        section[key] = 1
+    else:
+        key = data.draw(st.sampled_from(sorted(section)), label="key")
+        section[key] = mutated(section[key], kind)
+    code, err = run(command, cfg, runs)
+    assert code in (0, 1, 2), err
+    if code == 1:
+        assert f"error: {path + '.' if path else ''}{key}" in err, err
+        assert not out.exists() or not any(out.iterdir())
+
+
+# each case ended in a traceback before the one config reader
+TRACEBACKS = [
+    ("solve", "eps", 0),
+    ("solve", "eps", -1),
+    ("solve", "eps", "a"),
+    ("solve", "solver.max_newton_iter", "x"),
+    ("solve", "solver.newton_tol", "x"),
+    ("solve", "grid.x1", [0]),
+    ("solve", "boundary.expr", 5),
+    ("solve-catalog", "boundary.params.a", "x"),
+    ("foliate", "foliate.seed_spacing", 0),
+    ("foliate", "foliate.seed_spacing", "x"),
+    ("foliate", "foliate.run_dir", 5),
+    ("diagnose", "diagnose.run_dir", 5),
+    ("diagnose", "diagnose.budgets", 5),
+    ("diagnose", "diagnose.budgets.alphas", [2.0]),
+    ("diagnose", "diagnose.budgets.window", [0.5, 0.1]),
+    ("diagnose", "diagnose.budgets.holder_cap", "x"),
+    ("diagnose", "diagnose.budgets.margin_fraction", 0.6),
+    ("example", "example.params.a", "x"),
+    ("example", "example.params", [1]),
+    ("distance", "distance.x0", [0.5]),
+    ("distance", "distance.box", [0.2, 0.2]),
+    ("distance", "distance.seed", -1),
+]
+# each case ran to exit 0 before, reading the value in some other way or ignoring the key
+SILENT = [
+    ("solve", "grid.n1", 3.9),
+    ("solve", "eps", True),
+    ("foliate", "foliate.spacing", 0.1),
+    ("diagnose", "diagnose.holder_cap", 1.0),
+    ("distance", "distance.n", 5),
+]
+
+
+@pytest.mark.parametrize("name, path, value", TRACEBACKS + SILENT,
+                         ids=[f"{p}={json.dumps(v)}" for _, p, v in TRACEBACKS + SILENT])
+def test_malformed_value_is_exit_1_naming_the_key(runs, name, path, value):
+    command, cfg = valid_configs(runs)[name]
+    out = Path(tempfile.mkdtemp(dir=runs)) / "out"
+    cfg = json.loads(json.dumps({**cfg, "output_dir": str(out)}))
+    parent, _, key = path.rpartition(".")
+    section_of(cfg, parent)[key] = value
+    code, err = run(command, cfg, runs)
+    assert code == 1
+    assert err.startswith(f"error: {path}: ")
+    assert not out.exists()
+
+
+def test_retired_solver_keys_stay_accepted(runs):
+    command, cfg = valid_configs(runs)["solve"]
+    cfg = {**cfg, "solver": {**SOLVER, "picard_fallback": True, "max_picard_iter": 5},
+           "output_dir": str(Path(tempfile.mkdtemp(dir=runs)))}
+    assert run(command, cfg, runs)[0] == 0
+
+
+def test_integral_float_count_is_read_as_an_integer(runs):
+    command, cfg = valid_configs(runs)["solve"]
+    out = Path(tempfile.mkdtemp(dir=runs))
+    cfg = {**cfg, "grid": {**GRID, "n1": 17.0}, "output_dir": str(out)}
+    assert run(command, cfg, runs)[0] == 0
+    assert len((out / "solution.csv").read_text().splitlines()) == 1 + 17 * 17

@@ -213,6 +213,13 @@ def test_schedule_validation():
         EpsSchedule(eps_min=0.0)
 
 
+def test_solver_config_rejects_a_line_search_that_never_ends():
+    # a factor of 1 or more never brings the step below min_step
+    for shrink in (0.0, 1.0, 2.0):
+        with pytest.raises(ValueError, match="armijo_shrink"):
+            SolverConfig(armijo_shrink=shrink)
+
+
 def test_m_bound_closed_form_for_affine():
     g = unit_grid_n(33)
     fr = Frame(GridFunction.from_callable(g, lambda a, b: 0.5 * a + 0.25), 0.5)
