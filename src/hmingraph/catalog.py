@@ -17,7 +17,6 @@ restriction of u to each leaf of its own direction field is affine).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -155,45 +154,38 @@ def _brent_polish(f: Callable, xa: float, xb: float) -> float:
         f"root polishing did not converge in {_BRENT_MAXITER} iterations (last t={xcur!r})")
 
 
-@functools.lru_cache(maxsize=16)
-def _scan_points(lo: float, hi: float) -> np.ndarray:
-    """The 401 scan points of a bracket, built once and shared read-only."""
-    ts = np.linspace(lo, hi, 401)
-    ts.flags.writeable = False
-    return ts
+# the 401 points of the root scan over the bracket [-50, 50], shared read-only
+_SCAN_POINTS = np.linspace(-50.0, 50.0, 401)
+_SCAN_POINTS.flags.writeable = False
 
 
-def shear_graph(g: Callable, x1: float, x2: float, bracket: tuple[float, float] = (-50.0, 50.0)) -> float:
+def shear_graph(g: Callable, x1: float, x2: float) -> float:
     """Solve ``x2 = x1*t - g(t)`` for ``t``; the root is the graph height.
 
-    A 401-point scan over the bracket locates sign changes of the residual;
-    exactly one must exist.  The bracketed root is polished to full precision
-    by Brent's method (the iterates of ``scipy.optimize.brentq``, ported,
-    bit for bit) and checked against the 1e-12 residual postcondition; a
-    NaN residual or a polish that does not converge raises
-    :class:`ShearRootError` too.  ``g`` must act
+    A 401-point scan over the bracket [-50, 50] locates sign changes of the
+    residual; exactly one must exist.  The bracketed root is polished to
+    full precision by Brent's method (the iterates of
+    ``scipy.optimize.brentq``, ported, bit for bit) and checked against the
+    1e-12 residual postcondition; a NaN residual or a polish that does not
+    converge raises :class:`ShearRootError` too.  ``g`` must act
     elementwise on a NumPy array (the scan evaluates it on all 401 points in
     one call) as well as on a float, and must not write into its argument:
-    the scan points are shared by every call with the same bracket and are
-    read-only.
+    the scan points are shared by every call and are read-only.
     """
     x1 = float(x1)
     x2 = float(x2)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ShearRootError(f"empty bracket {bracket}")
     phi = lambda t: x1 * t - g(t) - x2
-    ts = _scan_points(lo, hi)
+    ts = _SCAN_POINTS
     vals = x1 * ts - g(ts) - x2  # phi, elementwise over the whole scan
     exact = np.flatnonzero(vals == 0.0)
     sign_flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
     n_roots = len(exact) + len(sign_flips)
     if n_roots == 0:
         raise ShearRootError(
-            f"no root of the shear equation in bracket [{lo:g}, {hi:g}] at ({x1:g}, {x2:g})")
+            f"no root of the shear equation in bracket [-50, 50] at ({x1:g}, {x2:g})")
     if n_roots > 1:
         raise ShearRootError(
-            f"{n_roots} roots of the shear equation in bracket [{lo:g}, {hi:g}] at ({x1:g}, {x2:g})")
+            f"{n_roots} roots of the shear equation in bracket [-50, 50] at ({x1:g}, {x2:g})")
     if len(exact):
         root = float(ts[exact[0]])
     else:

@@ -30,6 +30,7 @@ __all__ = [
     "intrinsic_derivative",
     "holder_seminorm",
     "holder_exponent_estimate",
+    "default_window",
     "sobolev_norm_eps",
     "derivative_equation_residuals",
     "NormLedger",
@@ -103,38 +104,30 @@ def _separation_profile(grid: Grid, lo: float, hi: float, values: np.ndarray) ->
     return seps[keep], np.array(dmax, dtype=float)
 
 
-@functools.lru_cache(maxsize=4)
-def _cached_profile(grid: Grid, lo: float, hi: float, shape: tuple, raw: bytes) -> tuple:
-    """The profile of the field whose float64 values are ``raw``, read-only.
+def holder_seminorm(f: GridFunction, alphas: tuple, window: tuple[float, float]) -> tuple:
+    """Max of |f(x)-f(y)| / |x-y|^alpha over node pairs separated within
+    window, one seminorm per exponent in ``alphas``.
 
-    Keyed on the field's content, never on the identity of its array, so
-    writing into ``GridFunction.values`` in place gives a fresh profile.
-    Four entries hold both gradient components of two steps: a ledger asks
-    for each component's profile once per exponent, alternating the two.
+    Euclidean separations, from one separation profile of ``f`` shared by
+    every exponent.  Deterministic by construction; see module docstring for
+    the sampling scheme.
     """
-    sep, dmax = _separation_profile(grid, lo, hi, np.frombuffer(raw).reshape(shape))
-    sep.flags.writeable = dmax.flags.writeable = False
-    return sep, dmax
-
-
-def holder_seminorm(f: GridFunction, alpha: float, window: tuple[float, float]) -> float:
-    """Max of |f(x)-f(y)| / |x-y|^alpha over node pairs separated within window.
-
-    Euclidean separations.  Deterministic by construction; see module
-    docstring for the sampling scheme.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    if not all(0.0 < a < 1.0 for a in alphas):
+        raise ValueError(f"each alpha must lie in (0, 1), got {alphas}")
     lo, hi = float(window[0]), float(window[1])
     if not 0.0 <= lo < hi:
         raise ValueError(f"bad separation window {window}")
-    sep, dmax = _cached_profile(f.grid, lo, hi, f.values.shape, f.values.tobytes())
-    best = -1.0
-    for s, d in zip(sep.tolist(), dmax.tolist()):
-        best = max(best, d / s ** alpha)
-    if best < 0.0:
-        raise ValueError(f"no node pairs with separation in window {window}")
-    return best
+    sep, dmax = _separation_profile(f.grid, lo, hi, f.values)
+    pairs = list(zip(sep.tolist(), dmax.tolist()))
+    out = []
+    for alpha in alphas:
+        best = -1.0
+        for s, d in pairs:
+            best = max(best, d / s ** alpha)
+        if best < 0.0:
+            raise ValueError(f"no node pairs with separation in window {window}")
+        out.append(best)
+    return tuple(out)
 
 
 def holder_exponent_estimate(f: GridFunction, window: tuple[float, float]) -> float:
@@ -148,7 +141,6 @@ def holder_exponent_estimate(f: GridFunction, window: tuple[float, float]) -> fl
     if not 0.0 < lo < hi:
         raise ValueError(f"bad separation window {window}")
     edges = np.geomspace(lo, hi, nbins + 1)
-    # one estimate per field: a cache here would serve only repeats of the same call
     sep, dmax = _separation_profile(f.grid, lo, hi, f.values)
     k = np.minimum(np.searchsorted(edges, sep, side="right") - 1, nbins - 1)
     bin_max = np.zeros(nbins)
@@ -272,10 +264,21 @@ class NormLedger:
 DEFAULT_ALPHAS = (0.25, 0.5, 0.75, 0.9)
 
 
-def _default_window(grid: Grid) -> tuple[float, float]:
+def default_window(grid: Grid) -> tuple[float, float]:
+    """Separations from twice the larger spacing to a quarter of the shorter
+    side: the window of the ledger, and of a verdict whose budgets set none.
+
+    Empty, a ValueError, on a grid too coarse for it: on a square, one of 9
+    or fewer nodes per side.
+    """
     h = max(grid.h1, grid.h2)
     width = min(grid.x1_range[1] - grid.x1_range[0], grid.x2_range[1] - grid.x2_range[0])
-    return (2 * h, 0.25 * width)
+    lo, hi = 2 * h, 0.25 * width
+    if not lo < hi:
+        raise ValueError(f"a {grid.n1} x {grid.n2} grid is too coarse for the default Holder "
+                         f"window: twice its spacing, {lo:g}, is not below a quarter of its "
+                         f"shorter side, {hi:g}")
+    return lo, hi
 
 
 def norm_ledger(run: VanishingViscosityRun) -> NormLedger:
@@ -289,17 +292,15 @@ def norm_ledger(run: VanishingViscosityRun) -> NormLedger:
     for eps, sol in zip(run.eps_values, run.solutions):
         frame = Frame(sol, eps)
         grid = sol.grid
-        win = _default_window(grid)
+        win = default_window(grid)
         norms = {
             "u_W22_eps": sobolev_norm_eps(frame, 2, 2),
             "d2u_W12_eps": sobolev_norm_eps(frame, 1, 2, of=GridFunction(grid, sol.d2())),
         }
         p1 = apply_x1(frame, sol)
         p2 = apply_x2(frame, sol)
-        hold = tuple(
-            (a, max(holder_seminorm(p1, a, win), holder_seminorm(p2, a, win)))
-            for a in DEFAULT_ALPHAS
-        )
+        hold = tuple(zip(DEFAULT_ALPHAS, map(max, holder_seminorm(p1, DEFAULT_ALPHAS, win),
+                                             holder_seminorm(p2, DEFAULT_ALPHAS, win))))
         rows.append(NormLedgerRow(eps=eps, M=m_bound(frame), norms=norms, holder=hold))
     return NormLedger(rows)
 
@@ -368,14 +369,13 @@ def verdict(run: VanishingViscosityRun, budgets: DiagnosticsBudgets = Diagnostic
     sol = run.final
     frame = Frame(sol, run.final_eps)
     grid = sol.grid
-    win = _default_window(grid) if budgets.window is None else budgets.window
+    win = default_window(grid) if budgets.window is None else budgets.window
 
     p1 = apply_x1(frame, sol)
     p2 = apply_x2(frame, sol)
-    alpha_rows = []
-    for a in budgets.alphas:
-        s = max(holder_seminorm(p1, a, win), holder_seminorm(p2, a, win))
-        alpha_rows.append((a, s, s <= budgets.holder_cap))
+    seminorms = map(max, holder_seminorm(p1, budgets.alphas, win),
+                    holder_seminorm(p2, budgets.alphas, win))
+    alpha_rows = [(a, s, s <= budgets.holder_cap) for a, s in zip(budgets.alphas, seminorms)]
 
     margin = max(3, int(round(budgets.margin_fraction * (min(grid.n1, grid.n2) - 1))))
     x2u = intrinsic_derivative(sol, 2)

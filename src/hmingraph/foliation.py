@@ -241,18 +241,18 @@ def foliation_cover(u: GridFunction, seed_spacing: float) -> list[Leaf]:
     return leaves
 
 
-def coverage_fraction(u: GridFunction, leaves: list[Leaf], radius: float | None = None) -> float:
-    """Fraction of interior grid nodes within ``radius`` of some leaf sample.
+def coverage_fraction(u: GridFunction, leaves: list[Leaf]) -> float:
+    """Fraction of interior grid nodes within one cell of some leaf sample.
 
-    A node counts when ``sqrt(d1*d1 + d2*d2) <= radius`` for the coordinate
-    differences to some sample, the test (and the arithmetic) of a k-d
-    tree's nearest-neighbour query.  Only the nodes in an index window of
-    ``ceil(radius/h)`` around each sample's nearest node are tested, one
-    window offset at a time over all samples.
+    The radius is the larger grid spacing.  A node counts when
+    ``sqrt(d1*d1 + d2*d2) <= radius`` for the coordinate differences to some
+    sample, the test (and the arithmetic) of a k-d tree's nearest-neighbour
+    query.  Only the nodes in an index window of ``ceil(radius/h)`` around
+    each sample's nearest node are tested, one window offset at a time over
+    all samples.
     """
     g = u.grid
-    if radius is None:
-        radius = max(g.h1, g.h2)
+    radius = max(g.h1, g.h2)
     if not leaves:
         return 0.0
     samples = np.concatenate([leaf.points for leaf in leaves])

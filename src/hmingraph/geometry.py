@@ -143,9 +143,6 @@ class LiftedFrame:
     def apply_x2(self, f: Callable, p: LiftedPoint) -> float:
         return self._directional(f, p, (0.0, self.frame.epsilon, 0.0))
 
-    def apply_x3(self, f: Callable, p: LiftedPoint) -> float:
-        return self._directional(f, p, (0.0, 0.0, 1.0))
-
     def commutator_13(self, f: Callable, p: LiftedPoint) -> float:
         """Closed form ``[X1~, X3~] f = -2 s d2 f``."""
         return -2.0 * p.s * self._directional(f, p, (0.0, 1.0, 0.0))

@@ -80,18 +80,18 @@ class Grid:
             (lo1 - tol <= x1 <= hi1 + tol) and (lo2 - tol <= x2 <= hi2 + tol)
         )
 
-    def node_index(self, x1: float, x2: float, tol: float = 1e-9) -> tuple[int, int]:
+    def node_index(self, x1: float, x2: float) -> tuple[int, int]:
         """Indices of the node coinciding with ``(x1, x2)``.
 
         Raises ``ValueError`` when the point does not sit on a node to within
-        ``tol`` grid spacings.
+        1e-9 grid spacings.
         """
         fi = (x1 - self.x1_range[0]) / self.h1
         fj = (x2 - self.x2_range[0]) / self.h2
         i, j = int(round(fi)), int(round(fj))
         if not (0 <= i < self.n1 and 0 <= j < self.n2):
             raise ValueError(f"point ({x1}, {x2}) outside grid")
-        if abs(fi - i) > tol or abs(fj - j) > tol:
+        if abs(fi - i) > 1e-9 or abs(fj - j) > 1e-9:
             raise ValueError(f"point ({x1}, {x2}) is not a grid node")
         return i, j
 

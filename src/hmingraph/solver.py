@@ -352,39 +352,30 @@ def solve_eps(
     )
 
 
-def picard_solve(
-    grid: Grid,
-    boundary: BoundaryData,
-    eps: float,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    initial_guess: GridFunction | None = None,
-):
+def picard_solve(grid: Grid, boundary: BoundaryData, eps: float):
     """Pure lagged-coefficient fixed point, independent of the Newton path.
 
     Each sweep solves ``Xi( (1/W_k) Xi u_{k+1} ) = 0`` with the coefficients
     frozen at ``u_k``, in defect-correction form: the lagged operator
     applied to ``u_k`` is ``residual_div(u_k)``, so the update solves
     ``A_k (u_{k+1} - u_k) = -residual_div(u_k)`` on the interior and the
-    boundary ring never enters.  Sweeps stop once the sup-update is at most
-    ``tol``.  Returns ``(solution, sweeps, converged)``; without convergence
-    the solution is the last iterate.  No Jacobian is formed, which makes
-    this a reference for :func:`solve_eps`; each sweep factors its matrix
-    afresh through :func:`spsolve`.
+    boundary ring never enters.  Sweeps start from the transfinite
+    interpolation of the boundary and stop once the sup-update is at most
+    1e-10.  Returns ``(solution, sweeps, converged)``; after 200 sweeps
+    without convergence the solution is the last iterate.  No Jacobian is
+    formed, which makes this a reference for :func:`solve_eps`; each sweep
+    factors its matrix afresh through :func:`spsolve`.
     """
-    if initial_guess is None:
-        vals = transfinite_interpolation(boundary).values
-    else:
-        vals = boundary.impose(initial_guess.values[1:-1, 1:-1])
-    for k in range(max_iter):
+    vals = transfinite_interpolation(boundary).values
+    for k in range(200):
         fr = Frame(GridFunction(grid, vals), eps)
         r = residual_div(fr).interior(1)
         dz, _ = spsolve(_lagged_matrix(fr).tocsc(), -r.ravel())
         vals = vals.copy()
         vals[1:-1, 1:-1] += dz.reshape(r.shape)
-        if float(np.max(np.abs(dz))) <= tol:
+        if float(np.max(np.abs(dz))) <= 1e-10:
             return GridFunction(grid, vals), k + 1, True
-    return GridFunction(grid, vals), max_iter, False
+    return GridFunction(grid, vals), 200, False
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +437,6 @@ class VanishingViscosityRun:
     @property
     def final_eps(self) -> float:
         return self.eps_values[-1]
-
-    def verify_residuals(self) -> list:
-        """Re-evaluate every stored solution's residual sup (idempotence)."""
-        out = []
-        for eps, sol in zip(self.eps_values, self.solutions):
-            out.append(residual_div(Frame(sol, eps)).sup)
-        return out
 
 
 def continuation(

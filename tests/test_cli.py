@@ -31,6 +31,13 @@ def solve_cfg(out_dir, **overrides):
     return cfg
 
 
+def run_cli(command, cfg):
+    """``python -m hmingraph.cli command cfg`` in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(hmingraph.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "hmingraph.cli", command, cfg],
+                          capture_output=True, text=True, env=env)
+
+
 def load_u_column(csv_path):
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     return data[:, 0], data[:, 1], data[:, 2]
@@ -351,6 +358,45 @@ class TestDiagnoseCommand:
         assert "holder_max" in capsys.readouterr().err
 
 
+class TestGridTooCoarseForTheDefaultWindow:
+    """On 9 nodes per side the default Holder window (2h, a quarter of the
+    side) is empty: the ledger and a verdict without a window of its own
+    cannot measure, so both commands end in exit 1 before any artifact."""
+
+    def test_continuation_is_exit_1_before_any_artifact(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path / "c.json", {
+            "grid": {"x1": [0, 1], "x2": [1, 2], "n1": 9, "n2": 9},
+            "boundary": {"expr": "x2 / (x1 + 2)"},
+            "schedule": {"eps_min": 0.5},
+            "output_dir": str(out),
+        })
+        proc = run_cli("continuation", cfg)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: grid: a 9 x 9 grid is too coarse"), proc.stderr
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_diagnose_without_a_window_is_exit_1_before_any_artifact(self, tmp_path):
+        run_dir = tmp_path / "run"  # a one-step 9 x 9 run, laid out as continuation writes it
+        run_dir.mkdir()
+        x1, x2 = hmingraph.Grid((0.0, 1.0), (1.0, 2.0), 9, 9).nodes()
+        _write_csv(run_dir / "solution_000.csv", ["x1", "x2", "u"],
+                   np.column_stack([x1.ravel(), x2.ravel(), (x2 / (x1 + 2)).ravel()]))
+        (run_dir / "run.json").write_text(json.dumps({
+            "files": ["solution_000.csv"], "eps_values": [1.0], "lip_norms": [1.0],
+            "m_bounds": [1.0], "sup_diffs": []}))
+        out = tmp_path / "out"
+        diagnose = {"run_dir": str(run_dir)}
+        cfg = {"diagnose": diagnose, "output_dir": str(out)}
+        proc = run_cli("diagnose", write_cfg(tmp_path / "c.json", cfg))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: diagnose.budgets.window: a 9 x 9 grid"), proc.stderr
+        assert not out.exists() or not any(out.iterdir())
+        diagnose["budgets"] = {"window": [0.25, 0.5]}  # a window of its own is measured
+        assert main(["diagnose", write_cfg(tmp_path / "c.json", cfg)]) == 0
+        assert (out / "verdict.json").exists()
+
+
 class TestExampleCommand:
     def test_pauls_table_and_flags(self, tmp_path):
         out = tmp_path / "ex"
@@ -482,9 +528,7 @@ class TestDistanceCommand:
             "distance": {"run_dir": str(fan_run_dir), "x0": [0.5, 1.5], "n_points": n_points},
             "output_dir": str(out),
         })
-        env = {**os.environ, "PYTHONPATH": str(Path(hmingraph.__file__).parents[1])}
-        proc = subprocess.run([sys.executable, "-m", "hmingraph.cli", "distance", cfg],
-                              capture_output=True, text=True, env=env)
+        proc = run_cli("distance", cfg)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "distance.n_points" in proc.stderr

@@ -65,32 +65,35 @@ class TestIntrinsicDerivative:
 class TestHolderSeminorm:
     def test_constant_field_has_zero_seminorm(self):
         f = unit_field(lambda a, b: 0.0 * a + 3.0)
-        assert holder_seminorm(f, 0.5, (0.1, 1.0)) == 0.0
+        assert holder_seminorm(f, (0.25, 0.5), (0.1, 1.0)) == (0.0, 0.0)
 
     def test_coordinate_field_attains_one(self):
-        # |x1 - y1| / sep^0.5 is largest at the full-width horizontal pair
+        # |x1 - y1| / sep^alpha is largest at the full-width horizontal pair
         f = unit_field(lambda a, b: a)
-        assert holder_seminorm(f, 0.5, (0.1, 1.0)) == 1.0
+        assert holder_seminorm(f, (0.5, 0.9), (0.1, 1.0)) == (1.0, 1.0)
 
     def test_matches_exhaustive_double_loop_on_small_grid(self):
         g = Grid((0.0, 1.0), (0.0, 1.0), 9, 9)
         f = GridFunction.from_callable(g, lambda a, b: np.sin(3 * a) + b * b)
-        alpha, lo, hi = 0.7, 0.05, 0.6
-        got = holder_seminorm(f, alpha, (lo, hi))
+        alphas, lo, hi = (0.7, 0.3), 0.05, 0.6
+        got = holder_seminorm(f, alphas, (lo, hi))
         vals = f.values
         pts = [(i, j) for i in range(9) for j in range(9)]
-        best = 0.0
+        best = [0.0, 0.0]
         for m in range(len(pts)):
             for k in range(m + 1, len(pts)):
                 (i1, j1), (i2, j2) = pts[m], pts[k]
                 sep = np.hypot((i1 - i2) * g.h1, (j1 - j2) * g.h2)
                 if lo <= sep <= hi * (1 + 1e-12):
-                    best = max(best, abs(vals[i1, j1] - vals[i2, j2]) / sep ** alpha)
-        assert got == best
+                    for n, alpha in enumerate(alphas):
+                        best[n] = max(best[n], abs(vals[i1, j1] - vals[i2, j2]) / sep ** alpha)
+        assert got == tuple(best)
 
     def test_seminorm_shrinks_as_lower_cutoff_grows(self):
         f = unit_field(lambda a, b: np.sin(3 * a) + b * b)
-        assert holder_seminorm(f, 0.5, (0.08, 0.8)) >= holder_seminorm(f, 0.5, (0.3, 0.8))
+        alphas = (0.25, 0.5, 0.75)
+        wide, narrow = holder_seminorm(f, alphas, (0.08, 0.8)), holder_seminorm(f, alphas, (0.3, 0.8))
+        assert all(w >= n for w, n in zip(wide, narrow))
 
     def test_derivative_jump_inflates_short_separation_quotients(self):
         # the vertical Euclidean derivative of the piecewise-rational graph
@@ -98,18 +101,18 @@ class TestHolderSeminorm:
         g = Grid((2.0, 4.0), (-1.0, 1.0), 129, 129)
         X1, X2 = g.nodes()
         d2 = GridFunction(g, GridFunction(g, pauls_graph(X1, X2)).d2())
-        wide = holder_seminorm(d2, 0.5, (0.5, 1.0))
-        tight = holder_seminorm(d2, 0.5, (2 * g.h2, 1.0))
+        wide, = holder_seminorm(d2, (0.5,), (0.5, 1.0))
+        tight, = holder_seminorm(d2, (0.5,), (2 * g.h2, 1.0))
         assert tight >= 2.0 * wide
 
     def test_alpha_and_window_validation(self):
         f = unit_field(lambda a, b: a)
-        with pytest.raises(ValueError):
-            holder_seminorm(f, 1.5, (0.1, 1.0))
-        with pytest.raises(ValueError):
-            holder_seminorm(f, 0.5, (0.8, 0.2))
+        with pytest.raises(ValueError, match="alpha"):
+            holder_seminorm(f, (0.5, 1.5), (0.1, 1.0))
+        with pytest.raises(ValueError, match="window"):
+            holder_seminorm(f, (0.5,), (0.8, 0.2))
         with pytest.raises(ValueError, match="no node pairs"):
-            holder_seminorm(f, 0.5, (1e-6, 2e-6))
+            holder_seminorm(f, (0.5,), (1e-6, 2e-6))
 
 
 class TestHolderExponentEstimate:
@@ -139,8 +142,8 @@ class TestOffsetSetCache:
         alphas = (0.25, 0.5, 0.75, 0.9)
 
         def numbers():
-            return [(holder_seminorm(f, a, w), holder_exponent_estimate(f, w))
-                    for f in fields for w in windows for a in alphas]
+            return [(*holder_seminorm(f, alphas, w), holder_exponent_estimate(f, w))
+                    for f in fields for w in windows]
 
         offsets = diagnostics._offset_set(g, *windows[0])
         # every offset but (0, 0) and the mirrors (0, -k) of (0, k)
@@ -148,7 +151,6 @@ class TestOffsetSetCache:
         cached = numbers()
         with monkeypatch.context() as m:
             m.setattr(diagnostics, "_offset_set", diagnostics._offset_set.__wrapped__)
-            diagnostics._cached_profile.cache_clear()  # else the profiles hide the offsets
             uncached = numbers()
         assert np.array(cached).tobytes() == np.array(uncached).tobytes()
         assert diagnostics._offset_set(g, *windows[0]) is offsets
@@ -255,12 +257,11 @@ def test_separation_profile_reproduces_the_per_exponent_passes_bit_for_bit(data)
     alphas = data.draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4), label="alphas")
 
     quotients = _old_quotients(vals, g, lo, hi)
-    for a in alphas:
-        try:
-            got = holder_seminorm(f, a, (lo, hi))
-        except ValueError:
-            got = None
-        assert _bits(got) == _bits(_old_seminorm(quotients, a))
+    try:
+        got = holder_seminorm(f, alphas, (lo, hi))
+    except ValueError:
+        got = [None] * len(alphas)
+    assert [_bits(x) for x in got] == [_bits(_old_seminorm(quotients, a)) for a in alphas]
     if lo > 0.0:
         try:
             got = holder_exponent_estimate(f, (lo, hi))
@@ -269,32 +270,45 @@ def test_separation_profile_reproduces_the_per_exponent_passes_bit_for_bit(data)
         assert _bits(got) == _bits(_old_exponent(quotients, lo, hi))
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n1=st.integers(4, 40), n2=st.integers(4, 40), seed=st.integers(0, 2 ** 32 - 1),
+       lo_cells=st.floats(0.0, 3.0), span=st.floats(0.0, 1.0),
+       alphas=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6).flatmap(st.permutations))
+def test_each_exponent_of_a_call_is_its_own_seminorm_bit_for_bit(n1, n2, seed, lo_cells, span,
+                                                                   alphas):
+    g = Grid((0.0, 1.0), (-0.5, 1.0), n1, n2)
+    f = GridFunction(g, np.random.default_rng(seed).standard_normal((n1, n2)))
+    lo = lo_cells * min(g.h1, g.h2)  # a window at least a cell wide holds a pair
+    w = (lo, lo + max(g.h1, g.h2) + span)
+    got = holder_seminorm(f, alphas, w)
+    assert len(got) == len(alphas)
+    for k, a in enumerate(alphas):
+        assert np.float64(got[k]).tobytes() == np.float64(holder_seminorm(f, (a,), w)[0]).tobytes()
+
+
+def counting(monkeypatch, name):
+    """Count the calls of ``diagnostics.<name>``; returns the list of calls."""
+    calls, fn = [], getattr(diagnostics, name)
+    monkeypatch.setattr(diagnostics, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
 class TestSeparationProfile:
     def test_writing_into_the_values_changes_the_next_result(self):
         f = unit_field(lambda a, b: np.sin(3 * a) + b * b)
         w = (0.05, 0.6)
-        before = (holder_seminorm(f, 0.5, w), holder_exponent_estimate(f, w))
+        before = (holder_seminorm(f, (0.5,), w), holder_exponent_estimate(f, w))
         f.values[4, 7] += 5.0  # same array object, new content
-        after = (holder_seminorm(f, 0.5, w), holder_exponent_estimate(f, w))
+        after = (holder_seminorm(f, (0.5,), w), holder_exponent_estimate(f, w))
         fresh = GridFunction(f.grid, f.values.copy())
         assert after != before
-        assert after == (holder_seminorm(fresh, 0.5, w), holder_exponent_estimate(fresh, w))
+        assert after == (holder_seminorm(fresh, (0.5,), w), holder_exponent_estimate(fresh, w))
 
-    def test_one_pass_serves_every_exponent(self):
+    def test_one_pass_serves_every_exponent(self, monkeypatch):
         f = unit_field(lambda a, b: np.cos(2 * a) * b)
-        diagnostics._cached_profile.cache_clear()
-        for a in (0.25, 0.5, 0.75, 0.9):
-            holder_seminorm(GridFunction(f.grid, f.values.copy()), a, (0.05, 0.6))
-        info = diagnostics._cached_profile.cache_info()
-        assert (info.misses, info.hits) == (1, 3)
-
-    def test_cached_profile_cannot_be_changed(self):
-        f = unit_field(lambda a, b: a * b)
-        sep, dmax = diagnostics._cached_profile(f.grid, 0.05, 0.6, f.values.shape, f.values.tobytes())
-        with pytest.raises(ValueError):
-            sep[0] = 1.0
-        with pytest.raises(ValueError):
-            dmax[0] = 1.0
+        calls = counting(monkeypatch, "_separation_profile")
+        assert len(holder_seminorm(f, (0.25, 0.5, 0.75, 0.9), (0.05, 0.6))) == 4
+        assert len(calls) == 1
 
 
 class TestSobolevNorm:
@@ -421,6 +435,17 @@ class TestVerdict:
     def test_unmeetable_budget_fails_the_verdict(self, affine_run):
         v = verdict(affine_run, DiagnosticsBudgets(residual_cap=-1.0))
         assert not v.passed
+
+
+def test_ledger_and_verdict_measure_each_field_once(monkeypatch, affine_run):
+    # one seminorm call per gradient component takes every exponent at once
+    calls = counting(monkeypatch, "holder_seminorm")
+    norm_ledger(affine_run)
+    assert len(calls) == 2 * len(affine_run.solutions)
+    assert all(alphas == diagnostics.DEFAULT_ALPHAS for _, alphas, _ in calls)
+    calls.clear()
+    verdict(affine_run, DiagnosticsBudgets(alphas=(0.5, 0.3)))
+    assert [alphas for _, alphas, _ in calls] == [(0.5, 0.3)] * 2
 
 
 def test_rough_boundary_data_stays_near_its_generating_graph():

@@ -107,11 +107,10 @@ def test_cover_reaches_nearly_every_interior_node():
     assert coverage_fraction(u, leaves) >= 0.99
 
 
-def kdtree_coverage(u, leaves, radius=None):
-    """Reference: the nearest-sample distance of every interior node."""
+def kdtree_coverage(u, leaves):
+    """Reference: the nearest-sample distance of every interior node, within one cell."""
     g = u.grid
-    if radius is None:
-        radius = max(g.h1, g.h2)
+    radius = max(g.h1, g.h2)
     if not leaves:
         return 0.0
     samples = np.concatenate([leaf.points for leaf in leaves])
@@ -129,15 +128,13 @@ def sample_leaf(points):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.integers(3, 24), st.integers(3, 24), st.floats(-2.0, 1.0), st.floats(0.1, 3.0),
-       st.floats(-2.0, 1.0), st.floats(0.1, 3.0), st.sampled_from([None, 0.3, 1.0, 1.5, 2.7]),
-       st.integers(0, 2 ** 32 - 1))
-def test_coverage_matches_a_kdtree_bit_for_bit(n1, n2, lo1, w1, lo2, w2, radius_cells, seed):
-    # rectangular cells, samples at exactly the radius from a node along a
-    # random direction or an axis, and samples anywhere (off the grid too)
+       st.floats(-2.0, 1.0), st.floats(0.1, 3.0), st.integers(0, 2 ** 32 - 1))
+def test_coverage_matches_a_kdtree_bit_for_bit(n1, n2, lo1, w1, lo2, w2, seed):
+    # rectangular cells, samples at exactly the radius (one cell) from a node
+    # along a random direction or an axis, and samples anywhere (off the grid too)
     g = Grid((lo1, lo1 + w1), (lo2, lo2 + w2), n1, n2)
     u = GridFunction(g, np.zeros((n1, n2)))
-    radius = None if radius_cells is None else radius_cells * max(g.h1, g.h2)
-    r = max(g.h1, g.h2) if radius is None else radius
+    r = max(g.h1, g.h2)
     rng = np.random.default_rng(seed)
     x1, x2 = g.nodes()
     k = 12
@@ -148,14 +145,13 @@ def test_coverage_matches_a_kdtree_bit_for_bit(n1, n2, lo1, w1, lo2, w2, radius_
     anywhere = rng.uniform(-5.0, 5.0, (k, 2))
     leaves = [sample_leaf(on_circle), sample_leaf(on_axis), sample_leaf(anywhere)]
     for subset in (leaves, leaves[:1], leaves[1:2], leaves[2:]):
-        assert coverage_fraction(u, subset, radius) == kdtree_coverage(u, subset, radius)
+        assert coverage_fraction(u, subset) == kdtree_coverage(u, subset)
 
 
 def test_coverage_of_a_traced_cover_matches_a_kdtree():
     u = field(lambda a, b: np.sin(2 * a) * 0.4 + 0.2 * b, rect=((0.0, 1.0), (0.0, 2.0)), n=41)
     leaves = foliation_cover(u, 0.05)
-    for radius in (None, 0.004, 0.02, 0.05):
-        assert coverage_fraction(u, leaves, radius) == kdtree_coverage(u, leaves, radius)
+    assert coverage_fraction(u, leaves) == kdtree_coverage(u, leaves)
     assert coverage_fraction(u, []) == 0.0
 
 
