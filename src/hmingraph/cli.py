@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import DomainError, ShearRootError, catalog, make_entry
-from .diagnostics import DiagnosticsBudgets, default_window, norm_ledger, verdict
+from .diagnostics import DiagnosticsBudgets, holder_window, norm_ledger, verdict
 from .foliation import coverage_fraction, fit_leaf, foliation_cover, leaf_table
 from .geometry import (
     Frame,
@@ -174,10 +174,10 @@ def _read(obj, section: _Section, name: str = ""):
         raise ConfigError(f"{name}.{e}") from e
 
 
-def _measurable(grid: Grid, key: str) -> Grid:
-    """``grid``, if the default window of the Holder seminorms fits on it."""
+def _measurable(grid: Grid, key: str, window: tuple[float, float] | None) -> Grid:
+    """``grid``, if the Holder seminorms' ``window`` (the default if None) holds a node pair."""
     try:
-        default_window(grid)
+        holder_window(grid, window)
     except ValueError as e:
         raise ConfigError(f"{key}: {e}") from e
     return grid
@@ -187,7 +187,7 @@ _OUTPUT = _Section({"output_dir": _string})
 _GRID = _Section({"x1": _interval, "x2": _interval, "n1": _integer(3), "n2": _integer(3)},
                  ("x1", "x2", "n1", "n2"), lambda x1, x2, n1, n2: Grid(x1, x2, n1, n2))
 # a continuation's ledger measures on the default window
-_RUN_GRID = _GRID._replace(into=lambda **keys: _measurable(_GRID.into(**keys), "grid"))
+_RUN_GRID = _GRID._replace(into=lambda **keys: _measurable(_GRID.into(**keys), "grid", None))
 _PARAMS = _Section({"a": _number, "c": _number})  # the affine entry's; others take none
 _BOUNDARY = _Section({"expr": _string, "catalog": _entry, "params": _PARAMS})
 # the retired Picard fallback's keys are accepted and ignored, so older configs still run
@@ -505,8 +505,7 @@ def cmd_diagnose(c: dict, out: Path, prov: dict) -> int:
     sec = c["diagnose"]
     run = _load_run(sec["run_dir"])
     budgets = sec.get("budgets", DiagnosticsBudgets())
-    if budgets.window is None:
-        _measurable(run.grid, "diagnose.budgets.window")
+    _measurable(run.grid, "diagnose.budgets.window", budgets.window)
     vd = verdict(run, budgets)
     _write_json(out / "verdict.json", {**prov, **vd.as_dict()})
     return 0

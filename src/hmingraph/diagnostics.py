@@ -24,13 +24,14 @@ import numpy as np
 from .geometry import Frame, apply_x1, apply_x2
 from .grid import Grid, GridFunction
 from .operators import coefficients
-from .solver import VanishingViscosityRun, m_bound
+from .solver import VanishingViscosityRun
 
 __all__ = [
     "intrinsic_derivative",
     "holder_seminorm",
     "holder_exponent_estimate",
     "default_window",
+    "holder_window",
     "sobolev_norm_eps",
     "derivative_equation_residuals",
     "NormLedger",
@@ -88,20 +89,34 @@ def _offset_set(grid: Grid, lo: float, hi: float) -> tuple:
     return tuple(sorted({(di, abs(dj) if di == 0 else dj) for di, dj in offsets} - {(0, 0)}))
 
 
-def _separation_profile(grid: Grid, lo: float, hi: float, values: np.ndarray) -> tuple:
-    """(separation, max |difference|) arrays over the admissible offsets, in one pass."""
-    n1, n2 = values.shape
+def _window_offsets(grid: Grid, lo: float, hi: float) -> tuple:
+    """(offsets, separations) arrays of the offsets whose separation lies in [lo, hi]."""
     off = np.array(_offset_set(grid, lo, hi), dtype=np.int64).reshape(-1, 2)
     seps = np.hypot(off[:, 0] * grid.h1, off[:, 1] * grid.h2)
-    keep = (seps >= lo) & (seps <= hi * (1.0 + 1e-12)) & (off[:, 0] < n1) & (np.abs(off[:, 1]) < n2)
-    dmax = []
-    for di, dj in off[keep].tolist():
-        if dj >= 0:
-            a, b = values[di:, dj:], values[: n1 - di, : n2 - dj]
-        else:
-            a, b = values[di:, :dj], values[: n1 - di, -dj:]
-        dmax.append(float(np.max(np.abs(a - b))))
-    return seps[keep], np.array(dmax, dtype=float)
+    keep = ((seps >= lo) & (seps <= hi * (1.0 + 1e-12))
+            & (off[:, 0] < grid.n1) & (np.abs(off[:, 1]) < grid.n2))
+    return off[keep], seps[keep]
+
+
+def _separation_profile(grid: Grid, lo: float, hi: float, values: np.ndarray) -> tuple:
+    """(separation, max |difference|) arrays over the admissible offsets, in one pass.
+
+    Offset (di, dj) pairs the runs of the flattened field that start at
+    ``di*n2 + max(dj, 0)`` and ``max(-dj, 0)``; of each row of ``n2``, the
+    first ``n2 - |dj|`` entries are node pairs, the rest wrap around.
+    """
+    n1, n2 = values.shape
+    off, seps = _window_offsets(grid, lo, hi)
+    flat = np.ascontiguousarray(values).ravel()
+    buf = np.empty(flat.size)
+    dmax = np.empty(len(off))
+    for k, (di, dj) in enumerate(off.tolist()):
+        rows, skip = n1 - di, abs(dj)
+        a, b = di * n2 + max(dj, 0), max(-dj, 0)
+        d = buf[: rows * n2 - skip]
+        np.abs(np.subtract(flat[a : a + d.size], flat[b : b + d.size], out=d), out=d)
+        dmax[k] = buf[: rows * n2].reshape(rows, n2)[:, : n2 - skip].max()
+    return seps, dmax
 
 
 def holder_seminorm(f: GridFunction, alphas: tuple, window: tuple[float, float]) -> tuple:
@@ -118,12 +133,12 @@ def holder_seminorm(f: GridFunction, alphas: tuple, window: tuple[float, float])
     if not 0.0 <= lo < hi:
         raise ValueError(f"bad separation window {window}")
     sep, dmax = _separation_profile(f.grid, lo, hi, f.values)
-    pairs = list(zip(sep.tolist(), dmax.tolist()))
     out = []
     for alpha in alphas:
-        best = -1.0
-        for s, d in pairs:
-            best = max(best, d / s ** alpha)
+        # Python's float power is libm's pow, which numpy's SIMD power can miss by
+        # an ulp (on AVX-512 hosts); fmax skips a NaN quotient
+        scales = np.array([s ** alpha for s in sep.tolist()])
+        best = float(np.fmax.reduce(dmax / scales, initial=-1.0))
         if best < 0.0:
             raise ValueError(f"no node pairs with separation in window {window}")
         out.append(best)
@@ -186,14 +201,6 @@ def sobolev_norm_eps(frame: Frame, m: int, p: float, of: GridFunction | None = N
     return total
 
 
-def _nodal_ops(frame: Frame):
-    grid = frame.u.grid
-    gf = lambda arr: GridFunction(grid, arr)
-    ax1 = lambda arr: apply_x1(frame, gf(arr)).values
-    ax2 = lambda arr: apply_x2(frame, gf(arr)).values
-    return gf, ax1, ax2
-
-
 def derivative_equation_residuals(frame: Frame, margin: int = 3) -> tuple[float, float]:
     """Sup-norm defects of the two equations solved by derivatives of ``u``.
 
@@ -205,8 +212,9 @@ def derivative_equation_residuals(frame: Frame, margin: int = 3) -> tuple[float,
     shrink at second order in mesh size, while a non-solution leaves an
     order-one defect.
     """
-    gf, ax1, ax2 = _nodal_ops(frame)
     u = frame.u
+    ax1 = lambda arr: apply_x1(frame, GridFunction(u.grid, arr)).values
+    ax2 = lambda arr: apply_x2(frame, GridFunction(u.grid, arr)).values
     eps = frame.epsilon
     c = coefficients(frame)
     b11, b12, b22 = c.a11 / c.w, c.a12 / c.w, c.a22 / c.w
@@ -281,27 +289,40 @@ def default_window(grid: Grid) -> tuple[float, float]:
     return lo, hi
 
 
+def holder_window(grid: Grid, window: tuple[float, float] | None) -> tuple[float, float]:
+    """``window``, or :func:`default_window` if None; a ValueError, as from
+    :func:`holder_seminorm`, unless it holds a node pair of ``grid``."""
+    lo, hi = default_window(grid) if window is None else window
+    if not len(_window_offsets(grid, lo, hi)[0]):
+        raise ValueError(f"no node pairs with separation in window {(lo, hi)}")
+    return lo, hi
+
+
+def _gradient_seminorms(frame: Frame, alphas: tuple, window: tuple[float, float]) -> tuple:
+    """Per exponent, the larger Holder seminorm of the frame gradient (X1u, X2u)."""
+    return tuple(map(max, holder_seminorm(apply_x1(frame, frame.u), alphas, window),
+                     holder_seminorm(apply_x2(frame, frame.u), alphas, window)))
+
+
 def norm_ledger(run: VanishingViscosityRun) -> NormLedger:
     """Assemble the per-epsilon norm rows monitored along a continuation run.
 
-    Each row records the coarse size bound M, the order-2 scaled Sobolev norm
-    of u, the order-1 norm of its vertical derivative, and Holder seminorms
-    of both gradient components at ``DEFAULT_ALPHAS`` on the default window.
+    Each row records the coarse size bound M from ``run.m_bounds`` (one per
+    solution, else a ValueError), the order-2 scaled Sobolev norm of u, the
+    order-1 norm of its vertical derivative, and Holder seminorms of both
+    gradient components at ``DEFAULT_ALPHAS`` on the default window.
     """
     rows = []
-    for eps, sol in zip(run.eps_values, run.solutions):
+    for eps, sol, m in zip(run.eps_values, run.solutions, run.m_bounds, strict=True):
         frame = Frame(sol, eps)
         grid = sol.grid
-        win = default_window(grid)
         norms = {
             "u_W22_eps": sobolev_norm_eps(frame, 2, 2),
             "d2u_W12_eps": sobolev_norm_eps(frame, 1, 2, of=GridFunction(grid, sol.d2())),
         }
-        p1 = apply_x1(frame, sol)
-        p2 = apply_x2(frame, sol)
-        hold = tuple(zip(DEFAULT_ALPHAS, map(max, holder_seminorm(p1, DEFAULT_ALPHAS, win),
-                                             holder_seminorm(p2, DEFAULT_ALPHAS, win))))
-        rows.append(NormLedgerRow(eps=eps, M=m_bound(frame), norms=norms, holder=hold))
+        hold = tuple(zip(DEFAULT_ALPHAS,
+                         _gradient_seminorms(frame, DEFAULT_ALPHAS, default_window(grid))))
+        rows.append(NormLedgerRow(eps=eps, M=m, norms=norms, holder=hold))
     return NormLedger(rows)
 
 
@@ -369,12 +390,7 @@ def verdict(run: VanishingViscosityRun, budgets: DiagnosticsBudgets = Diagnostic
     sol = run.final
     frame = Frame(sol, run.final_eps)
     grid = sol.grid
-    win = default_window(grid) if budgets.window is None else budgets.window
-
-    p1 = apply_x1(frame, sol)
-    p2 = apply_x2(frame, sol)
-    seminorms = map(max, holder_seminorm(p1, budgets.alphas, win),
-                    holder_seminorm(p2, budgets.alphas, win))
+    seminorms = _gradient_seminorms(frame, budgets.alphas, holder_window(grid, budgets.window))
     alpha_rows = [(a, s, s <= budgets.holder_cap) for a, s in zip(budgets.alphas, seminorms)]
 
     margin = max(3, int(round(budgets.margin_fraction * (min(grid.n1, grid.n2) - 1))))

@@ -36,7 +36,6 @@ from .grid import GridFunction
 
 __all__ = [
     "CoefficientField",
-    "Residual",
     "aij_from_gradient",
     "coefficients",
     "residual_div",
@@ -44,20 +43,6 @@ __all__ = [
     "jacobian_assemble",
     "interior_index_maps",
 ]
-
-
-@dataclass
-class Residual:
-    """Nodal residual field; values outside the stencil's reach are zero."""
-
-    field: GridFunction
-
-    @property
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.field.restrict(1))))
-
-    def interior(self, margin: int = 1) -> np.ndarray:
-        return self.field.restrict(margin)
 
 
 @dataclass
@@ -134,14 +119,9 @@ class _HalfData:
         self.uI = u[1:-1, 1:-1]
 
 
-def _full_field(grid, interior_values) -> GridFunction:
-    out = np.zeros((grid.n1, grid.n2))
-    out[1:-1, 1:-1] = interior_values
-    return GridFunction(grid, out)
-
-
-def residual_div(frame: Frame) -> Residual:
-    """Conservative residual of the divergence-form operator at interior nodes.
+def residual_div(frame: Frame) -> GridFunction:
+    """Conservative residual of the divergence-form operator at interior nodes,
+    zero on the boundary ring: ``restrict(1)`` holds the interior values.
 
     Affine u gives exactly zero: every half node then sees the same gradient,
     so all fluxes are equal and the staggered differences cancel.
@@ -155,14 +135,15 @@ def residual_div(frame: Frame) -> Residual:
         + hd.uI * (g1y[:, 1:] - g1y[:, :-1]) / hd.h2
         + hd.eps * (g2y[:, 1:] - g2y[:, :-1]) / hd.h2
     )
-    return Residual(_full_field(frame.u.grid, r))
+    return GridFunction(frame.u.grid, np.pad(r, 1))
 
 
-def residual_nondiv(frame: Frame) -> Residual:
+def residual_nondiv(frame: Frame) -> GridFunction:
     """Non-divergence residual ``sum_ij a_ij Xi(Xj u)`` with nested stencils.
 
     The outer field acts on the full inner derivative (the ordering that
     makes ``W * residual_div = residual_nondiv`` hold for smooth fields).
+    Zero on the boundary ring, like :func:`residual_div`.
     """
     c = coefficients(frame)
     x1u = apply_x1(frame, frame.u)
@@ -172,10 +153,7 @@ def residual_nondiv(frame: Frame) -> Residual:
     x21 = apply_x2(frame, x1u).values
     x22 = apply_x2(frame, x2u).values
     vals = c.a11 * x11 + c.a12 * (x12 + x21) + c.a22 * x22
-    out = vals.copy()
-    out[0, :] = out[-1, :] = 0.0
-    out[:, 0] = out[:, -1] = 0.0
-    return Residual(GridFunction(frame.u.grid, out))
+    return GridFunction(frame.u.grid, np.pad(vals[1:-1, 1:-1], 1))
 
 
 # ---------------------------------------------------------------------------

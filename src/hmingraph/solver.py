@@ -159,7 +159,7 @@ def transfinite_interpolation(boundary: BoundaryData) -> GridFunction:
 
 def _interior_residual(grid: Grid, values: np.ndarray, eps: float) -> np.ndarray:
     fr = Frame(GridFunction(grid, values), eps)
-    return residual_div(fr).interior(1)
+    return residual_div(fr).restrict(1)
 
 
 class LUCache:
@@ -369,7 +369,7 @@ def picard_solve(grid: Grid, boundary: BoundaryData, eps: float):
     vals = transfinite_interpolation(boundary).values
     for k in range(200):
         fr = Frame(GridFunction(grid, vals), eps)
-        r = residual_div(fr).interior(1)
+        r = residual_div(fr).restrict(1)
         dz, _ = spsolve(_lagged_matrix(fr).tocsc(), -r.ravel())
         vals = vals.copy()
         vals[1:-1, 1:-1] += dz.reshape(r.shape)

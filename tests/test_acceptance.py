@@ -84,7 +84,7 @@ def test_01_affine_solves_are_exact_and_fast(conclude):
         t0 = time.time()
         sol, report = solve_eps(g, bd, eps, SolverConfig())
         worst_time = max(worst_time, time.time() - t0)
-        worst_res = max(worst_res, residual_div(Frame(sol, eps)).sup)
+        worst_res = max(worst_res, residual_div(Frame(sol, eps)).sup_norm)
         worst_iters = max(worst_iters, report.iterations)
     ok = worst_res <= 1e-12 and worst_iters <= 3 and worst_time < 5.0
     conclude(1, ok, f"res {worst_res:.1e}, iters {worst_iters}, {worst_time:.2f}s")
@@ -96,7 +96,7 @@ def test_02_divergence_residual_matches_the_closed_form(conclude):
         g = Grid((0.0, 1.0), (0.0, 1.0), n, n)
         X1, X2 = g.nodes()
         u = GridFunction(g, X2.copy())
-        inner = residual_div(Frame(u, 1.0)).field.values[1:-1, 1:-1]
+        inner = residual_div(Frame(u, 1.0)).values[1:-1, 1:-1]
         x2i = X2[1:-1, 1:-1]
         closed = x2i / (1.0 + x2i ** 2 + 1.0) ** 1.5
         sups.append(float(np.max(np.abs(inner - closed))))
@@ -114,7 +114,7 @@ def test_03_divergence_and_nondivergence_forms_agree(conclude):
             u = GridFunction.from_callable(g, f)
             fr = Frame(u, eps)
             w = coefficients(fr).w
-            disc = w * residual_div(fr).field.values - residual_nondiv(fr).field.values
+            disc = w * residual_div(fr).values - residual_nondiv(fr).values
             sups.append(float(np.max(np.abs(disc[2:-2, 2:-2]))))
         ratios += [sups[0] / sups[1], sups[1] / sups[2]]
     ok = all(3.5 <= r <= 4.5 for r in ratios)
@@ -274,8 +274,8 @@ def test_11_assembled_jacobian_matches_finite_differences(conclude):
         up[1:-1, 1:-1] += t * d.reshape(g.n1 - 2, g.n2 - 2)
         um = u.values.copy()
         um[1:-1, 1:-1] -= t * d.reshape(g.n1 - 2, g.n2 - 2)
-        rp = residual_div(Frame(GridFunction(g, up), 0.5)).field.values[1:-1, 1:-1].ravel()
-        rm = residual_div(Frame(GridFunction(g, um), 0.5)).field.values[1:-1, 1:-1].ravel()
+        rp = residual_div(Frame(GridFunction(g, up), 0.5)).values[1:-1, 1:-1].ravel()
+        rm = residual_div(Frame(GridFunction(g, um), 0.5)).values[1:-1, 1:-1].ravel()
         fd = (rp - rm) / (2 * t)
         jv = J @ d
         worst = max(worst, float(np.linalg.norm(fd - jv) / np.linalg.norm(jv)))

@@ -175,6 +175,19 @@ def test_malformed_value_is_exit_1_naming_the_key(runs, name, path, value):
     assert not out.exists()
 
 
+def test_window_without_a_node_pair_is_exit_1_before_the_verdict(runs):
+    # well formed, so only the run's grid can reject it: the output directory
+    # exists by then, and must stay empty
+    command, cfg = valid_configs(runs)["diagnose"]
+    out = Path(tempfile.mkdtemp(dir=runs)) / "out"
+    cfg = json.loads(json.dumps({**cfg, "output_dir": str(out)}))
+    cfg["diagnose"]["budgets"]["window"] = [1e-6, 2e-6]
+    code, err = run(command, cfg, runs)
+    assert code == 1
+    assert err.startswith("error: diagnose.budgets.window: no node pairs"), err
+    assert not any(out.iterdir())
+
+
 def test_retired_solver_keys_stay_accepted(runs):
     command, cfg = valid_configs(runs)["solve"]
     cfg = {**cfg, "solver": {**SOLVER, "picard_fallback": True, "max_picard_iter": 5},

@@ -1,5 +1,7 @@
 """Regularity monitors: graph-direction derivatives, seminorms, defects, verdicts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,7 +252,12 @@ def test_separation_profile_reproduces_the_per_exponent_passes_bit_for_bit(data)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     X1, X2 = g.nodes()
     vals = np.sin(rng.uniform(0.5, 5.0) * X1) * X2 + rng.uniform(0.0, 0.1) * rng.standard_normal(X1.shape)
+    if data.draw(st.booleans(), label="strided"):  # a non-contiguous view of the same values
+        big = np.zeros((2 * n1, 3 * n2))
+        big[1::2, ::3] = vals
+        vals = big[1::2, ::3]
     f = GridFunction(g, vals)
+    assert f.values is vals
     h, diag = min(g.h1, g.h2), float(np.hypot(w1, w2))
     lo = data.draw(st.floats(0.0, 4.0), label="lo/h") * h
     hi = lo + data.draw(st.floats(0.01, 1.0), label="span") * (diag - lo)
@@ -400,6 +407,14 @@ class TestNormLedger:
         row = d["rows"][0]
         assert set(row) == {"eps", "M", "norms", "holder"}
         assert set(row["holder"][0]) == {"alpha", "seminorm"}
+
+    def test_M_is_read_from_the_run(self, affine_run):
+        run = dataclasses.replace(affine_run, m_bounds=[3.0, 2.0, 1.0])
+        assert [r.M for r in norm_ledger(run).rows] == [3.0, 2.0, 1.0]
+
+    def test_rejects_a_run_whose_m_bounds_miss_a_step(self, affine_run):
+        with pytest.raises(ValueError):
+            norm_ledger(dataclasses.replace(affine_run, m_bounds=affine_run.m_bounds[:-1]))
 
     def test_rejects_nondecreasing_eps(self):
         r = NormLedgerRow(eps=0.5, M=1.0, norms={"n": 1.0}, holder=((0.5, 1.0),))

@@ -159,8 +159,8 @@ def test_report_residual_matches_reevaluation():
     bd = boundary(g, lambda a, b: b * (1.0 - b) + a)
     u, rep = solve_eps(g, bd, 0.5, SolverConfig(), None)
     r = residual_div(Frame(u, 0.5))
-    assert r.sup <= SolverConfig().newton_tol
-    assert r.sup == pytest.approx(rep.final_residual, rel=1e-6, abs=1e-14)
+    assert r.sup_norm <= SolverConfig().newton_tol
+    assert r.sup_norm == pytest.approx(rep.final_residual, rel=1e-6, abs=1e-14)
 
 
 def test_nonconvergence_carries_best_iterate():
@@ -245,7 +245,7 @@ def test_continuation_records_and_reverifies_residuals():
     run = continuation(g, bd, EpsSchedule(eps_min=0.125), SolverConfig())
     assert run.eps_values == [1.0, 0.5, 0.25, 0.125]
     assert len(run.sup_diffs) == 3
-    residuals = [residual_div(Frame(sol, eps)).sup
+    residuals = [residual_div(Frame(sol, eps)).sup_norm
                  for eps, sol in zip(run.eps_values, run.solutions)]
     assert max(residuals) <= SolverConfig().newton_tol
 
