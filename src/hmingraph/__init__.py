@@ -7,11 +7,8 @@ structure of the computed states.
 
 from .grid import Grid, GridFunction, GridMismatchError, require_same_grid
 from .geometry import (
-    FlowConvergenceError,
     Frame,
-    LiftedFrame,
     LiftedPoint,
-    PathExitsGridError,
     UnreachableError,
     apply_x1,
     apply_x2,
@@ -19,7 +16,6 @@ from .geometry import (
     dist_surrogate_cc,
     dist_surrogate_eps,
     eval_p1,
-    exp_coords_lifted,
     taylor_p1,
     taylor_remainder_exponent,
 )
@@ -38,7 +34,6 @@ from .solver import (
     SolverConfig,
     continuation,
     m_bound,
-    picard_solve,
     solve_eps,
     transfinite_interpolation,
 )
@@ -48,7 +43,6 @@ from .foliation import (
     fit_leaf,
     foliation_cover,
     leaf_table,
-    lie_derivatives,
     trace_leaf,
 )
 from .diagnostics import (

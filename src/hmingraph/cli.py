@@ -247,13 +247,16 @@ def _boundary_from(sec: dict, grid: Grid) -> BoundaryData:
         raise ConfigError(f"boundary evaluation failed: {e}") from e
 
 
-def _out_dir(cfg: dict) -> Path:
+def _out_dir(cfg: dict) -> tuple[Path, list]:
+    """The output directory, created if missing, and the directories this
+    call created, innermost first."""
     d = os.environ.get("HMINGRAPH_OUT") or _read(cfg, _OUTPUT).get("output_dir")
     if not d:
         raise ConfigError("output_dir missing (set it in the config or via HMINGRAPH_OUT)")
     path = Path(d)
+    made = [p for p in (path, *path.parents) if not p.exists()]
     path.mkdir(parents=True, exist_ok=True)
-    return path
+    return path, made
 
 
 class _RunLock:
@@ -627,13 +630,20 @@ def main(argv=None) -> int:
         p.add_argument("config", help="path to the declarative JSON config")
     args = parser.parse_args(argv)
     command, section = _COMMANDS[args.command]
+    made = []
     try:
         cfg = load_config(args.config)
         c = _read(cfg, section)  # the whole config, before a run is loaded or a file written
-        out = _out_dir(cfg)
+        out, made = _out_dir(cfg)
         with _RunLock(out):
             return command(c, out, _provenance(cfg))
     except ConfigError as e:
+        # an error found against the run leaves no directory this call made behind
+        for d in made:
+            try:
+                d.rmdir()
+            except OSError:  # it holds an artifact, so it and its parents stay
+                break
         print(f"error: {e}", file=sys.stderr)
         return 1
 

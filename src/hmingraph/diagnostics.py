@@ -168,26 +168,19 @@ def holder_exponent_estimate(f: GridFunction, window: tuple[float, float]) -> fl
     return float(np.clip(slope, 0.0, 1.0))
 
 
-def sobolev_norm_eps(frame: Frame, m: int, p: float, of: GridFunction | None = None,
-                     strings: str = "eps") -> float:
+def sobolev_norm_eps(frame: Frame, m: int, p: float, of: GridFunction | None = None) -> float:
     """Sum of discrete L^p norms of all frame-derivative strings of order <= m.
 
-    ``strings="eps"`` uses both frame fields (2^k strings at order k);
-    ``strings="x1"`` uses only the graph direction, the scaling-robust family
-    that survives the vanishing limit.  All strings are measured on the
-    common margin-``m`` interior with a uniform-weight rule, so ``m = 0``
-    reduces to the plain L^p norm of the field itself.
+    The strings use both frame fields (2^k strings at order k).  All are
+    measured on the common margin-``m`` interior with a uniform-weight rule,
+    so ``m = 0`` reduces to the plain L^p norm of the field itself.
     """
     if m < 0:
         raise ValueError("order must be >= 0")
     if p < 1:
         raise ValueError("p must be >= 1")
-    if strings not in ("eps", "x1"):
-        raise ValueError("strings must be 'eps' or 'x1'")
     f0 = frame.u if of is None else of
-    ops = [lambda g: apply_x1(frame, g)]
-    if strings == "eps":
-        ops.append(lambda g: apply_x2(frame, g))
+    ops = [lambda g: apply_x1(frame, g), lambda g: apply_x2(frame, g)]
     grid = f0.grid
     w = grid.h1 * grid.h2
     total = 0.0
@@ -338,6 +331,8 @@ class DiagnosticsBudgets:
     window: tuple[float, float] | None = None
 
     def __post_init__(self):
+        if not self.alphas:  # else the verdict checks no Holder exponent at all
+            raise ValueError("alphas: need at least one exponent")
         if not all(0.0 < a < 1.0 for a in self.alphas):
             raise ValueError(f"alphas: each must lie in (0, 1), got {self.alphas}")
         if self.window is not None and not 0.0 <= self.window[0] < self.window[1]:

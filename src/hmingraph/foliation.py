@@ -30,10 +30,8 @@ from .grid import GridFunction
 __all__ = [
     "Leaf",
     "LeafTraceError",
-    "LieDerivativeSample",
     "trace_leaf",
     "fit_leaf",
-    "lie_derivatives",
     "foliation_cover",
     "coverage_fraction",
     "leaf_table",
@@ -73,13 +71,6 @@ class Leaf:
         if self.poly_fit is None:
             raise LeafTraceError("leaf has not been fitted")
         return abs(float(self.poly_fit[3]))
-
-
-@dataclass(frozen=True)
-class LieDerivativeSample:
-    t: float
-    first: float
-    second: float
 
 
 def _march(u: GridFunction, start: tuple[float, float], dt: float, t_max: float, sign: int):
@@ -193,21 +184,6 @@ def _differences(leaf: Leaf) -> tuple[np.ndarray, np.ndarray]:
     first = (w[2:] - w[:-2]) / (dp + dm)
     second = 2.0 * ((w[2:] - w[1:-1]) / dp - (w[1:-1] - w[:-2]) / dm) / (dp + dm)
     return first, second
-
-
-def lie_derivatives(leaf: Leaf) -> list[LieDerivativeSample]:
-    """Centered first and second flow-time differences of ``u`` along the leaf.
-
-    The second difference approximates the second derivative of ``u`` composed
-    with the leaf, the quantity that vanishes for limit solutions.  Endpoints
-    carry no sample.
-    """
-    n = len(leaf)
-    if n < 5:
-        raise LeafTraceError(f"need at least 5 samples for leaf derivatives, got {n}")
-    first, second = _differences(leaf)
-    return [LieDerivativeSample(t=float(t), first=float(a), second=float(b))
-            for t, a, b in zip(leaf.t_samples[1:-1], first, second)]
 
 
 def foliation_cover(u: GridFunction, seed_spacing: float) -> list[Leaf]:

@@ -21,6 +21,7 @@ __all__ = [
     "Grid",
     "GridFunction",
     "GridMismatchError",
+    "require_same_grid",
 ]
 
 

