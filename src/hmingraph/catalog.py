@@ -196,28 +196,20 @@ def shear_graph(g: Callable, x1: float, x2: float) -> float:
     return float(root)
 
 
-def shear_entry(g: Callable, name: str, domain: Callable | None = None, **flags) -> CatalogEntry:
+def shear_entry(g: Callable, name: str, domain: Callable, **flags) -> CatalogEntry:
     """Wrap a shear profile ``g`` as a grid-evaluable catalog entry.
 
     ``g`` must act elementwise on a NumPy array, as :func:`shear_graph`
     requires; the entry still solves one node at a time.
     """
     ev = np.vectorize(lambda a, b: shear_graph(g, a, b), otypes=[float])
-
-    def default_domain(x1, x2):
-        try:
-            shear_graph(g, x1, x2)
-            return True
-        except ShearRootError:
-            return False
-
     defaults = dict(minimal_H0=True, vanishing_viscosity_candidate=True,
                     C1_smooth=True, leafwise_affine=True)
     defaults.update(flags)
     return CatalogEntry(
         name=name,
         eval=lambda x1, x2: ev(x1, x2) if np.ndim(x1) or np.ndim(x2) else float(ev(x1, x2)),
-        domain=default_domain if domain is None else domain,
+        domain=domain,
         **defaults,
     )
 

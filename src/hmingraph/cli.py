@@ -19,7 +19,6 @@ import collections
 import contextlib
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -35,8 +34,8 @@ from .foliation import coverage_fraction, fit_leaf, foliation_cover, leaf_table
 from .geometry import (
     Frame,
     LiftedPoint,
+    OracleLattice,
     UnreachableError,
-    _oracle_sweep,
     dist_surrogate_cc,
     dist_surrogate_eps,
     taylor_p1,
@@ -550,30 +549,23 @@ def cmd_distance(c: dict, out: Path, prov: dict) -> int:
         ff = taylor_p1(Frame(sol, eps), x0)
     except ValueError as e:
         raise ConfigError(f"distance.x0: {e}") from e
-    rng = np.random.default_rng(sec.get("seed", 0))
-
-    def candidates():
-        for _ in range(50 * n_points):
-            off = rng.uniform(-0.45, 0.45, size=3) * np.array(box)
-            p = LiftedPoint(x0[0] + off[0], x0[1] + off[1], off[2])
-            d_eps = dist_surrogate_eps(ff, p)
-            if not d_eps < min_sep:
-                yield p, d_eps
-
-    # the sweep stops at the farthest of the first n_points candidates; it
-    # runs to the end when one of them is unreachable, the only case in which
-    # more candidates are drawn
-    draws = candidates()
-    first = list(itertools.islice(draws, n_points))
     try:
-        oracle = _oracle_sweep(ff, mesh, box, targets=[p for p, _ in first])
+        sweep = OracleLattice(ff, mesh, box)
     except ValueError as e:
         raise ConfigError(f"distance: {e}") from e
+    rng = np.random.default_rng(sec.get("seed", 0))
     rows = []
     ratios = []
-    for p, d_eps in itertools.chain(first, draws):
+    # each query sweeps on until its node has a level, so the sweep stops at
+    # the farthest accepted point unless a candidate is unreachable
+    for _ in range(50 * n_points):
+        off = rng.uniform(-0.45, 0.45, size=3) * np.array(box)
+        p = LiftedPoint(x0[0] + off[0], x0[1] + off[1], off[2])
+        d_eps = dist_surrogate_eps(ff, p)
+        if d_eps < min_sep:
+            continue
         try:
-            d_orc = oracle(p)
+            d_orc = sweep.distance(p)
         except UnreachableError:
             continue
         d_cc = dist_surrogate_cc(ff, p)

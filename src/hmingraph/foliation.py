@@ -58,7 +58,6 @@ class Leaf:
     poly_fit: np.ndarray | None = None
     u_fit: np.ndarray | None = None
     fit_center: float | None = None
-    gamma2_rel_residual: float | None = None
     gamma2_quad_rel_residual: float | None = None
     u_quad_rel_residual: float | None = None
 
@@ -169,7 +168,6 @@ def fit_leaf(leaf: Leaf) -> Leaf:
         poly_fit=cubic,
         u_fit=u_quad,
         fit_center=center,
-        gamma2_rel_residual=_rel_residual(y, P.polyval(s, cubic)),
         gamma2_quad_rel_residual=_rel_residual(y, P.polyval(s, quad)),
         u_quad_rel_residual=_rel_residual(leaf.u_values, P.polyval(s, u_quad)),
     )

@@ -37,6 +37,7 @@ __all__ = [
     "Frame",
     "LiftedPoint",
     "FrozenFrame",
+    "OracleLattice",
     "UnreachableError",
     "apply_x1",
     "apply_x2",
@@ -126,21 +127,18 @@ def taylor_p1(frame: Frame, x0: tuple[float, float]) -> FrozenFrame:
     """Freeze the frame at an interior node ``x0``.
 
     The base point must coincide with a grid node strictly inside the
-    rectangle so centered derivative stencils are available.
+    rectangle, where :func:`apply_x1` and :func:`apply_x2` use centered
+    stencils.
     """
     g = frame.grid
     i, j = g.node_index(float(x0[0]), float(x0[1]))
     if i == 0 or j == 0 or i == g.n1 - 1 or j == g.n2 - 1:
         raise ValueError("base point must be an interior node")
-    u = frame.u.values
-    d1 = (u[i + 1, j] - u[i - 1, j]) / (2 * g.h1)
-    d2 = (u[i, j + 1] - u[i, j - 1]) / (2 * g.h2)
-    u0 = float(u[i, j])
     return FrozenFrame(
         x0=(float(x0[0]), float(x0[1])),
-        u0=u0,
-        x1u0=float(d1 + u0 * d2),
-        x2u0=float(frame.epsilon * d2),
+        u0=float(frame.u.values[i, j]),
+        x1u0=float(apply_x1(frame, frame.u).values[i, j]),
+        x2u0=float(apply_x2(frame, frame.u).values[i, j]),
         epsilon=frame.epsilon,
     )
 
@@ -241,18 +239,23 @@ def dist_surrogate_cc(ff: FrozenFrame, p: LiftedPoint) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _LatticeSweep:
-    """Breadth-first sweep of the oracle lattice from its center, advanced
-    one level at a time.
+class OracleLattice:
+    """The oracle lattice of a frozen frame, swept breadth first from its
+    center as far as the queries need.
+
+    ``distance(p)`` reads the node nearest ``p``, stepping the sweep on one
+    level at a time until that node has a level or the frontier is empty.
+    Every move costs ``mesh``, so the sweep equals Dijkstra; a level is final
+    once assigned, so queries in any order read what one uninterrupted
+    sweep gives, and the sweep goes no further than its farthest query.
 
     ``levels`` is an int32 array with one entry per node, in flat order
     ``(i N2 + j) N3 + k``: the node's level, or -1 where the sweep has not
     arrived (yet).  ``values[l]`` is level ``l``'s distance: level ``l - 1``'s
-    plus ``mesh``, rounded as Dijkstra rounds ``dist[u] + w``.  A level is
-    final once assigned, so a sweep stopped early and resumed later labels
-    every node exactly as one uninterrupted sweep does.  The sweep keeps the
-    one int32 per node and per-level frontier arrays, nothing else
-    node-sized.  See :func:`dist_oracle_many` for the lattice.
+    plus ``mesh``, rounded as Dijkstra rounds ``dist[u] + w``.  The sweep
+    keeps the one int32 per node and per-level frontier arrays, nothing else
+    node-sized, so the 4 M-node budget is about 16 MB.  See
+    :func:`dist_oracle_many` for the lattice.
     """
 
     def __init__(self, ff: FrozenFrame, mesh: float, box: tuple[float, float, float]):
@@ -280,28 +283,24 @@ class _LatticeSweep:
         self.values = [0.0]
         self.frontier = np.array([center])
 
-    def node(self, p: LiftedPoint):
-        """Flat index of the node nearest ``p``, or None outside the lattice."""
+    def distance(self, p: LiftedPoint) -> float:
+        """Lattice control distance of the node nearest ``p``; raises
+        :class:`UnreachableError` when that node lies outside the lattice or
+        the sweep ends without reaching it."""
         (n1, n2, n3), (a1, a2, a3) = self.half, self.spacings
         N1, N2, N3 = self.shape
         qi = n1 + int(round((p.x1 - self.ff.x0[0]) / a1))
         qj = n2 + int(round((p.x2 - self.ff.x0[1]) / a2))
         qk = n3 + int(round(p.s / a3))
         if not (0 <= qi < N1 and 0 <= qj < N2 and 0 <= qk < N3):
-            return None
-        return (qi * N2 + qj) * N3 + qk
-
-    def run(self, nodes=None) -> None:
-        """Sweep on until every flat index in ``nodes`` has a level (every
-        reachable node when None), or until the frontier is empty."""
-        if nodes is not None:
-            nodes = np.asarray(nodes, dtype=np.int64)
-        while self.frontier.size:
-            if nodes is not None:
-                nodes = nodes[self.levels[nodes] < 0]
-                if not nodes.size:
-                    return
+            raise UnreachableError("query point outside the oracle lattice box")
+        node = (qi * N2 + qj) * N3 + qk
+        while self.levels[node] < 0 and self.frontier.size:
             self._step()
+        level = self.levels[node]
+        if level < 0:
+            raise UnreachableError("query node not reached by the lattice sweep")
+        return self.values[level]
 
     def _step(self) -> None:
         """Label the next level; leaves the frontier empty when none is left."""
@@ -335,43 +334,6 @@ class _LatticeSweep:
         self.frontier = nxt[levels[nxt] == tags]
         levels[self.frontier] = len(self.values)
         self.values.append(self.values[-1] + mesh)
-
-
-def _oracle_sweep(
-    ff: FrozenFrame,
-    mesh: float,
-    box: tuple[float, float, float],
-    targets: Sequence[LiftedPoint] | None = None,
-):
-    """One breadth-first sweep (uniform edge weight, so equal to Dijkstra)
-    from the lattice center; ``query(p)`` reads the distance of the node
-    nearest ``p``.
-
-    Without ``targets`` the whole lattice is swept.  With them the sweep
-    stops at the level of the farthest in-box target node, or when the
-    frontier runs out; ``query`` resumes the same sweep for a node that has
-    no level yet.  Levels are final once assigned, so every distance and
-    every :class:`UnreachableError` is what the full sweep gives.  The sweep
-    holds one int32 level per node, so the 4 M-node budget is about 16 MB.
-    See :func:`dist_oracle_many`.
-    """
-    sweep = _LatticeSweep(ff, mesh, box)
-    if targets is None:
-        sweep.run()
-    else:
-        sweep.run([n for n in map(sweep.node, targets) if n is not None])
-
-    def query(p: LiftedPoint) -> float:
-        node = sweep.node(p)
-        if node is None:
-            raise UnreachableError("query point outside the oracle lattice box")
-        sweep.run([node])
-        level = sweep.levels[node]
-        if level < 0:
-            raise UnreachableError("query node not reached by the lattice sweep")
-        return sweep.values[level]
-
-    return query
 
 
 def _oracle_meshes(mesh: float, box: tuple[float, float, float]) -> list:
@@ -414,9 +376,9 @@ def dist_oracle_many(
     the coarser mesh of a halving pair is at most that cap the coarsening
     sets nest, so refinement is monotone non-increasing by construction.
     Above the cap the chain is the single sweep at ``mesh`` and halving
-    carries no such guarantee.  Each sweep is paid once for all points and
-    stops at the level of the farthest one, with the same distances as a
-    full sweep.
+    carries no such guarantee.  Each coarsening is one :class:`OracleLattice`
+    queried for every point, so its sweep is paid once and stops at the
+    level of the farthest one.
 
     ``box`` holds the lattice half-widths per coordinate.  Maneuvers are
     confined to the box, so it must enclose the paths that matter: in
@@ -427,10 +389,10 @@ def dist_oracle_many(
     """
     best = np.full(len(points), np.inf)
     for m in _oracle_meshes(mesh, box):
-        query = _oracle_sweep(ff, m, box, targets=points)
+        lattice = OracleLattice(ff, m, box)
         for k, p in enumerate(points):
             try:
-                best[k] = min(best[k], query(p))
+                best[k] = min(best[k], lattice.distance(p))
             except UnreachableError:
                 pass  # this coarsening cannot resolve the point; others may
     if not np.all(np.isfinite(best)):

@@ -6,8 +6,8 @@ own, a number that a package routine computes too:
 - the unfrozen-frame shooter (:func:`exp_coords_lifted`, :func:`_flow_coords`):
   exponential coordinates of the lifted frame by fourth-order shooting, the
   reference of the closed-form frozen coordinates;
-- :func:`_lattice_distances`: the oracle lattice swept to its end, the
-  reference of the targeted sweeps;
+- :func:`_swept_lattice` and :func:`_lattice_distances`: the oracle lattice
+  swept to its end, the reference of the on-demand sweep;
 - :func:`picard_solve` with :func:`_lagged_matrix`: a Jacobian-free
   lagged-coefficient fixed point, the reference of the Newton solve.
 """
@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from hmingraph.geometry import Frame, FrozenFrame, LiftedPoint, _LatticeSweep, _drive
+from hmingraph.geometry import Frame, FrozenFrame, LiftedPoint, OracleLattice, _drive
 from hmingraph.grid import Grid, GridFunction
 from hmingraph.operators import _combine_offsets, _HalfData, _offset_matrix, residual_div
 from hmingraph.solver import BoundaryData, LUCache, spsolve, transfinite_interpolation
@@ -201,6 +201,19 @@ def exp_coords_lifted(frame: Frame, x0: tuple[float, float], p: LiftedPoint):
 # ---------------------------------------------------------------------------
 
 
+def _swept_lattice(
+    ff: FrozenFrame,
+    mesh: float,
+    box: tuple[float, float, float],
+) -> OracleLattice:
+    """The oracle lattice stepped until its frontier is empty, so that every
+    later ``distance`` only reads the levels of the full sweep."""
+    lattice = OracleLattice(ff, mesh, box)
+    while lattice.frontier.size:
+        lattice._step()
+    return lattice
+
+
 def _lattice_distances(
     ff: FrozenFrame,
     mesh: float,
@@ -213,12 +226,11 @@ def _lattice_distances(
     arrives, and ``values[levels]`` is the distance (``values[-1]`` is
     ``inf``).  Every move costs ``mesh``, so a shortest path has the fewest
     moves, and the distances equal Dijkstra's bit for bit.  This is the full
-    sweep of :class:`_LatticeSweep`; :func:`_oracle_sweep` stops one at its
-    farthest target instead.
+    sweep of :class:`OracleLattice`, whose queries stop it at their farthest
+    node instead.
     """
-    sweep = _LatticeSweep(ff, mesh, box)
-    sweep.run()
-    return sweep.levels.reshape(sweep.shape), np.array(sweep.values + [np.inf]), sweep.spacings
+    lattice = _swept_lattice(ff, mesh, box)
+    return lattice.levels.reshape(lattice.shape), np.array(lattice.values + [np.inf]), lattice.spacings
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,4 @@
-"""Shared fixtures: small grids and the smooth benchmark data."""
-
-import numpy as np
-import pytest
+"""Plain helpers the tests share: the benchmark fields, sampling and grids."""
 
 from hmingraph import BoundaryData, Grid, GridFunction
 
@@ -14,16 +11,6 @@ def fan_bump(x1, x2):
     # fan plus a boundary-compatible bump; smooth, non-affine, edges stay
     # non-characteristic on [0,1]x[1,2]
     return fan(x1, x2) + 0.25 * x1 * (1.0 - x1)
-
-
-@pytest.fixture
-def unit_grid():
-    return Grid((0.0, 1.0), (0.0, 1.0), 33, 33)
-
-
-@pytest.fixture
-def bench_grid():
-    return Grid((0.0, 1.0), (1.0, 2.0), 33, 33)
 
 
 def sample(grid, f) -> GridFunction:

@@ -39,7 +39,7 @@ from hmingraph import (
     taylor_remainder_exponent,
 )
 
-from conftest import fan, fan_bump
+from helpers import fan, fan_bump
 
 
 @pytest.fixture

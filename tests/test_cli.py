@@ -13,6 +13,9 @@ import pytest
 import hmingraph
 from hmingraph import UnreachableError, cli
 from hmingraph.cli import ConfigError, _RunLock, _write_csv, boundary_expression, canonical_json, main
+from hmingraph.geometry import OracleLattice
+
+from crosscheck import _swept_lattice
 
 
 def write_cfg(path, obj):
@@ -449,41 +452,36 @@ class TestDistanceCommand:
 
     @staticmethod
     def run_against_full_sweep(cfg, tmp_path, monkeypatch):
-        """Run ``distance`` on the targeted sweep and on a full sweep.
+        """Run ``distance`` on the on-demand sweep and on a full sweep.
 
         Returns the two runs' ``distance.csv`` and ``distance.json`` bytes,
-        the number of candidates the targeted run found unreachable, and its
+        the number of candidates the on-demand run found unreachable, and its
         number of surrogate evaluations, one per drawn candidate."""
         path = write_cfg(tmp_path / "c.json", cfg)
-        sweep, surrogate = cli._oracle_sweep, cli.dist_surrogate_eps
+        surrogate = cli.dist_surrogate_eps
         unreachable, draws = [], []
 
-        def counted(ff, mesh, box, targets=None):
-            query = sweep(ff, mesh, box, targets=targets)
-
-            def counted_query(p):
+        class Counted(OracleLattice):
+            def distance(self, p):
                 try:
-                    return query(p)
+                    return super().distance(p)
                 except UnreachableError:
                     unreachable.append(p)
                     raise
-
-            return counted_query
 
         def counted_surrogate(ff, p):
             draws.append(p)
             return surrogate(ff, p)
 
         out = {}
-        for name, fn in (("targeted", counted),
-                         ("full", lambda ff, mesh, box, targets=None: sweep(ff, mesh, box))):
-            monkeypatch.setattr(cli, "_oracle_sweep", fn)
+        for name, lattice in (("on-demand", Counted), ("full", _swept_lattice)):
+            monkeypatch.setattr(cli, "OracleLattice", lattice)
             monkeypatch.setattr(cli, "dist_surrogate_eps",
-                                counted_surrogate if name == "targeted" else surrogate)
+                                counted_surrogate if name == "on-demand" else surrogate)
             monkeypatch.setenv("HMINGRAPH_OUT", str(tmp_path / name))
             assert main(["distance", path]) == 0
             out[name] = [(tmp_path / name / f).read_bytes() for f in ("distance.csv", "distance.json")]
-        return out["targeted"], out["full"], len(unreachable), len(draws)
+        return out["on-demand"], out["full"], len(unreachable), len(draws)
 
     @staticmethod
     def draws_through_last_row(cfg, csv: bytes):

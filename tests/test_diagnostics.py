@@ -29,7 +29,7 @@ from hmingraph import (
 )
 from hmingraph import diagnostics
 
-from conftest import fan, fan_bump
+from helpers import fan, fan_bump
 
 
 def unit_field(f, n=33):

@@ -270,7 +270,7 @@ def test_leaf_table_layout():
 
 
 def test_leaf_table_matches_the_per_sample_loop():
-    from conftest import fan_bump
+    from helpers import fan_bump
 
     u = field(fan_bump, rect=((0.0, 1.0), (1.0, 2.0)), n=65)
     leaf = trace_leaf(u, (0.0, 1.4), (0.0, 1.0))

@@ -29,16 +29,17 @@ from hmingraph import (
 from hmingraph import geometry
 from hmingraph.geometry import (
     FrozenFrame,
+    OracleLattice,
     _frozen_coords,
-    _oracle_sweep,
 )
 
-from conftest import sample
-from reference import (
+from helpers import sample
+from crosscheck import (
     FlowConvergenceError,
     PathExitsGridError,
     _flow_coords,
     _lattice_distances,
+    _swept_lattice,
     exp_coords_lifted,
 )
 
@@ -179,6 +180,13 @@ def test_model_matches_field_at_base_point():
     fr = frame_of(lambda a, b: np.exp(a) * b)
     ff = taylor_p1(fr, (0.5, 0.5))
     assert eval_p1(ff, 0.5, 0.5) == pytest.approx(fr.u.values[16, 16], abs=1e-14)
+    # the frame derivatives are the grid stencils at the base node, which
+    # are centered differences there, bit for bit
+    u, h1, h2 = fr.u.values, fr.grid.h1, fr.grid.h2
+    d1 = (u[17, 16] - u[15, 16]) / (2 * h1)
+    d2 = (u[16, 17] - u[16, 15]) / (2 * h2)
+    assert ff.x1u0 == d1 + u[16, 16] * d2 == apply_x1(fr, fr.u).values[16, 16]
+    assert ff.x2u0 == fr.epsilon * d2 == apply_x2(fr, fr.u).values[16, 16]
 
 
 def test_model_value_matches_hand_computation():
@@ -324,7 +332,7 @@ def test_lattice_walker_monotone_under_mesh_halving():
 
 
 def test_lattice_walker_tracks_the_gauge():
-    from conftest import fan_bump
+    from helpers import fan_bump
 
     g = Grid((0.0, 1.0), (1.0, 2.0), 33, 33)
     fr = Frame(GridFunction.from_callable(g, fan_bump), 0.25)
@@ -402,20 +410,20 @@ def test_breadth_first_sweep_equals_dijkstra_bit_for_bit(data):
     assert dist.shape == ref.shape
     assert np.array_equal(dist.view(np.int64), ref.view(np.int64))  # inf included
 
-    # query: the same float at reached nodes, UnreachableError exactly at the
-    # inf ones; every unreached node (up to 200) plus a sample of the rest
+    # distance: the same float at reached nodes, UnreachableError exactly at
+    # the inf ones; every unreached node (up to 200) plus a sample of the rest
     flat = np.arange(ref.size)
     inf_nodes, reached = flat[np.isinf(ref.ravel())], flat[np.isfinite(ref.ravel())]
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="query seed"))
     nodes = np.concatenate([rng.permutation(inf_nodes)[:200], rng.choice(reached, 200)])
-    query = _oracle_sweep(ff, mesh, box)
+    lattice = _swept_lattice(ff, mesh, box)
     for node in nodes:
         p = _point_at(ff, node, ref.shape, spacing)
         if np.isinf(ref.flat[node]):
             with pytest.raises(UnreachableError):
-                query(p)
+                lattice.distance(p)
         else:
-            assert query(p) == ref.flat[node]
+            assert lattice.distance(p) == ref.flat[node]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -440,28 +448,34 @@ def test_targeted_sweep_equals_the_full_sweep(data):
     if kind == "outside":
         targets.insert(2, outside)
 
-    # the eager phase labels the levels up to the farthest target's, or
-    # every reachable node when a target is never reached
-    sweep = geometry._LatticeSweep(ff, mesh, box)
-    sweep.run([n for n in map(sweep.node, targets) if n is not None])
-    assert sweep.node(outside) is None
+    # querying the targets one at a time labels the levels up to the
+    # farthest target's, or every reachable node when a target is never
+    # reached; the point outside the box sweeps nothing
+    lattice = OracleLattice(ff, mesh, box)
+    for p in targets:
+        try:
+            lattice.distance(p)
+        except UnreachableError:
+            pass
+    with pytest.raises(UnreachableError, match="outside"):
+        lattice.distance(outside)
     last = np.inf if np.any(flat[nodes] < 0) else max(flat[nodes], default=0)
-    assert np.array_equal(sweep.levels, np.where(flat <= last, flat, -1))
-    assert np.array_equal(np.array(sweep.values), values[:len(sweep.values)])
+    assert np.array_equal(lattice.levels, np.where(flat <= last, flat, -1))
+    assert np.array_equal(np.array(lattice.values), values[:len(lattice.values)])
 
-    # query: the full sweep's float on every target and, resuming, on random
-    # other nodes in random order; UnreachableError exactly where it raises
-    query = _oracle_sweep(ff, mesh, box, targets=targets)
+    # distance: the full sweep's float on every target and, sweeping on, on
+    # random other nodes in random order; UnreachableError exactly where it
+    # raises
     others = np.concatenate([rng.permutation(unreached)[:50], rng.choice(reached, 100)])
     for node in np.concatenate([np.array(nodes, dtype=np.int64), rng.permutation(others)]):
         p = _point_at(ff, node, shape, spacing)
         if flat[node] < 0:
             with pytest.raises(UnreachableError, match="not reached"):
-                query(p)
+                lattice.distance(p)
         else:
-            assert query(p) == values[flat[node]]
+            assert lattice.distance(p) == values[flat[node]]
     with pytest.raises(UnreachableError, match="outside"):
-        query(outside)
+        lattice.distance(outside)
 
 
 @pytest.mark.parametrize("u0, x1u0, d2u", [(0.0, 0.0, 0.0), (0.7, 0.4, 0.8)])
@@ -472,31 +486,32 @@ def test_sweep_keeps_one_int32_per_node(u0, x1u0, d2u):
     mesh, box = 0.01, (0.2, 0.075, 0.2)
     tracemalloc.start()
     try:
-        query = _oracle_sweep(ff, mesh, box)
+        lattice = _swept_lattice(ff, mesh, box)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 41 * 301 * 41
-    assert query(LiftedPoint(0.55, 1.5, 0.05)) > 0.0
+    assert lattice.distance(LiftedPoint(0.55, 1.5, 0.05)) > 0.0
 
 
 def test_targeted_sweep_keeps_one_int32_per_node():
-    # the sweep of the test above, stopped at 20 points drawn in +-0.45 box
-    # as the distance command draws its candidates; the full sweep gives the
-    # same distances
+    # the sweep of the test above, stopped at the farthest of 20 points
+    # drawn in +-0.45 box as the distance command draws its candidates and
+    # queried one at a time; the full sweep gives the same distances
     ff = FrozenFrame(x0=(0.5, 1.5), u0=0.7, x1u0=0.4, x2u0=0.08, epsilon=0.1)
     mesh, box = 0.01, (0.2, 0.075, 0.2)
     offsets = np.random.default_rng(3).uniform(-0.45, 0.45, size=(20, 3)) * box
     pts = [LiftedPoint(0.5 + d[0], 1.5 + d[1], d[2]) for d in offsets]
     tracemalloc.start()
     try:
-        query = _oracle_sweep(ff, mesh, box, targets=pts)
+        lattice = OracleLattice(ff, mesh, box)
+        got = [lattice.distance(p) for p in pts]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 41 * 301 * 41
-    full = _oracle_sweep(ff, mesh, box)
-    assert [query(p) for p in pts] == [full(p) for p in pts]
+    full = _swept_lattice(ff, mesh, box)
+    assert got == [full.distance(p) for p in pts]
 
 
 def test_lattice_walker_guards_against_huge_graphs():

@@ -24,8 +24,8 @@ from hmingraph.operators import (
     interior_index_maps,
 )
 
-from conftest import bench_grid_n, fan_bump, sample
-from reference import _lagged_matrix, _lagged_offsets
+from helpers import bench_grid_n, fan_bump, sample
+from crosscheck import _lagged_matrix, _lagged_offsets
 
 
 # ------------------------------------------------------------- coefficients

@@ -25,8 +25,8 @@ from hmingraph import (
 )
 from hmingraph.solver import LUCache
 
-from conftest import boundary, fan_bump
-from reference import picard_solve
+from helpers import boundary, fan_bump
+from crosscheck import picard_solve
 
 
 def unit_grid_n(n):
@@ -163,16 +163,30 @@ def test_report_residual_matches_reevaluation():
     assert r.sup_norm == pytest.approx(rep.final_residual, rel=1e-6, abs=1e-14)
 
 
-def test_nonconvergence_carries_best_iterate():
+def test_nonconvergence_carries_best_iterate(monkeypatch):
     g = unit_grid_n(33)
     bd = boundary(g, fan_bump)
     cfg = SolverConfig(max_newton_iter=2)
+    calls = []
+
+    def counted(fr):
+        calls.append(fr)
+        return residual_div(fr)
+
+    monkeypatch.setattr(solver, "residual_div", counted)
     with pytest.raises(NonConvergenceError) as exc:
         solve_eps(g, bd, 1e-3, cfg, None)
     err = exc.value
     assert err.best.grid == g
     assert err.report.iterations >= 1
     assert err.report.final_residual > cfg.newton_tol
+    # the cap ends the solve: one residual at the top of each Newton
+    # iteration, the last one included, plus one per Armijo trial step, and
+    # none after the loop
+    rep = err.report
+    assert rep.iterations == cfg.max_newton_iter == len(rep.step_lengths)
+    trials = sum(round(np.log(lam) / np.log(cfg.armijo_shrink)) + 1 for lam in rep.step_lengths)
+    assert len(calls) == rep.iterations + 1 + trials
 
 
 def test_transfinite_guess_matches_boundary_ring():
