@@ -49,7 +49,6 @@ class ShearRootError(ValueError):
 class CatalogEntry:
     name: str
     eval: Callable
-    domain: Callable
     minimal_H0: bool
     vanishing_viscosity_candidate: bool
     C1_smooth: bool
@@ -72,7 +71,6 @@ def affine_graph(a: float, c: float) -> CatalogEntry:
     return CatalogEntry(
         name=f"affine(a={a:g}, c={c:g})",
         eval=lambda x1, x2: a * np.asarray(x1, dtype=float) + c + 0.0 * np.asarray(x2, dtype=float),
-        domain=lambda x1, x2: True,
         minimal_H0=True,
         vanishing_viscosity_candidate=True,
         C1_smooth=True,
@@ -196,7 +194,7 @@ def shear_graph(g: Callable, x1: float, x2: float) -> float:
     return float(root)
 
 
-def shear_entry(g: Callable, name: str, domain: Callable, **flags) -> CatalogEntry:
+def shear_entry(g: Callable, name: str, **flags) -> CatalogEntry:
     """Wrap a shear profile ``g`` as a grid-evaluable catalog entry.
 
     ``g`` must act elementwise on a NumPy array, as :func:`shear_graph`
@@ -209,7 +207,6 @@ def shear_entry(g: Callable, name: str, domain: Callable, **flags) -> CatalogEnt
     return CatalogEntry(
         name=name,
         eval=lambda x1, x2: ev(x1, x2) if np.ndim(x1) or np.ndim(x2) else float(ev(x1, x2)),
-        domain=domain,
         **defaults,
     )
 
@@ -218,7 +215,6 @@ def _pauls_entry() -> CatalogEntry:
     return CatalogEntry(
         name="pauls",
         eval=pauls_graph,
-        domain=lambda x1, x2: bool(np.all(np.asarray(x1) > 1.0)),
         minimal_H0=True,
         vanishing_viscosity_candidate=False,
         C1_smooth=False,
@@ -231,12 +227,9 @@ def catalog() -> dict[str, CatalogEntry]:
     return {
         "affine": affine_graph(0.5, 0.25),
         "pauls": _pauls_entry(),
-        "shear-zero": shear_entry(lambda t: 0.0, "shear-zero",
-                                  domain=lambda x1, x2: bool(np.all(np.asarray(x1) > 0.0))),
-        "shear-neg": shear_entry(lambda t: -t, "shear-neg",
-                                 domain=lambda x1, x2: bool(np.all(np.asarray(x1) > -1.0))),
+        "shear-zero": shear_entry(lambda t: 0.0, "shear-zero"),
+        "shear-neg": shear_entry(lambda t: -t, "shear-neg"),
         "shear-abs": shear_entry(lambda t: abs(t), "shear-abs",
-                                 domain=lambda x1, x2: bool(np.all(np.asarray(x1) > 1.0)),
                                  vanishing_viscosity_candidate=False, C1_smooth=False),
     }
 

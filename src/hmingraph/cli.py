@@ -346,7 +346,7 @@ def _read_solution_csv(path: Path) -> GridFunction:
         raise ConfigError(f"{path}: missing run data")
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as e:
+    except (OSError, ValueError) as e:  # a directory, say, or text that is not numbers
         raise ConfigError(f"{path}: unreadable ({e})") from e
     if data.shape[1] != 3:
         raise ConfigError(f"{path}: expected columns x1,x2,u")
@@ -367,13 +367,20 @@ def _read_solution_csv(path: Path) -> GridFunction:
         raise ConfigError(f"{path}: {e}") from e
 
 
-def _read_json(path: Path, keys: tuple) -> dict:
-    """The ``keys`` of a JSON artifact; ConfigError if it cannot supply them."""
+def _read_json(path: Path, readers: dict) -> dict:
+    """The keys of a JSON artifact, each read by its value reader in ``readers``;
+    ConfigError naming the file if it cannot supply them."""
     try:
         obj = json.loads(path.read_text())
-        return {k: obj[k] for k in keys}
+        values = {k: obj[k] for k in readers}
     except (ValueError, KeyError, TypeError) as e:  # JSONDecodeError is a ValueError
         raise ConfigError(f"{path}: unreadable run data ({type(e).__name__}: {e})") from e
+    for key, read in readers.items():
+        try:
+            values[key] = read(values[key])
+        except ValueError as e:
+            raise ConfigError(f"{path}: {key}: {e}") from e
+    return values
 
 
 def _report_dict(report) -> dict:
@@ -388,42 +395,37 @@ def _report_dict(report) -> dict:
     }
 
 
-def _load_run(run_dir: Path) -> VanishingViscosityRun:
-    """Rebuild a continuation run from its artifact directory."""
-    meta_path = run_dir / "run.json"
-    if not meta_path.exists():
-        raise ConfigError(f"{meta_path}: missing run data")
-    meta = _read_json(meta_path, ("files", "eps_values", "lip_norms", "m_bounds", "sup_diffs"))
-    sols = [_read_solution_csv(run_dir / name) for name in meta["files"]]
-    if not sols:
-        raise ConfigError(f"{run_dir}: run contains no solutions")
-    grid = sols[0].grid
-    boundary = BoundaryData(grid, sols[-1].values.copy())
-    return VanishingViscosityRun(
-        grid=grid,
-        boundary=boundary,
-        eps_values=list(meta["eps_values"]),
-        solutions=sols,
-        reports=[],
-        lip_norms=list(meta["lip_norms"]),
-        m_bounds=list(meta["m_bounds"]),
-        sup_diffs=list(meta["sup_diffs"]),
-    )
+_RUN_JSON = {  # the keys of run.json a command reads
+    "files": _reader(lambda v: isinstance(v, list) and v and all(isinstance(f, str) for f in v),
+                     "a non-empty list of file names"),
+    "eps_values": _reader(lambda v: _numbers(v) and all(e > 0 for e in v),
+                          "a list of positive numbers"),
+    "lip_norms": _reader(lambda v: _numbers(v) and all(x >= 0 for x in v),
+                         "a list of non-negative numbers"),
+}
+
+
+def _load_run(run_dir: Path) -> tuple[GridFunction, float, list]:
+    """A continuation directory's final solution and epsilon, and its recorded
+    Lipschitz norms: ``run.json`` and the last solution file it names."""
+    path = run_dir / "run.json"
+    if not path.exists():
+        raise ConfigError(f"{path}: missing run data")
+    meta = _read_json(path, _RUN_JSON)
+    if not len(meta["files"]) == len(meta["eps_values"]) == len(meta["lip_norms"]):
+        raise ConfigError(f"{path}: files, eps_values and lip_norms differ in length")
+    return (_read_solution_csv(run_dir / meta["files"][-1]), float(meta["eps_values"][-1]),
+            meta["lip_norms"])
 
 
 def _load_state(run_dir: Path) -> tuple[GridFunction, float]:
     """Final solution and epsilon from either a solve or a continuation dir."""
-    meta_path = run_dir / "run.json"
-    if meta_path.exists():
-        meta = _read_json(meta_path, ("files", "eps_values"))
-        if not meta["files"] or not meta["eps_values"]:
-            raise ConfigError(f"{run_dir}: run contains no solutions")
-        sol = _read_solution_csv(run_dir / meta["files"][-1])
-        return sol, float(meta["eps_values"][-1])
+    if (run_dir / "run.json").exists():
+        return _load_run(run_dir)[:2]
     report_path = run_dir / "report.json"
     if report_path.exists():
-        eps = _read_json(report_path, ("eps",))["eps"]
-        return _read_solution_csv(run_dir / "solution.csv"), float(eps)
+        eps = _read_json(report_path, {"eps": _positive})["eps"]
+        return _read_solution_csv(run_dir / "solution.csv"), eps
     raise ConfigError(f"{run_dir}: no run.json or report.json found")
 
 
@@ -505,10 +507,10 @@ def cmd_foliate(c: dict, out: Path, prov: dict) -> int:
 
 def cmd_diagnose(c: dict, out: Path, prov: dict) -> int:
     sec = c["diagnose"]
-    run = _load_run(sec["run_dir"])
+    final, eps, lip_norms = _load_run(sec["run_dir"])
     budgets = sec.get("budgets", DiagnosticsBudgets())
-    _measurable(run.grid, "diagnose.budgets.window", budgets.window)
-    vd = verdict(run, budgets)
+    _measurable(final.grid, "diagnose.budgets.window", budgets.window)
+    vd = verdict(final, eps, lip_norms, budgets)
     _write_json(out / "verdict.json", {**prov, **vd.as_dict()})
     return 0
 

@@ -17,7 +17,7 @@ repeated runs give bit-identical numbers.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -374,27 +374,27 @@ class RegularityVerdict:
         }
 
 
-def verdict(run: VanishingViscosityRun, budgets: DiagnosticsBudgets = DiagnosticsBudgets()) -> RegularityVerdict:
-    """Evaluate the final state of a run against the configured budgets.
+def verdict(final: GridFunction, eps: float, lip_norms: list,
+            budgets: DiagnosticsBudgets = DiagnosticsBudgets()) -> RegularityVerdict:
+    """Evaluate a run's final state, ``final`` at ``eps``, against the budgets.
 
     The second graph-direction derivative is measured on a compact interior
     window (a fixed fraction of the domain trimmed on each side) at the final
     epsilon, alongside Holder seminorms of the gradient components and the
-    derivative-equation defects.
+    derivative-equation defects.  ``lip_ratio`` is max/min of the run's
+    recorded Lipschitz norms, inf when the smallest is 0.
     """
-    sol = run.final
-    frame = Frame(sol, run.final_eps)
-    grid = sol.grid
+    frame = Frame(final, eps)
+    grid = final.grid
     seminorms = _gradient_seminorms(frame, budgets.alphas, holder_window(grid, budgets.window))
     alpha_rows = [(a, s, s <= budgets.holder_cap) for a, s in zip(budgets.alphas, seminorms)]
 
     margin = max(3, int(round(budgets.margin_fraction * (min(grid.n1, grid.n2) - 1))))
-    x2u = intrinsic_derivative(sol, 2)
+    x2u = intrinsic_derivative(final, 2)
     x2u_sup = float(np.max(np.abs(x2u.restrict(margin))))
 
     v_res, z_res = derivative_equation_residuals(frame)
-    lips = [s.lip_norm for s in run.solutions]
-    lip_ratio = float(max(lips) / min(lips)) if min(lips) > 0 else float("inf")
+    lip_ratio = float(max(lip_norms) / min(lip_norms)) if min(lip_norms) > 0 else float("inf")
     return RegularityVerdict(
         alpha_estimates=tuple(alpha_rows),
         x2u_sup=x2u_sup,

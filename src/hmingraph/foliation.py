@@ -48,7 +48,7 @@ class Leaf:
 
     ``points[:, 0]`` equals ``start[0] + t_samples`` exactly.  Fit fields are
     ``None`` until :func:`fit_leaf` runs; polynomial coefficients are stored
-    ascending in ``t - fit_center``.
+    ascending in ``t`` minus the midpoint of ``t_samples``' range.
     """
 
     start: tuple[float, float]
@@ -57,9 +57,7 @@ class Leaf:
     u_values: np.ndarray
     poly_fit: np.ndarray | None = None
     u_fit: np.ndarray | None = None
-    fit_center: float | None = None
     gamma2_quad_rel_residual: float | None = None
-    u_quad_rel_residual: float | None = None
 
     def __len__(self) -> int:
         return len(self.t_samples)
@@ -112,7 +110,7 @@ def trace_leaf(u: GridFunction, start: tuple[float, float], t_span: tuple[float,
     """
     g = u.grid
     s1, s2 = float(start[0]), float(start[1])
-    if not g.contains(s1, s2, tol=1e-12):
+    if not g.contains(s1, s2):
         raise LeafTraceError(f"leaf seed {(s1, s2)} outside grid rectangle")
     t_lo, t_hi = float(t_span[0]), float(t_span[1])
     if not (t_lo <= 0.0 <= t_hi) or t_hi - t_lo <= 0.0:
@@ -167,9 +165,7 @@ def fit_leaf(leaf: Leaf) -> Leaf:
         leaf,
         poly_fit=cubic,
         u_fit=u_quad,
-        fit_center=center,
         gamma2_quad_rel_residual=_rel_residual(y, P.polyval(s, quad)),
-        u_quad_rel_residual=_rel_residual(leaf.u_values, P.polyval(s, u_quad)),
     )
 
 

@@ -74,12 +74,11 @@ class Grid:
         """Coordinate arrays ``(X1, X2)`` of shape ``(n1, n2)``."""
         return np.meshgrid(self.x1_coords, self.x2_coords, indexing="ij")
 
-    def contains(self, x1, x2, tol: float = 0.0) -> bool:
+    def contains(self, x1, x2) -> bool:
+        """Whether ``(x1, x2)`` lies in the rectangle, with a slack of 1e-12."""
         lo1, hi1 = self.x1_range
         lo2, hi2 = self.x2_range
-        return bool(
-            (lo1 - tol <= x1 <= hi1 + tol) and (lo2 - tol <= x2 <= hi2 + tol)
-        )
+        return bool((lo1 - 1e-12 <= x1 <= hi1 + 1e-12) and (lo2 - 1e-12 <= x2 <= hi2 + 1e-12))
 
     def node_index(self, x1: float, x2: float) -> tuple[int, int]:
         """Indices of the node coinciding with ``(x1, x2)``.
@@ -126,9 +125,6 @@ class GridFunction:
         if vals.shape != X1.shape:  # scalar-only callable
             vals = np.vectorize(lambda a, b: float(f(a, b)))(X1, X2)
         return cls(grid, vals)
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
 
     @property
     def sup_norm(self) -> float:

@@ -216,17 +216,14 @@ def _offset_matrix(D: dict, n1: int, n2: int) -> csr_matrix:
     return csr_matrix((vals[gather], indices.copy(), indptr.copy()), shape=(m, m))
 
 
-def _combine_offsets(h1, h2, eps, uI, cxL, cxR, cxD, cyB1, cyT1, cyS1, cyB2, cyT2, cyS2, delta):
+def _combine_offsets(h1, h2, eps, uI, cxL, cxR, cxD, cyB1, cyT1, cyS1, cyB2, cyT2, cyS2):
     """Fold half-node stencil coefficients into per-offset row coefficients.
 
     x-half arrays have shape ``(n1-1, n2-2)``: ``[1:]`` is the half node on
     the + side of an interior node, ``[:-1]`` the - side.  y-half arrays
     have shape ``(n1-2, n2-1)``: ``[:, 1:]`` / ``[:, :-1]`` likewise.  The
     y-contributions enter once scaled by the transport factor ``uI`` (flux
-    F1) and once by ``eps`` (flux F2).  ``delta`` is added to the (0, 0)
-    offset unless it is None: the Jacobian passes the residual's explicit
-    ``u_ij`` factor, the lagged-coefficient operator of ``tests/reference.py``
-    passes None.
+    F1) and once by ``eps`` (flux F2).
     """
     xp = lambda a: a[1:, :]
     xm = lambda a: a[:-1, :]
@@ -263,8 +260,6 @@ def _combine_offsets(h1, h2, eps, uI, cxL, cxR, cxD, cyB1, cyT1, cyS1, cyB2, cyT
     D[(1, -1)] = -xp(cxD) / h1 - uI * ym(cyS1) / h2 - eps * ym(cyS2) / h2
     D[(-1, 1)] = -xm(cxD) / h1 - uI * yp(cyS1) / h2 - eps * yp(cyS2) / h2
     D[(-1, -1)] = xm(cxD) / h1 + uI * ym(cyS1) / h2 + eps * ym(cyS2) / h2
-    if delta is not None:
-        D[(0, 0)] = D[(0, 0)] + delta
     return D
 
 
@@ -304,9 +299,7 @@ def _jacobian_offsets(hd: _HalfData) -> dict:
     cyT2 = B12 * dp1T + B22 * (eps / h2)
     cyS2 = B12 / (4 * h1)
 
+    D = _combine_offsets(h1, h2, eps, uI, cxL, cxR, cxD, cyB1, cyT1, cyS1, cyB2, cyT2, cyS2)
     g1y = hd.p1_y / hd.W_y
-    delta = (g1y[:, 1:] - g1y[:, :-1]) / h2  # residual's explicit u_ij factor
-
-    return _combine_offsets(
-        h1, h2, eps, uI, cxL, cxR, cxD, cyB1, cyT1, cyS1, cyB2, cyT2, cyS2, delta=delta,
-    )
+    D[(0, 0)] = D[(0, 0)] + (g1y[:, 1:] - g1y[:, :-1]) / h2  # residual's explicit u_ij factor
+    return D

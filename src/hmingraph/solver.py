@@ -391,8 +391,6 @@ def m_bound(frame: Frame) -> float:
 class VanishingViscosityRun:
     """Solutions and uniform bounds along a decreasing eps schedule."""
 
-    grid: Grid
-    boundary: BoundaryData
     eps_values: list
     solutions: list
     reports: list
@@ -428,10 +426,8 @@ def continuation(
     repeated runs bit-identical.  A failed step raises
     :class:`ContinuationError` carrying the partial run.
     """
-    run = VanishingViscosityRun(
-        grid=grid, boundary=boundary, eps_values=[], solutions=[],
-        reports=[], lip_norms=[], m_bounds=[], sup_diffs=[],
-    )
+    run = VanishingViscosityRun(eps_values=[], solutions=[], reports=[], lip_norms=[],
+                                m_bounds=[], sup_diffs=[])
     guess = None
     lu_cache = LUCache()
     for eps in schedule.values():

@@ -283,5 +283,5 @@ def _lagged_offsets(hd: _HalfData) -> dict:
     cyB2 = -by * eps / h2
     return _combine_offsets(
         h1, h2, eps, hd.uI, -bx / h1, bx / h1, bx * hd.ubar_x / (4 * h2),
-        cyB1, -cyB1, by / (4 * h1), cyB2, -cyB2, np.zeros_like(by), delta=None,
+        cyB1, -cyB1, by / (4 * h1), cyB2, -cyB2, np.zeros_like(by),
     )

@@ -213,14 +213,6 @@ class TestCatalogEntries:
         assert ent["shear-zero"].C1_smooth and ent["shear-neg"].C1_smooth
         assert all(e.leafwise_affine for e in ent.values())
 
-    def test_domain_predicates(self):
-        ent = catalog()
-        assert ent["pauls"].domain(2.0, 0.0)
-        assert not ent["pauls"].domain(0.5, 0.0)
-        assert ent["shear-zero"].domain(0.5, 0.3)
-        assert not ent["shear-zero"].domain(0.0, 0.3)
-        assert ent["affine"].domain(-10.0, 10.0)
-
     def test_shear_entries_evaluate_on_grids(self):
         ent = catalog()["shear-neg"]
         g = Grid((0.0, 1.0), (0.0, 1.0), 9, 9)

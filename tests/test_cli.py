@@ -247,13 +247,24 @@ class TestCorruptedRunDirectory:
     def test_repeated_row_hiding_a_missing_node(self, fan_run_dir, tmp_path, capsys):
         run_dir = tmp_path / "run"
         shutil.copytree(fan_run_dir, run_dir)
-        path = run_dir / "solution_001.csv"
+        path = run_dir / "solution_002.csv"  # the final solution, the one diagnose reads
         lines = path.read_text().splitlines(keepends=True)
         lines[5] = lines[4]  # same row count, one node twice and one node never
         path.write_text("".join(lines))
         code, err = self.diagnose(run_dir, tmp_path, capsys)
         assert code == 1
         assert f"error: {path}: rows do not form a full lattice" in err
+        assert "Traceback" not in err
+
+    def test_final_solution_that_is_a_directory(self, fan_run_dir, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(fan_run_dir, run_dir)
+        path = run_dir / "solution_002.csv"
+        path.unlink()
+        path.mkdir()
+        code, err = self.diagnose(run_dir, tmp_path, capsys)
+        assert code == 1
+        assert err.startswith(f"error: {path}: unreadable"), err
         assert "Traceback" not in err
 
     def test_truncated_run_json(self, fan_run_dir, tmp_path, capsys):
@@ -264,6 +275,37 @@ class TestCorruptedRunDirectory:
         code, err = self.diagnose(run_dir, tmp_path, capsys)
         assert code == 1
         assert f"error: {path}: unreadable" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["diagnose", "foliate"])
+    @pytest.mark.parametrize("key, value", [
+        ("files", 5), ("eps_values", 5), ("eps_values", ["x"]),
+        ("lip_norms", []), ("lip_norms", [1.0, 1.0, -1.0]), ("lip_norms", [1.0, 1.0, "x"]),
+    ], ids=["files=5", "eps_values=5", "eps_values=[x]", "lip_norms=[]", "lip_norms<0",
+            "lip_norms=[..x]"])
+    def test_malformed_run_json_value(self, fan_run_dir, tmp_path, capsys, command, key, value):
+        run_dir = tmp_path / "run"
+        shutil.copytree(fan_run_dir, run_dir)
+        path = run_dir / "run.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        cfg = write_cfg(tmp_path / "c.json", {command: {"run_dir": str(run_dir)},
+                                              "output_dir": str(tmp_path / "out")})
+        assert main([command, cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and key in err, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("eps", ["x", [1]])
+    def test_malformed_report_json_eps(self, tmp_path, capsys, eps):
+        solved = tmp_path / "solved"
+        assert main(["solve", write_cfg(tmp_path / "s.json", solve_cfg(solved))]) == 0
+        path = solved / "report.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "eps": eps}))
+        cfg = write_cfg(tmp_path / "f.json", {"foliate": {"run_dir": str(solved)},
+                                              "output_dir": str(tmp_path / "fol")})
+        assert main(["foliate", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: eps: "), err
         assert "Traceback" not in err
 
     def test_report_json_without_eps(self, tmp_path, capsys):
@@ -351,6 +393,19 @@ class TestDiagnoseCommand:
         assert v["pass"] is True
         assert set(v["residuals"]) == {"v", "z"}
         assert v["x2u_sup"] < 0.01
+
+    def test_verdict_reads_only_run_json_and_the_final_solution(self, fan_run_dir, tmp_path):
+        run_dir = tmp_path / "run"  # one path for both runs: the provenance hashes the config
+        shutil.copytree(fan_run_dir, run_dir)
+        out = tmp_path / "diag"
+        cfg = write_cfg(tmp_path / "c.json", {"diagnose": {"run_dir": str(run_dir)},
+                                              "output_dir": str(out)})
+        assert main(["diagnose", cfg]) == 0
+        intact = (out / "verdict.json").read_bytes()
+        for name in ("solution_000.csv", "solution_001.csv", "ledger.json"):
+            (run_dir / name).unlink()
+        assert main(["diagnose", cfg]) == 0
+        assert (out / "verdict.json").read_bytes() == intact
 
     def test_unknown_budget_key_is_exit_1(self, fan_run_dir, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.json", {

@@ -442,7 +442,7 @@ class TestNormLedger:
 
 class TestVerdict:
     def test_exact_solution_passes_with_silent_monitors(self, affine_run):
-        v = verdict(affine_run)
+        v = verdict(affine_run.final, affine_run.final_eps, affine_run.lip_norms)
         assert v.passed
         assert v.x2u_sup == 0.0
         assert v.v_equation_residual == 0.0
@@ -450,14 +450,15 @@ class TestVerdict:
         assert v.lip_ratio == pytest.approx(1.0)
 
     def test_serialization_schema(self, affine_run):
-        d = verdict(affine_run).as_dict()
+        d = verdict(affine_run.final, affine_run.final_eps, affine_run.lip_norms).as_dict()
         assert set(d) == {"alpha_estimates", "x2u_sup", "residuals", "lip_ratio", "pass"}
         assert set(d["residuals"]) == {"v", "z"}
         assert set(d["alpha_estimates"][0]) == {"alpha", "seminorm", "pass"}
         assert d["pass"] is True
 
     def test_unmeetable_budget_fails_the_verdict(self, affine_run):
-        v = verdict(affine_run, DiagnosticsBudgets(residual_cap=-1.0))
+        v = verdict(affine_run.final, affine_run.final_eps, affine_run.lip_norms,
+                    DiagnosticsBudgets(residual_cap=-1.0))
         assert not v.passed
 
 
@@ -468,7 +469,8 @@ def test_ledger_and_verdict_measure_each_field_once(monkeypatch, affine_run):
     assert len(calls) == 2 * len(affine_run.solutions)
     assert all(alphas == diagnostics.DEFAULT_ALPHAS for _, alphas, _ in calls)
     calls.clear()
-    verdict(affine_run, DiagnosticsBudgets(alphas=(0.5, 0.3)))
+    verdict(affine_run.final, affine_run.final_eps, affine_run.lip_norms,
+            DiagnosticsBudgets(alphas=(0.5, 0.3)))
     assert [alphas for _, alphas, _ in calls] == [(0.5, 0.3)] * 2
 
 

@@ -76,8 +76,6 @@ def test_fit_of_affine_leaf_is_clean():
     leaf = fit_leaf(trace_leaf(u, (0.1, 0.0), (0.0, 0.8)))
     assert leaf.cubic_coefficient <= 1e-10
     assert leaf.gamma2_quad_rel_residual <= 1e-10
-    assert leaf.u_quad_rel_residual <= 1e-10
-    assert leaf.fit_center is not None
 
 
 def test_lie_derivatives_of_affine_leaf():
