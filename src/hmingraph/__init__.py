@@ -47,8 +47,6 @@ from .foliation import (
 )
 from .diagnostics import (
     DiagnosticsBudgets,
-    NormLedger,
-    NormLedgerRow,
     derivative_equation_residuals,
     holder_exponent_estimate,
     holder_seminorm,

@@ -5,10 +5,13 @@ One declarative JSON config per run.  Subcommands: ``solve``, ``continuation``,
 (header row, ``%.17g`` — doubles round-trip losslessly) and JSON (sorted keys,
 no timestamps, config hash and package version stamped in), so identical
 configs produce byte-identical outputs.  Exit codes: 0 success, 1 config or
-missing-data error, 2 non-convergence (best iterate still written).
+missing-data error, 2 non-convergence: the best iterate is still written as
+``solution.csv`` and ``report.json`` (after the converged steps of a stalled
+continuation), and the reason goes to stderr once.
 
 The output directory comes from the config, overridden by ``HMINGRAPH_OUT``;
-a ``.lock`` file guards each directory against concurrent writers.
+a path that names a file, or lies under one, is exit 1.  A ``.lock`` file
+guards each directory against concurrent writers.
 """
 
 from __future__ import annotations
@@ -254,7 +257,10 @@ def _out_dir(cfg: dict) -> tuple[Path, list]:
         raise ConfigError("output_dir missing (set it in the config or via HMINGRAPH_OUT)")
     path = Path(d)
     made = [p for p in (path, *path.parents) if not p.exists()]
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # the path, or a parent of it, is a file, say
+        raise ConfigError(f"{path}: {e.strerror or e}") from e
     return path, made
 
 
@@ -434,17 +440,27 @@ def _load_state(run_dir: Path) -> tuple[GridFunction, float]:
 # ---------------------------------------------------------------------------
 
 
+def _write_solve(out: Path, prov: dict, eps: float, sol: GridFunction, report) -> None:
+    """A solve's ``solution.csv`` and its ``report.json`` at ``eps``."""
+    _write_csv(out / "solution.csv", ["x1", "x2", "u"], _solution_rows(sol))
+    _write_json(out / "report.json", {**prov, "eps": eps, **_report_dict(report)})
+
+
+def _stalled(out: Path, prov: dict, eps: float, failure: NonConvergenceError) -> int:
+    """Exit code 2: write the failed solve's best iterate at ``eps``; say why on stderr."""
+    _write_solve(out, prov, eps, failure.best, failure.report)
+    print(failure, file=sys.stderr)
+    return 2
+
+
 def cmd_solve(c: dict, out: Path, prov: dict) -> int:
     boundary = _boundary_from(c["boundary"], c["grid"])
-    code = 0
     try:
         sol, report = solve_eps(c["grid"], boundary, c["eps"], c.get("solver", SolverConfig()))
     except NonConvergenceError as e:
-        sol, report = e.best, e.report
-        code = 2
-    _write_csv(out / "solution.csv", ["x1", "x2", "u"], _solution_rows(sol))
-    _write_json(out / "report.json", {**prov, "eps": c["eps"], **_report_dict(report)})
-    return code
+        return _stalled(out, prov, c["eps"], e)
+    _write_solve(out, prov, c["eps"], sol, report)
+    return 0
 
 
 def _write_run(prov: dict, out: Path, run: VanishingViscosityRun) -> None:
@@ -462,18 +478,16 @@ def _write_run(prov: dict, out: Path, run: VanishingViscosityRun) -> None:
         "files": files,
     })
     if run.solutions:
-        ledger = norm_ledger(run)
-        _write_json(out / "ledger.json", {**prov, **ledger.as_dict()})
+        _write_json(out / "ledger.json", {**prov, **norm_ledger(run)})
 
 
 def cmd_continuation(c: dict, out: Path, prov: dict) -> int:
     boundary = _boundary_from(c["boundary"], c["grid"])
     try:
         run = continuation(c["grid"], boundary, c["schedule"], c.get("solver", SolverConfig()))
-    except ContinuationError as e:
+    except ContinuationError as e:  # the converged prefix, then the stalled step
         _write_run(prov, out, e.partial_run)
-        print(f"continuation stalled at eps={e.eps:g}: {e}", file=sys.stderr)
-        return 2
+        return _stalled(out, prov, e.eps, e)
     _write_run(prov, out, run)
     return 0
 
@@ -511,7 +525,7 @@ def cmd_diagnose(c: dict, out: Path, prov: dict) -> int:
     budgets = sec.get("budgets", DiagnosticsBudgets())
     _measurable(final.grid, "diagnose.budgets.window", budgets.window)
     vd = verdict(final, eps, lip_norms, budgets)
-    _write_json(out / "verdict.json", {**prov, **vd.as_dict()})
+    _write_json(out / "verdict.json", {**prov, **vd})
     return 0
 
 

@@ -3,8 +3,8 @@
 Everything here is read-only over solved states: iterated graph-direction
 derivatives, Holder seminorms on explicit separation windows, scaled Sobolev
 norms built from derivative strings of the frame fields, residuals of the two
-equations satisfied by derivatives of a solution, and a verdict object that
-bundles the checks against configured budgets.
+equations satisfied by derivatives of a solution, and the ``ledger.json`` and
+``verdict.json`` objects, plain dicts, that collect them per run.
 
 Interior bookkeeping: each derivative order is reliable one stencil width
 further from the boundary, so measurement routines take an explicit margin
@@ -34,11 +34,8 @@ __all__ = [
     "holder_window",
     "sobolev_norm_eps",
     "derivative_equation_residuals",
-    "NormLedger",
-    "NormLedgerRow",
     "norm_ledger",
     "DiagnosticsBudgets",
-    "RegularityVerdict",
     "verdict",
 ]
 
@@ -227,41 +224,6 @@ def derivative_equation_residuals(frame: Frame, margin: int = 3) -> tuple[float,
     return v_res, z_res
 
 
-@dataclass(frozen=True)
-class NormLedgerRow:
-    eps: float
-    M: float
-    norms: dict
-    holder: tuple  # pairs (alpha, seminorm)
-
-    def as_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "M": self.M,
-            "norms": dict(self.norms),
-            "holder": [{"alpha": a, "seminorm": s} for a, s in self.holder],
-        }
-
-
-@dataclass
-class NormLedger:
-    """Per-epsilon norm rows, strictly decreasing in epsilon."""
-
-    rows: list
-
-    def __post_init__(self):
-        eps = [r.eps for r in self.rows]
-        if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
-            raise ValueError("ledger rows must have strictly decreasing eps")
-        for r in self.rows:
-            entries = [r.eps, r.M, *r.norms.values(), *(s for _, s in r.holder)]
-            if not all(np.isfinite(x) and x >= 0 for x in entries):
-                raise ValueError("ledger entries must be finite and non-negative")
-
-    def as_dict(self) -> dict:
-        return {"rows": [r.as_dict() for r in self.rows]}
-
-
 DEFAULT_ALPHAS = (0.25, 0.5, 0.75, 0.9)
 
 
@@ -297,14 +259,17 @@ def _gradient_seminorms(frame: Frame, alphas: tuple, window: tuple[float, float]
                      holder_seminorm(apply_x2(frame, frame.u), alphas, window)))
 
 
-def norm_ledger(run: VanishingViscosityRun) -> NormLedger:
-    """Assemble the per-epsilon norm rows monitored along a continuation run.
+def norm_ledger(run: VanishingViscosityRun) -> dict:
+    """The ``ledger.json`` object: ``{"rows": [...]}``, one row per epsilon of a run.
 
     Each row records the coarse size bound M from ``run.m_bounds`` (one per
     solution, else a ValueError), the order-2 scaled Sobolev norm of u, the
     order-1 norm of its vertical derivative, and Holder seminorms of both
-    gradient components at ``DEFAULT_ALPHAS`` on the default window.
+    gradient components at ``DEFAULT_ALPHAS`` on the default window.  Eps must
+    decrease strictly and each entry be finite and non-negative, else a ValueError.
     """
+    if any(e2 >= e1 for e1, e2 in zip(run.eps_values, run.eps_values[1:])):
+        raise ValueError("ledger rows must have strictly decreasing eps")
     rows = []
     for eps, sol, m in zip(run.eps_values, run.solutions, run.m_bounds, strict=True):
         frame = Frame(sol, eps)
@@ -313,10 +278,13 @@ def norm_ledger(run: VanishingViscosityRun) -> NormLedger:
             "u_W22_eps": sobolev_norm_eps(frame, 2, 2),
             "d2u_W12_eps": sobolev_norm_eps(frame, 1, 2, of=GridFunction(grid, sol.d2())),
         }
-        hold = tuple(zip(DEFAULT_ALPHAS,
-                         _gradient_seminorms(frame, DEFAULT_ALPHAS, default_window(grid))))
-        rows.append(NormLedgerRow(eps=eps, M=m, norms=norms, holder=hold))
-    return NormLedger(rows)
+        seminorms = _gradient_seminorms(frame, DEFAULT_ALPHAS, default_window(grid))
+        if not all(np.isfinite(x) and x >= 0 for x in (eps, m, *norms.values(), *seminorms)):
+            raise ValueError("ledger entries must be finite and non-negative")
+        rows.append({"eps": eps, "M": m, "norms": norms,
+                     "holder": [{"alpha": a, "seminorm": s}
+                                for a, s in zip(DEFAULT_ALPHAS, seminorms)]})
+    return {"rows": rows}
 
 
 @dataclass(frozen=True)
@@ -341,53 +309,23 @@ class DiagnosticsBudgets:
             raise ValueError(f"margin_fraction: must be below 0.5, got {self.margin_fraction}")
 
 
-@dataclass(frozen=True)
-class RegularityVerdict:
-    """Bundled regularity checks for a completed continuation run."""
-
-    alpha_estimates: tuple  # triples (alpha, seminorm, passed)
-    x2u_sup: float
-    v_equation_residual: float
-    z_equation_residual: float
-    lip_ratio: float
-    budgets: DiagnosticsBudgets
-
-    @property
-    def passed(self) -> bool:
-        b = self.budgets
-        return (
-            all(p for _, _, p in self.alpha_estimates)
-            and self.x2u_sup <= b.x2u_cap
-            and self.v_equation_residual <= b.residual_cap
-            and self.z_equation_residual <= b.residual_cap
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "alpha_estimates": [
-                {"alpha": a, "seminorm": s, "pass": bool(p)} for a, s, p in self.alpha_estimates
-            ],
-            "x2u_sup": self.x2u_sup,
-            "residuals": {"v": self.v_equation_residual, "z": self.z_equation_residual},
-            "lip_ratio": self.lip_ratio,
-            "pass": self.passed,
-        }
-
-
 def verdict(final: GridFunction, eps: float, lip_norms: list,
-            budgets: DiagnosticsBudgets = DiagnosticsBudgets()) -> RegularityVerdict:
-    """Evaluate a run's final state, ``final`` at ``eps``, against the budgets.
+            budgets: DiagnosticsBudgets = DiagnosticsBudgets()) -> dict:
+    """The ``verdict.json`` object: a run's final state, ``final`` at ``eps``,
+    checked against the budgets.
 
     The second graph-direction derivative is measured on a compact interior
     window (a fixed fraction of the domain trimmed on each side) at the final
     epsilon, alongside Holder seminorms of the gradient components and the
     derivative-equation defects.  ``lip_ratio`` is max/min of the run's
-    recorded Lipschitz norms, inf when the smallest is 0.
+    recorded Lipschitz norms, inf when the smallest is 0.  ``pass`` needs
+    every seminorm, ``x2u_sup`` and both residuals within their caps.
     """
     frame = Frame(final, eps)
     grid = final.grid
     seminorms = _gradient_seminorms(frame, budgets.alphas, holder_window(grid, budgets.window))
-    alpha_rows = [(a, s, s <= budgets.holder_cap) for a, s in zip(budgets.alphas, seminorms)]
+    alpha_rows = [{"alpha": a, "seminorm": s, "pass": s <= budgets.holder_cap}
+                  for a, s in zip(budgets.alphas, seminorms)]
 
     margin = max(3, int(round(budgets.margin_fraction * (min(grid.n1, grid.n2) - 1))))
     x2u = intrinsic_derivative(final, 2)
@@ -395,11 +333,11 @@ def verdict(final: GridFunction, eps: float, lip_norms: list,
 
     v_res, z_res = derivative_equation_residuals(frame)
     lip_ratio = float(max(lip_norms) / min(lip_norms)) if min(lip_norms) > 0 else float("inf")
-    return RegularityVerdict(
-        alpha_estimates=tuple(alpha_rows),
-        x2u_sup=x2u_sup,
-        v_equation_residual=v_res,
-        z_equation_residual=z_res,
-        lip_ratio=lip_ratio,
-        budgets=budgets,
-    )
+    return {
+        "alpha_estimates": alpha_rows,
+        "x2u_sup": x2u_sup,
+        "residuals": {"v": v_res, "z": z_res},
+        "lip_ratio": lip_ratio,
+        "pass": (all(r["pass"] for r in alpha_rows) and x2u_sup <= budgets.x2u_cap
+                 and v_res <= budgets.residual_cap and z_res <= budgets.residual_cap),
+    }

@@ -123,14 +123,15 @@ class NonConvergenceError(RuntimeError):
         self.report = report
 
 
-class ContinuationError(RuntimeError):
-    """A continuation step failed; carries the partial run and failing eps."""
+class ContinuationError(NonConvergenceError):
+    """A continuation step failed; adds its eps and the run before it to the solve's failure."""
 
-    def __init__(self, message: str, partial_run: "VanishingViscosityRun", eps: float, best: GridFunction):
-        super().__init__(message)
-        self.partial_run = partial_run
+    def __init__(self, failure: NonConvergenceError, eps: float,
+                 partial_run: "VanishingViscosityRun"):
+        super().__init__(f"continuation stalled at eps={eps:g}: {failure}", failure.best,
+                         failure.report)
         self.eps = eps
-        self.best = best
+        self.partial_run = partial_run
 
 
 def transfinite_interpolation(boundary: BoundaryData) -> GridFunction:
@@ -435,9 +436,7 @@ def continuation(
             sol, report = solve_eps(grid, boundary, eps, config, initial_guess=guess,
                                     lu_cache=lu_cache)
         except NonConvergenceError as exc:
-            raise ContinuationError(
-                f"continuation stalled at eps={eps}: {exc}", run, eps, exc.best
-            ) from exc
+            raise ContinuationError(exc, eps, run) from exc
         if run.solutions:
             run.sup_diffs.append(float(np.max(np.abs(sol.values - run.solutions[-1].values))))
         run.eps_values.append(eps)

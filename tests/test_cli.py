@@ -88,7 +88,7 @@ class TestSolve:
         x1, x2, u = load_u_column(out / "solution.csv")
         assert np.max(np.abs(u - (2 * x1 - 1))) <= 1e-12
 
-    def test_nonconvergence_exits_2_and_keeps_the_best_iterate(self, tmp_path):
+    def test_nonconvergence_exits_2_and_keeps_the_best_iterate(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = {
             "grid": {"x1": [0, 1], "x2": [1, 2], "n1": 33, "n2": 33},
@@ -102,6 +102,8 @@ class TestSolve:
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is False
         assert report["iterations"] >= 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("no convergence at eps=0.001: best residual")
 
     def test_missing_eps_is_a_config_error(self, tmp_path, capsys):
         cfg = solve_cfg(tmp_path / "out")
@@ -141,6 +143,23 @@ class TestConfigHandling:
         del cfg["output_dir"]
         assert main(["solve", write_cfg(tmp_path / "c.json", cfg)]) == 1
         assert "HMINGRAPH_OUT" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via_env", [False, True])
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_output_path_on_a_file_is_exit_1(self, tmp_path, capsys, monkeypatch, via_env, under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        target = blocker / under if under else blocker
+        cfg = solve_cfg(tmp_path / "ignored" if via_env else target)
+        if via_env:
+            monkeypatch.setenv("HMINGRAPH_OUT", str(target))
+        else:
+            monkeypatch.delenv("HMINGRAPH_OUT", raising=False)
+        assert main(["solve", write_cfg(tmp_path / "c.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {target}: ") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "taken"]
+        assert blocker.read_text() == "not a directory\n"
 
     def test_env_override_redirects_output(self, tmp_path, monkeypatch):
         other = tmp_path / "redirected"
@@ -340,6 +359,25 @@ class TestContinuationCommand:
         assert main(["continuation", write_cfg(tmp_path / "c.json", cfg)]) == 1
         assert "eps_stop" in capsys.readouterr().err
         assert not (out / "run.json").exists()
+
+    def test_stall_keeps_the_converged_prefix_and_the_best_iterate(self, tmp_path, capsys):
+        # the cap that just passes the cold start is one short for the second step
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path / "c.json", {
+            "grid": {"x1": [0, 1], "x2": [0, 1], "n1": 17, "n2": 17},
+            "boundary": {"expr": "2*sin(2*pi*x1)*x2 + 0.3*x2"},
+            "schedule": {"factor": 0.005, "eps_min": 1e-4},
+            "solver": {"max_newton_iter": 14},
+            "output_dir": str(out),
+        })
+        assert main(["continuation", cfg]) == 2
+        assert json.loads((out / "run.json").read_text())["eps_values"] == [1.0]
+        assert (out / "solution.csv").exists()
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is False
+        assert report["eps"] == 0.005
+        assert np.isfinite(report["final_residual"])
+        assert capsys.readouterr().err.count("continuation stalled at eps=") == 1
 
     def test_reruns_are_byte_identical(self, fan_run_dir, tmp_path, monkeypatch):
         other = tmp_path / "rerun"

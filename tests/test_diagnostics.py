@@ -1,6 +1,7 @@
 """Regularity monitors: graph-direction derivatives, seminorms, defects, verdicts."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -14,8 +15,6 @@ from hmingraph import (
     Frame,
     Grid,
     GridFunction,
-    NormLedger,
-    NormLedgerRow,
     apply_x1,
     continuation,
     derivative_equation_residuals,
@@ -403,63 +402,67 @@ def affine_run():
 class TestNormLedger:
     def test_rows_follow_the_schedule(self, affine_run):
         led = norm_ledger(affine_run)
-        assert [r.eps for r in led.rows] == [1.0, 0.5, 0.25]
-        for r in led.rows:
-            assert r.M == pytest.approx(1.25)
-            assert sorted(r.norms) == ["d2u_W12_eps", "u_W22_eps"]
-            assert [a for a, _ in r.holder] == [0.25, 0.5, 0.75, 0.9]
-            assert all(np.isfinite(s) for _, s in r.holder)
+        assert [r["eps"] for r in led["rows"]] == [1.0, 0.5, 0.25]
+        for r in led["rows"]:
+            assert r["M"] == pytest.approx(1.25)
+            assert sorted(r["norms"]) == ["d2u_W12_eps", "u_W22_eps"]
+            assert [h["alpha"] for h in r["holder"]] == [0.25, 0.5, 0.75, 0.9]
+            assert all(np.isfinite(h["seminorm"]) for h in r["holder"])
 
     def test_row_serialization_schema(self, affine_run):
-        d = norm_ledger(affine_run).as_dict()
+        d = norm_ledger(affine_run)
         assert set(d) == {"rows"}
         row = d["rows"][0]
         assert set(row) == {"eps", "M", "norms", "holder"}
         assert set(row["holder"][0]) == {"alpha", "seminorm"}
 
+    def test_ledger_is_its_json_artifact(self, affine_run):
+        d = norm_ledger(affine_run)
+        assert json.loads(json.dumps(d)) == d
+
     def test_M_is_read_from_the_run(self, affine_run):
         run = dataclasses.replace(affine_run, m_bounds=[3.0, 2.0, 1.0])
-        assert [r.M for r in norm_ledger(run).rows] == [3.0, 2.0, 1.0]
+        assert [r["M"] for r in norm_ledger(run)["rows"]] == [3.0, 2.0, 1.0]
 
     def test_rejects_a_run_whose_m_bounds_miss_a_step(self, affine_run):
         with pytest.raises(ValueError):
             norm_ledger(dataclasses.replace(affine_run, m_bounds=affine_run.m_bounds[:-1]))
 
-    def test_rejects_nondecreasing_eps(self):
-        r = NormLedgerRow(eps=0.5, M=1.0, norms={"n": 1.0}, holder=((0.5, 1.0),))
-        r2 = NormLedgerRow(eps=0.5, M=1.0, norms={"n": 1.0}, holder=((0.5, 1.0),))
+    def test_rejects_nondecreasing_eps(self, affine_run):
         with pytest.raises(ValueError, match="decreasing"):
-            NormLedger([r, r2])
+            norm_ledger(dataclasses.replace(affine_run, eps_values=[1.0, 0.5, 0.5]))
 
-    def test_rejects_nonfinite_entries(self):
-        r = NormLedgerRow(eps=1.0, M=np.nan, norms={"n": 1.0}, holder=())
+    def test_rejects_nonfinite_entries(self, affine_run):
         with pytest.raises(ValueError, match="finite"):
-            NormLedger([r])
-        r = NormLedgerRow(eps=1.0, M=1.0, norms={"n": -2.0}, holder=())
+            norm_ledger(dataclasses.replace(affine_run, m_bounds=[1.0, np.nan, 1.0]))
         with pytest.raises(ValueError, match="finite"):
-            NormLedger([r])
+            norm_ledger(dataclasses.replace(affine_run, m_bounds=[1.0, 1.0, -2.0]))
 
 
 class TestVerdict:
     def test_exact_solution_passes_with_silent_monitors(self, affine_run):
         v = verdict(affine_run.final, affine_run.final_eps, affine_run.lip_norms)
-        assert v.passed
-        assert v.x2u_sup == 0.0
-        assert v.v_equation_residual == 0.0
-        assert v.z_equation_residual <= 1e-11
-        assert v.lip_ratio == pytest.approx(1.0)
+        assert v["pass"]
+        assert v["x2u_sup"] == 0.0
+        assert v["residuals"]["v"] == 0.0
+        assert v["residuals"]["z"] <= 1e-11
+        assert v["lip_ratio"] == pytest.approx(1.0)
 
     def test_serialization_schema(self, affine_run):
-        d = verdict(affine_run.final, affine_run.final_eps, affine_run.lip_norms).as_dict()
+        d = verdict(affine_run.final, affine_run.final_eps, affine_run.lip_norms)
         assert set(d) == {"alpha_estimates", "x2u_sup", "residuals", "lip_ratio", "pass"}
         assert set(d["residuals"]) == {"v", "z"}
         assert set(d["alpha_estimates"][0]) == {"alpha", "seminorm", "pass"}
         assert d["pass"] is True
 
+    def test_verdict_is_its_json_artifact(self, affine_run):
+        d = verdict(affine_run.final, affine_run.final_eps, affine_run.lip_norms)
+        assert json.loads(json.dumps(d)) == d
+
     def test_unmeetable_budget_fails_the_verdict(self, affine_run):
         v = verdict(affine_run.final, affine_run.final_eps, affine_run.lip_norms,
                     DiagnosticsBudgets(residual_cap=-1.0))
-        assert not v.passed
+        assert not v["pass"]
 
 
 def test_ledger_and_verdict_measure_each_field_once(monkeypatch, affine_run):

@@ -284,7 +284,10 @@ def test_continuation_failure_keeps_partial_run():
     err = exc.value
     assert err.eps == pytest.approx(0.005)
     assert len(err.partial_run.solutions) == 1
-    assert f"{err.eps:g}" in str(err)
+    assert str(err).startswith(f"continuation stalled at eps={err.eps:g}: no convergence at eps=")
+    # the failed solve's best iterate and report ride along
+    assert isinstance(err, NonConvergenceError) and not err.report.converged
+    assert err.best.grid == g and np.isfinite(err.report.final_residual)
 
 
 def test_linear_residuals_are_recorded_per_newton_iteration():
