@@ -464,6 +464,13 @@ def cmd_solve(c: dict, out: Path, prov: dict) -> int:
 
 
 def _write_run(prov: dict, out: Path, run: VanishingViscosityRun) -> None:
+    """``run.json``, ``ledger.json`` and one CSV per solution; nothing for an empty run.
+
+    A continuation that stalls at its first eps leaves only the stalled
+    step's ``solution.csv`` and ``report.json``, which read back as a solve.
+    """
+    if not run.solutions:
+        return
     files = []
     for k, sol in enumerate(run.solutions):
         name = f"solution_{k:03d}.csv"
@@ -477,8 +484,7 @@ def _write_run(prov: dict, out: Path, run: VanishingViscosityRun) -> None:
         "sup_diffs": list(run.sup_diffs),
         "files": files,
     })
-    if run.solutions:
-        _write_json(out / "ledger.json", {**prov, **norm_ledger(run)})
+    _write_json(out / "ledger.json", {**prov, **norm_ledger(run)})
 
 
 def cmd_continuation(c: dict, out: Path, prov: dict) -> int:

@@ -28,7 +28,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .geometry import Frame, apply_x1, apply_x2
 from .grid import GridFunction
@@ -201,15 +200,19 @@ def _offset_pattern(n1: int, n2: int):
     return pattern
 
 
-def _offset_matrix(D: dict, n1: int, n2: int) -> csr_matrix:
+def _offset_matrix(D: dict, n1: int, n2: int) -> "csr_matrix":
     """Assemble 9-offset coefficient arrays into the interior-block matrix.
 
     ``D[(di, dj)]`` holds, for every interior node, the row coefficient of
     the neighbor at that offset.  Only the values are gathered per call; the
     structure comes from :func:`_offset_pattern`, and the matrix gets its
     own copy of it, so in-place sparse operations on it cannot reach the
-    cache.
+    cache.  This is the one place a sparse matrix is built, so
+    ``scipy.sparse`` is imported here: a process loads scipy only when
+    ``solve`` or ``continuation`` factors a Jacobian.
     """
+    from scipy.sparse import csr_matrix
+
     gather, indices, indptr = _offset_pattern(n1, n2)
     vals = np.concatenate([D[off].ravel() for off in _OFFSETS])
     m = (n1 - 2) * (n2 - 2)
@@ -263,7 +266,7 @@ def _combine_offsets(h1, h2, eps, uI, cxL, cxR, cxD, cyB1, cyT1, cyS1, cyB2, cyT
     return D
 
 
-def jacobian_assemble(frame: Frame) -> csr_matrix:
+def jacobian_assemble(frame: Frame) -> "csr_matrix":
     """Exact Jacobian of :func:`residual_div` in the interior node values.
 
     Rows touch at most the 9-point neighborhood of their node.  The

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .geometry import Frame, apply_x1, apply_x2
 from .grid import Grid, GridFunction
@@ -223,7 +222,9 @@ def spsolve(A, b: np.ndarray, cache: LUCache, rtol: float):
     explicit residual ``|A x - b|`` is at most ``rtol |b|``.  Otherwise A
     is factored afresh by SuperLU and solved directly (0 iterations), and
     the new LU replaces the cached one.  The stale LU is dropped before
-    the factorization, so at most one LU is alive at a time.
+    the factorization, so at most one LU is alive at a time.  SuperLU is
+    imported on that branch only, so scipy loads when ``solve`` or
+    ``continuation`` factors its first Jacobian and never at import.
     """
     if cache.lu is not None and cache.lu.shape == A.shape:
         target = rtol * np.linalg.norm(b)
@@ -231,6 +232,8 @@ def spsolve(A, b: np.ndarray, cache: LUCache, rtol: float):
         if x is not None and np.linalg.norm(A @ x - b) <= target:
             return x, its
         cache.lu = None
+    from scipy.sparse.linalg import splu
+
     lu = splu(A, permc_spec=_PERMC_SPEC)
     cache.lu = lu
     cache.factorizations += 1

@@ -379,6 +379,25 @@ class TestContinuationCommand:
         assert np.isfinite(report["final_residual"])
         assert capsys.readouterr().err.count("continuation stalled at eps=") == 1
 
+    def test_stall_at_the_first_eps_reads_back_as_a_solve(self, tmp_path, capsys):
+        # no converged prefix: no run.json or ledger.json, only the stalled step
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path / "c.json", {
+            "grid": {"x1": [0, 1], "x2": [0, 1], "n1": 17, "n2": 17},
+            "boundary": {"expr": "2*sin(2*pi*x1)*x2 + 0.3*x2"},
+            "schedule": {"eps_start": 0.001},
+            "solver": {"max_newton_iter": 1},
+            "output_dir": str(out),
+        })
+        assert main(["continuation", cfg]) == 2
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "solution.csv"]
+        assert json.loads((out / "report.json").read_text())["eps"] == 0.001
+        assert capsys.readouterr().err.count("continuation stalled at eps=0.001") == 1
+        fol = write_cfg(tmp_path / "f.json", {"foliate": {"run_dir": str(out)},
+                                              "output_dir": str(tmp_path / "fol")})
+        assert main(["foliate", fol]) == 0
+        assert (tmp_path / "fol" / "leaves.json").exists()
+
     def test_reruns_are_byte_identical(self, fan_run_dir, tmp_path, monkeypatch):
         other = tmp_path / "rerun"
         monkeypatch.setenv("HMINGRAPH_OUT", str(other))
@@ -644,13 +663,46 @@ def test_installed_entry_point_smoke(tmp_path):
     assert (out / "report.json").exists()
 
 
-def test_cli_import_loads_neither_scipy_optimize_nor_scipy_spatial():
-    # every CLI process pays its imports; scipy supplies sparse matrices and
-    # SuperLU only
+def scipy_modules_after(code, *args):
+    """The sorted names of the scipy modules loaded once ``code`` has run in a
+    fresh interpreter (``sys.argv[1:]`` is ``args``), and its printed output."""
     src = str(Path(hmingraph.__file__).resolve().parents[1])
-    code = ("import sys, hmingraph.cli; "
-            "print([m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules])")
+    code += ("\nimport sys\n"
+             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    *printed, last = proc.stdout.split("\n")[:-1]
+    return last.split(), printed
+
+
+def test_cli_import_loads_neither_scipy_optimize_nor_scipy_spatial():
+    # every CLI process pays its imports; scipy (sparse matrices and SuperLU
+    # only) loads where a Jacobian is factored, never at import
+    loaded, _ = scipy_modules_after("import hmingraph.cli")
+    assert not {"scipy.optimize", "scipy.spatial"} & set(loaded)
+    assert loaded == []
+
+
+@pytest.mark.parametrize("command", ["solve", "foliate", "diagnose", "distance", "example"])
+def test_scipy_loads_only_where_a_jacobian_is_factored(fan_run_dir, tmp_path, command):
+    sections = {
+        # a non-affine boundary, so Newton has a Jacobian to factor
+        "solve": solve_cfg(tmp_path / "out", boundary={"expr": "x2 / (x1 + 2)"}),
+        "foliate": {"foliate": {"run_dir": str(fan_run_dir)}},
+        "diagnose": {"diagnose": {"run_dir": str(fan_run_dir)}},
+        "distance": {"distance": {"run_dir": str(fan_run_dir), "x0": [0.5, 1.5],
+                                  "n_points": 4, "mesh": 0.04, "box": [0.2, 0.2, 0.2],
+                                  "seed": 0}},
+        "example": {"example": {"name": "pauls"},
+                    "grid": {"x1": [2, 4], "x2": [0.2, 1.2], "n1": 17, "n2": 17}},
+    }
+    cfg = write_cfg(tmp_path / "c.json", {**sections[command], "output_dir": str(tmp_path / "out")})
+    code = "import sys\nfrom hmingraph.cli import main\nprint(main(sys.argv[1:]))"
+    loaded, printed = scipy_modules_after(code, command, cfg)
+    assert printed[-1] == "0"
+    if command == "solve":
+        assert "scipy.sparse.linalg" in loaded
+    else:
+        assert loaded == []
