@@ -9,10 +9,11 @@ does not buy first-order smoothness.  Shear graphs solve ``x2 = x1*t - g(t)``
 for ``t`` pointwise, recovering both previous families for affine or
 absolute-value ``g``.
 
-Entries carry flags used by tests and the CLI: ``minimal_H0`` (stationarity
-of the limit functional), ``vanishing_viscosity_candidate`` (plausible limit
-of the regularized solves), ``C1_smooth``, and ``leafwise_affine`` (the
-restriction of u to each leaf of its own direction field is affine).
+Each entry's ``flags`` is the ``flags`` object of ``example.json``:
+``minimal_H0`` (stationarity of the limit functional),
+``vanishing_viscosity_candidate`` (plausible limit of the regularized
+solves), ``C1_smooth``, and ``leafwise_affine`` (the restriction of u to each
+leaf of its own direction field is affine).  Every entry builds its own dict.
 """
 
 from __future__ import annotations
@@ -49,10 +50,7 @@ class ShearRootError(ValueError):
 class CatalogEntry:
     name: str
     eval: Callable
-    minimal_H0: bool
-    vanishing_viscosity_candidate: bool
-    C1_smooth: bool
-    leafwise_affine: bool
+    flags: dict
 
 
 def pauls_graph(x1, x2):
@@ -66,15 +64,17 @@ def pauls_graph(x1, x2):
     return float(out) if out.ndim == 0 else out
 
 
+# the flags of a smooth vanishing-viscosity limit; each entry copies them
+_SMOOTH_FLAGS = {"minimal_H0": True, "vanishing_viscosity_candidate": True,
+                 "C1_smooth": True, "leafwise_affine": True}
+
+
 def affine_graph(a: float, c: float) -> CatalogEntry:
     """Exact solution family ``u = a*x1 + c`` (any epsilon, any rectangle)."""
     return CatalogEntry(
         name=f"affine(a={a:g}, c={c:g})",
         eval=lambda x1, x2: a * np.asarray(x1, dtype=float) + c + 0.0 * np.asarray(x2, dtype=float),
-        minimal_H0=True,
-        vanishing_viscosity_candidate=True,
-        C1_smooth=True,
-        leafwise_affine=True,
+        flags=dict(_SMOOTH_FLAGS),
     )
 
 
@@ -197,17 +197,19 @@ def shear_graph(g: Callable, x1: float, x2: float) -> float:
 def shear_entry(g: Callable, name: str, **flags) -> CatalogEntry:
     """Wrap a shear profile ``g`` as a grid-evaluable catalog entry.
 
+    Its flags are those of a smooth limit, overridden by ``flags``; a key
+    that is not one of the four flags is a TypeError.
+
     ``g`` must act elementwise on a NumPy array, as :func:`shear_graph`
     requires; the entry still solves one node at a time.
     """
+    if not flags.keys() <= _SMOOTH_FLAGS.keys():
+        raise TypeError(f"unknown catalog flags {sorted(flags.keys() - _SMOOTH_FLAGS.keys())}")
     ev = np.vectorize(lambda a, b: shear_graph(g, a, b), otypes=[float])
-    defaults = dict(minimal_H0=True, vanishing_viscosity_candidate=True,
-                    C1_smooth=True, leafwise_affine=True)
-    defaults.update(flags)
     return CatalogEntry(
         name=name,
         eval=lambda x1, x2: ev(x1, x2) if np.ndim(x1) or np.ndim(x2) else float(ev(x1, x2)),
-        **defaults,
+        flags={**_SMOOTH_FLAGS, **flags},
     )
 
 
@@ -215,10 +217,8 @@ def _pauls_entry() -> CatalogEntry:
     return CatalogEntry(
         name="pauls",
         eval=pauls_graph,
-        minimal_H0=True,
-        vanishing_viscosity_candidate=False,
-        C1_smooth=False,
-        leafwise_affine=True,
+        flags={"minimal_H0": True, "vanishing_viscosity_candidate": False,
+               "C1_smooth": False, "leafwise_affine": True},
     )
 
 

@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -440,6 +441,20 @@ def _load_state(run_dir: Path) -> tuple[GridFunction, float]:
 # ---------------------------------------------------------------------------
 
 
+# The state files of solve and continuation, and of foliate.  A command
+# removes its kind's files just before it writes, so that a reused directory
+# holds one run's state; the files of other commands stay.
+_RUN_STATE = re.compile(r"solution(_\d{3,})?\.csv|(report|run|ledger)\.json")
+_LEAF_STATE = re.compile(r"leaf_\d{3,}\.csv|leaves\.json")
+
+
+def _clear(out: Path, state: re.Pattern) -> None:
+    """Remove the files in ``out`` whose names ``state`` matches."""
+    for path in out.iterdir():
+        if state.fullmatch(path.name):
+            path.unlink()
+
+
 def _write_solve(out: Path, prov: dict, eps: float, sol: GridFunction, report) -> None:
     """A solve's ``solution.csv`` and its ``report.json`` at ``eps``."""
     _write_csv(out / "solution.csv", ["x1", "x2", "u"], _solution_rows(sol))
@@ -458,17 +473,21 @@ def cmd_solve(c: dict, out: Path, prov: dict) -> int:
     try:
         sol, report = solve_eps(c["grid"], boundary, c["eps"], c.get("solver", SolverConfig()))
     except NonConvergenceError as e:
+        _clear(out, _RUN_STATE)
         return _stalled(out, prov, c["eps"], e)
+    _clear(out, _RUN_STATE)
     _write_solve(out, prov, c["eps"], sol, report)
     return 0
 
 
 def _write_run(prov: dict, out: Path, run: VanishingViscosityRun) -> None:
-    """``run.json``, ``ledger.json`` and one CSV per solution; nothing for an empty run.
+    """``run.json``, ``ledger.json`` and one CSV per solution, in place of the
+    earlier run state in ``out``; nothing for an empty run.
 
     A continuation that stalls at its first eps leaves only the stalled
     step's ``solution.csv`` and ``report.json``, which read back as a solve.
     """
+    _clear(out, _RUN_STATE)
     if not run.solutions:
         return
     files = []
@@ -503,18 +522,14 @@ def cmd_foliate(c: dict, out: Path, prov: dict) -> int:
     sol, _eps = _load_state(sec["run_dir"])
     spacing = sec.get("seed_spacing", 2 * max(sol.grid.h1, sol.grid.h2))
     leaves = foliation_cover(sol, spacing)
+    _clear(out, _LEAF_STATE)
     summary = []
     for k, leaf in enumerate(leaves):
         name = f"leaf_{k:03d}.csv"
         _write_csv(out / name, ["t", "x1", "x2", "u", "first", "second"], leaf_table(leaf))
         row = {"file": name, "seed": list(leaf.start), "samples": len(leaf)}
         if len(leaf) >= 8:
-            fitted = fit_leaf(leaf)
-            row.update({
-                "c3": fitted.cubic_coefficient,
-                "gamma2_quad_rel_residual": fitted.gamma2_quad_rel_residual,
-                "u_quad_coefficient": abs(float(fitted.u_fit[2])),
-            })
+            row.update(fit_leaf(leaf))
         summary.append(row)
     _write_json(out / "leaves.json", {
         **prov,
@@ -545,16 +560,7 @@ def cmd_example(c: dict, out: Path, prov: dict) -> int:
         raise ConfigError(f"example {entry.name!r} undefined on this grid: {e}") from e
     _write_csv(out / "example.csv", ["x1", "x2", "u"],
                _solution_rows(GridFunction(grid, vals)))
-    _write_json(out / "example.json", {
-        **prov,
-        "name": entry.name,
-        "flags": {
-            "minimal_H0": entry.minimal_H0,
-            "vanishing_viscosity_candidate": entry.vanishing_viscosity_candidate,
-            "C1_smooth": entry.C1_smooth,
-            "leafwise_affine": entry.leafwise_affine,
-        },
-    })
+    _write_json(out / "example.json", {**prov, "name": entry.name, "flags": entry.flags})
     return 0
 
 

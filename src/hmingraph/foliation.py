@@ -21,7 +21,7 @@ Leaves are independent of one another; everything here is read-only in ``u``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,30 +44,19 @@ class LeafTraceError(ValueError):
 
 @dataclass
 class Leaf:
-    """Sampled integral curve of ``(1, u)`` with optional fit results.
+    """Sampled integral curve of ``(1, u)``.
 
-    ``points[:, 0]`` equals ``start[0] + t_samples`` exactly.  Fit fields are
-    ``None`` until :func:`fit_leaf` runs; polynomial coefficients are stored
-    ascending in ``t`` minus the midpoint of ``t_samples``' range.
+    ``points[:, 0]`` equals ``start[0] + t_samples`` exactly.  Its fit is
+    not stored: :func:`fit_leaf` returns it as the ``leaves.json`` object.
     """
 
     start: tuple[float, float]
     t_samples: np.ndarray
     points: np.ndarray
     u_values: np.ndarray
-    poly_fit: np.ndarray | None = None
-    u_fit: np.ndarray | None = None
-    gamma2_quad_rel_residual: float | None = None
 
     def __len__(self) -> int:
         return len(self.t_samples)
-
-    @property
-    def cubic_coefficient(self) -> float:
-        """|c3| of the centered cubic fit; zero for an exact degree-2 leaf."""
-        if self.poly_fit is None:
-            raise LeafTraceError("leaf has not been fitted")
-        return abs(float(self.poly_fit[3]))
 
 
 def _march(u: GridFunction, start: tuple[float, float], dt: float, t_max: float, sign: int):
@@ -140,12 +129,14 @@ def _rel_residual(y: np.ndarray, fit: np.ndarray) -> float:
     return float(np.sqrt(np.mean((y - fit) ** 2))) / spread
 
 
-def fit_leaf(leaf: Leaf) -> Leaf:
-    """Return a copy of ``leaf`` with centered polynomial fits attached.
+def fit_leaf(leaf: Leaf) -> dict:
+    """The leaf's fit part of a ``leaves.json`` row, from centered polynomial fits.
 
-    Cubic least squares on ``gamma2(t)`` (the |c3| gauge of departure from a
-    degree-two curve, plus the quadratic-only relative residual) and quadratic
-    least squares on ``u(gamma(t))``.
+    Least squares in ``t`` minus the midpoint of the leaf's time range:
+    ``c3`` is |c3| of the cubic fit to ``gamma2(t)`` (the gauge of departure
+    from a degree-two curve), ``gamma2_quad_rel_residual`` the relative
+    residual of the quadratic fit to it, and ``u_quad_coefficient`` the
+    |quadratic coefficient| of the quadratic fit to ``u(gamma(t))``.
     """
     n = len(leaf)
     if n < 8:
@@ -161,12 +152,11 @@ def fit_leaf(leaf: Leaf) -> Leaf:
     cubic = P.polyfit(s, y, 3)
     quad = P.polyfit(s, y, 2)
     u_quad = P.polyfit(s, leaf.u_values, 2)
-    return replace(
-        leaf,
-        poly_fit=cubic,
-        u_fit=u_quad,
-        gamma2_quad_rel_residual=_rel_residual(y, P.polyval(s, quad)),
-    )
+    return {
+        "c3": abs(float(cubic[3])),
+        "gamma2_quad_rel_residual": _rel_residual(y, P.polyval(s, quad)),
+        "u_quad_coefficient": abs(float(u_quad[2])),
+    }
 
 
 def _differences(leaf: Leaf) -> tuple[np.ndarray, np.ndarray]:

@@ -152,14 +152,14 @@ def test_05_leaves_straighten_along_the_vanishing_limit(conclude, bench129):
     med_c3 = []
     final = None
     for k, u in enumerate(run.solutions):
-        leaves = [fit_leaf(lf) for lf in foliation_cover(u, 0.1) if len(lf) >= 8]
-        med_c3.append(float(np.median([lf.cubic_coefficient for lf in leaves])))
+        fits = [fit_leaf(lf) for lf in foliation_cover(u, 0.1) if len(lf) >= 8]
+        med_c3.append(float(np.median([fit["c3"] for fit in fits])))
         if k == len(run.solutions) - 1:
-            final = leaves
+            final = fits
     t_fol = time.time() - t0
     mono = all(med_c3[k + 1] <= 1.1 * med_c3[k] for k in range(len(med_c3) - 1))
-    quad_res = max(lf.gamma2_quad_rel_residual for lf in final)
-    u_quad = max(abs(float(lf.u_fit[2])) for lf in final)
+    quad_res = max(fit["gamma2_quad_rel_residual"] for fit in final)
+    u_quad = max(fit["u_quad_coefficient"] for fit in final)
     cap = 1e-2 * run.final.lip_norm
     ok = (mono and quad_res <= 1e-3 and u_quad <= cap and t_run + t_fol < 120.0)
     conclude(5, ok, f"|c3| {med_c3[0]:.1e}->{med_c3[-1]:.1e} mono={mono}, "

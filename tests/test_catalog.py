@@ -21,7 +21,7 @@ from hmingraph import (
     residual_div,
     shear_graph,
 )
-from hmingraph.catalog import _brent_polish
+from hmingraph.catalog import _brent_polish, shear_entry
 
 
 class TestPaulsGraph:
@@ -205,13 +205,24 @@ class TestCatalogEntries:
         assert sorted(catalog()) == ["affine", "pauls", "shear-abs", "shear-neg", "shear-zero"]
 
     def test_flag_table(self):
-        ent = catalog()
-        assert ent["affine"].C1_smooth and ent["affine"].vanishing_viscosity_candidate
-        assert ent["pauls"].minimal_H0 and not ent["pauls"].C1_smooth
-        assert not ent["pauls"].vanishing_viscosity_candidate
-        assert not ent["shear-abs"].C1_smooth
-        assert ent["shear-zero"].C1_smooth and ent["shear-neg"].C1_smooth
-        assert all(e.leafwise_affine for e in ent.values())
+        flags = {name: e.flags for name, e in catalog().items()}
+        assert flags["affine"]["C1_smooth"] and flags["affine"]["vanishing_viscosity_candidate"]
+        assert flags["pauls"]["minimal_H0"] and not flags["pauls"]["C1_smooth"]
+        assert not flags["pauls"]["vanishing_viscosity_candidate"]
+        assert not flags["shear-abs"]["C1_smooth"]
+        assert flags["shear-zero"]["C1_smooth"] and flags["shear-neg"]["C1_smooth"]
+        assert all(f["leafwise_affine"] for f in flags.values())
+
+    def test_flags_are_four_booleans_in_a_dict_of_each_entrys_own(self):
+        entries = [*catalog().values(), make_entry("affine"), make_entry("affine")]
+        keys = {"minimal_H0", "vanishing_viscosity_candidate", "C1_smooth", "leafwise_affine"}
+        assert all(set(e.flags) == keys for e in entries)
+        assert all(type(v) is bool for e in entries for v in e.flags.values())
+        assert len({id(e.flags) for e in entries}) == len(entries)
+
+    def test_a_shear_entry_rejects_an_unknown_flag(self):
+        with pytest.raises(TypeError, match="C1smooth"):
+            shear_entry(lambda t: t, "typo", C1smooth=False)
 
     def test_shear_entries_evaluate_on_grids(self):
         ent = catalog()["shear-neg"]

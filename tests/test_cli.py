@@ -223,6 +223,47 @@ class TestBoundaryExpressions:
         assert main(["solve", write_cfg(tmp_path / "c.json", cfg)]) == 1
 
 
+class TestExitOneWritesNothing:
+    """A config or run-data error ends in exit 1 with its message on stderr,
+    and no output directory is left behind."""
+
+    @staticmethod
+    def exit_1(tmp_path, capsys, command, cfg, message):
+        assert main([command, write_cfg(tmp_path / "c.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_root_that_is_not_an_object(self, tmp_path, capsys):
+        self.exit_1(tmp_path, capsys, "solve", [], "c.json:1: config root must be an object")
+
+    @pytest.mark.parametrize("boundary, message", [
+        ({"expr": "x1 +"}, "boundary.expr: invalid syntax"),
+        ({"expr": "x1 * 'a'"}, "boundary.expr: only numeric literals allowed"),
+        ({}, "boundary.expr: required unless boundary.catalog is given"),
+        ({"catalog": "pauls"}, "boundary evaluation failed: the piecewise-rational graph needs x1 > 1"),
+    ], ids=["syntax", "string-literal", "empty", "outside-the-domain"])
+    def test_boundary(self, tmp_path, capsys, boundary, message):
+        self.exit_1(tmp_path, capsys, "solve", solve_cfg(tmp_path / "out", boundary=boundary),
+                    message)
+
+    def test_final_solution_with_four_columns(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "report.json").write_text('{"eps": 0.5}\n')
+        (run / "solution.csv").write_text("x1,x2,u,v\n0,0,0,0\n0,1,0,0\n1,0,0,0\n1,1,0,0\n")
+        self.exit_1(tmp_path, capsys, "foliate",
+                    {"foliate": {"run_dir": str(run)}, "output_dir": str(tmp_path / "out")},
+                    "solution.csv: expected columns x1,x2,u")
+
+    def test_min_separation_beyond_the_box(self, fan_run_dir, tmp_path, capsys):
+        self.exit_1(tmp_path, capsys, "distance", {
+            "distance": {"run_dir": str(fan_run_dir), "x0": [0.5, 1.5], "n_points": 1,
+                         "min_separation": 1.0},
+            "output_dir": str(tmp_path / "out"),
+        }, "distance: could not sample the requested number of points")
+
+
 def test_interrupted_write_keeps_the_previous_artifact(tmp_path):
     path = tmp_path / "solution_000.csv"
     _write_csv(path, ["x1", "x2", "u"], [(0.0, 1.0, 2.0)])
@@ -410,6 +451,78 @@ class TestContinuationCommand:
         assert main(["continuation", cfg]) == 0
         for name in ("run.json", "ledger.json", "solution_002.csv"):
             assert (other / name).read_bytes() == (fan_run_dir / name).read_bytes()
+
+
+class TestReusedOutputDirectory:
+    """A state-writing command leaves its directory holding this run's state
+    only; other commands' files stay, and an exit 1 changes nothing."""
+
+    DATA = {"grid": {"x1": [0, 1], "x2": [0, 1], "n1": 17, "n2": 17},
+            "boundary": {"expr": "2*sin(2*pi*x1)*x2 + 0.3*x2"}}
+    STALL = {"schedule": {"eps_start": 0.001}, "solver": {"max_newton_iter": 1}}
+
+    @staticmethod
+    def names(d):
+        return sorted(p.name for p in d.iterdir())
+
+    @staticmethod
+    def foliate(tmp_path, run_dir, out, **sec):
+        cfg = write_cfg(tmp_path / "f.json", {"foliate": {"run_dir": str(run_dir), **sec},
+                                              "output_dir": str(out)})
+        return main(["foliate", cfg])
+
+    def test_a_stalled_continuation_replaces_a_converged_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        first = write_cfg(tmp_path / "a.json", {
+            **self.DATA, "schedule": {"eps_start": 1.0, "factor": 0.5, "eps_min": 0.5},
+            "output_dir": str(out)})
+        assert main(["continuation", first]) == 0
+        assert self.foliate(tmp_path, out, out) == 0  # another command's files, beside the run
+        (out / "notes.txt").write_text("kept\n")
+        leaves = [n for n in self.names(out) if n.startswith(("leaf_", "leaves."))]
+
+        bad = write_cfg(tmp_path / "b.json", {**self.DATA, "boundary": {"expr": "x1 +"},
+                                              **self.STALL, "output_dir": str(out)})
+        before = {n: (out / n).read_bytes() for n in self.names(out)}
+        assert main(["continuation", bad]) == 1
+        assert {n: (out / n).read_bytes() for n in self.names(out)} == before
+
+        fresh = tmp_path / "fresh"
+        for d in (out, fresh):
+            cfg = write_cfg(tmp_path / "s.json", {**self.DATA, **self.STALL, "output_dir": str(d)})
+            assert main(["continuation", cfg]) == 2
+        assert self.names(out) == sorted(["notes.txt", "report.json", "solution.csv", *leaves])
+        # foliate reads the stalled best iterate, as from a directory of its own
+        got, want = tmp_path / "fol", tmp_path / "fol_fresh"
+        assert self.foliate(tmp_path, out, got) == 0
+        assert self.foliate(tmp_path, fresh, want) == 0
+        rows = json.loads((want / "leaves.json").read_text())["leaves"]
+        assert json.loads((got / "leaves.json").read_text())["leaves"] == rows
+        for row in rows:
+            assert (got / row["file"]).read_bytes() == (want / row["file"]).read_bytes()
+
+    def test_a_solve_replaces_a_continuation(self, tmp_path):
+        out = tmp_path / "out"
+        cont = solve_cfg(out, schedule={"eps_start": 1.0, "factor": 0.5, "eps_min": 0.5})
+        del cont["eps"]
+        assert main(["continuation", write_cfg(tmp_path / "c.json", cont)]) == 0
+        assert "run.json" in self.names(out)
+        assert main(["solve", write_cfg(tmp_path / "s.json", solve_cfg(out, eps=0.3))]) == 0
+        assert self.names(out) == ["report.json", "solution.csv"]
+        assert cli._load_state(out)[1] == 0.3
+
+    def test_a_foliate_rerun_with_fewer_leaves(self, fan_run_dir, tmp_path):
+        out = tmp_path / "fol"
+        out.mkdir()
+        (out / "verdict.json").write_text("{}\n")  # another command's artifact
+        assert self.foliate(tmp_path, fan_run_dir, out, seed_spacing=0.05) == 0
+        many = len(json.loads((out / "leaves.json").read_text())["leaves"])
+        assert self.foliate(tmp_path, tmp_path / "nope", out) == 1
+        assert len([n for n in self.names(out) if n.startswith("leaf_")]) == many
+        assert self.foliate(tmp_path, fan_run_dir, out, seed_spacing=0.2) == 0
+        files = [row["file"] for row in json.loads((out / "leaves.json").read_text())["leaves"]]
+        assert 0 < len(files) < many
+        assert self.names(out) == sorted(["leaves.json", "verdict.json", *files])
 
 
 class TestFoliateCommand:

@@ -51,11 +51,14 @@ def test_leafwise_constant_graph_traces_straight_lines():
     g = Grid((2.0, 4.0), (0.2, 1.2), 129, 129)
     X1, X2 = g.nodes()
     u = GridFunction(g, pauls_graph(X1, X2))
-    leaf = fit_leaf(trace_leaf(u, (2.5, 0.5), (0.0, 1.2)))
+    leaf = trace_leaf(u, (2.5, 0.5), (0.0, 1.2))
+    fit = fit_leaf(leaf)
     # bilinear interpolation of x2/x1 leaves ~1e-6 wiggle against slope 1/3
-    assert leaf.cubic_coefficient <= 1e-5
-    assert abs(leaf.poly_fit[2]) <= 1e-5  # straight, not merely quadratic
-    assert abs(leaf.u_fit[2]) <= 1e-5
+    assert fit["c3"] <= 1e-5
+    t = leaf.t_samples
+    cubic = np.polynomial.polynomial.polyfit(t - 0.5 * (t[0] + t[-1]), leaf.points[:, 1], 3)
+    assert abs(cubic[2]) <= 1e-5  # straight, not merely quadratic
+    assert fit["u_quad_coefficient"] <= 1e-5
     spread = np.max(leaf.u_values) - np.min(leaf.u_values)
     assert spread <= 1e-4
 
@@ -73,9 +76,10 @@ def test_integrator_is_fourth_order():
 
 def test_fit_of_affine_leaf_is_clean():
     u = field(lambda x, y: 0.5 * x + 0.1, rect=((0.0, 1.0), (-0.5, 1.0)))
-    leaf = fit_leaf(trace_leaf(u, (0.1, 0.0), (0.0, 0.8)))
-    assert leaf.cubic_coefficient <= 1e-10
-    assert leaf.gamma2_quad_rel_residual <= 1e-10
+    fit = fit_leaf(trace_leaf(u, (0.1, 0.0), (0.0, 0.8)))
+    assert sorted(fit) == ["c3", "gamma2_quad_rel_residual", "u_quad_coefficient"]
+    assert fit["c3"] <= 1e-10
+    assert fit["gamma2_quad_rel_residual"] <= 1e-10
 
 
 def test_lie_derivatives_of_affine_leaf():

@@ -331,6 +331,27 @@ def test_lattice_walker_monotone_under_mesh_halving():
     assert vals[0] >= vals[1] >= vals[2]
 
 
+FF_UNREACHABLE = FrozenFrame(x0=(0.5, 0.5), u0=0.3, x1u0=0.2, x2u0=0.05, epsilon=0.5)
+
+
+def test_a_point_outside_every_coarsening_is_named():
+    with pytest.raises(UnreachableError,
+                       match=r"point \(0\.9, 0\.5, 0\) unreachable at every lattice mesh"):
+        dist_oracle_many(FF_UNREACHABLE, [LiftedPoint(0.9, 0.5, 0.0)], 0.02)
+
+
+def test_a_point_outside_one_coarsening_reads_another():
+    # half-widths round(box / spacing): in x1, 11 cells of 0.02 (0.22) but
+    # 6 cells of 0.04 (0.24), so x1 = 0.74 lies in the coarser box only
+    box = (0.22, 0.2, 0.2)
+    assert geometry._oracle_meshes(0.02, box) == [0.02, 0.04]
+    p = LiftedPoint(0.74, 0.5, 0.0)
+    with pytest.raises(UnreachableError, match="outside"):
+        OracleLattice(FF_UNREACHABLE, 0.02, box).distance(p)
+    coarse = OracleLattice(FF_UNREACHABLE, 0.04, box).distance(p)
+    assert dist_oracle_many(FF_UNREACHABLE, [p], 0.02, box) == [coarse]
+
+
 def test_lattice_walker_tracks_the_gauge():
     from helpers import fan_bump
 

@@ -132,6 +132,23 @@ def test_a_refused_newton_step_ends_the_solve():
     assert np.array_equal(exc.value.best.values, transfinite_interpolation(bd).values)
 
 
+def test_a_line_search_below_min_step_ends_the_solve():
+    # steep data at a large eps: Armijo shrinks below min_step before the
+    # cap, after a linear solve that met linear_tol
+    g = unit_grid_n(33)
+    bd = boundary(g, lambda a, b: 3 * np.sin(2 * np.pi * a) * b + 0.3 * b)
+    cfg = SolverConfig()
+    with pytest.raises(NonConvergenceError) as exc:
+        solve_eps(g, bd, 4.0, cfg, None)
+    rep = exc.value.report
+    assert not rep.converged and rep.iterations < cfg.max_newton_iter
+    assert len(rep.linear_residuals) == rep.iterations + 1
+    assert rep.linear_residuals[-1] <= cfg.linear_tol
+    assert rep.final_residual == min(rep.residual_history)
+    best = residual_div(Frame(exc.value.best, 4.0)).restrict(1)
+    assert float(np.max(np.abs(best))) == rep.final_residual
+
+
 def test_solved_interior_obeys_boundary_range():
     g = unit_grid_n(33)
     cfg = SolverConfig()
