@@ -342,10 +342,28 @@ def _write_json(path: Path, obj: dict) -> None:
         f.write("\n")
 
 
-def _solution_rows(sol: GridFunction) -> np.ndarray:
-    """Rows (x1, x2, u), one per node in C order."""
-    x1, x2 = sol.grid.nodes()
-    return np.column_stack([x1.ravel(), x2.ravel(), sol.values.ravel()])
+def _solution_writer(grid: Grid):
+    """A writer ``write(path, sol)`` of the ``x1,x2,u`` CSV of a field ``sol``
+    on ``grid``, one row per node in C order.
+
+    Each coordinate of the grid is formatted once, into line templates of
+    ``_CSV_BLOCK`` rows that leave a ``%.17g`` slot for u, so a file formats
+    only its values.  The bytes are those of :func:`_write_csv` on the rows
+    (x1, x2, u).
+    """
+    x2s = ["%.17g" % b for b in grid.x2_coords.tolist()]
+    lines = [f"{a},{b},%.17g\n" for a in ["%.17g" % a for a in grid.x1_coords.tolist()]
+             for b in x2s]
+    blocks = ["".join(lines[k:k + _CSV_BLOCK]) for k in range(0, len(lines), _CSV_BLOCK)]
+
+    def write(path: Path, sol: GridFunction) -> None:
+        values = sol.values.ravel().tolist()
+        with _replacing(path) as f:
+            f.write("x1,x2,u\n")
+            for k, block in enumerate(blocks):
+                f.write(block % tuple(values[k * _CSV_BLOCK:(k + 1) * _CSV_BLOCK]))
+
+    return write
 
 
 def _read_solution_csv(path: Path) -> GridFunction:
@@ -457,7 +475,7 @@ def _clear(out: Path, state: re.Pattern) -> None:
 
 def _write_solve(out: Path, prov: dict, eps: float, sol: GridFunction, report) -> None:
     """A solve's ``solution.csv`` and its ``report.json`` at ``eps``."""
-    _write_csv(out / "solution.csv", ["x1", "x2", "u"], _solution_rows(sol))
+    _solution_writer(sol.grid)(out / "solution.csv", sol)
     _write_json(out / "report.json", {**prov, "eps": eps, **_report_dict(report)})
 
 
@@ -491,9 +509,10 @@ def _write_run(prov: dict, out: Path, run: VanishingViscosityRun) -> None:
     if not run.solutions:
         return
     files = []
+    write = _solution_writer(run.solutions[0].grid)  # a continuation's steps share its grid
     for k, sol in enumerate(run.solutions):
         name = f"solution_{k:03d}.csv"
-        _write_csv(out / name, ["x1", "x2", "u"], _solution_rows(sol))
+        write(out / name, sol)
         files.append(name)
     _write_json(out / "run.json", {
         **prov,
@@ -558,8 +577,7 @@ def cmd_example(c: dict, out: Path, prov: dict) -> int:
         vals = np.asarray(entry.eval(x1, x2), dtype=float)
     except (DomainError, ShearRootError) as e:
         raise ConfigError(f"example {entry.name!r} undefined on this grid: {e}") from e
-    _write_csv(out / "example.csv", ["x1", "x2", "u"],
-               _solution_rows(GridFunction(grid, vals)))
+    _solution_writer(grid)(out / "example.csv", GridFunction(grid, vals))
     _write_json(out / "example.json", {**prov, "name": entry.name, "flags": entry.flags})
     return 0
 

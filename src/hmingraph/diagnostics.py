@@ -11,12 +11,14 @@ further from the boundary, so measurement routines take an explicit margin
 (in nodes) and the verdict uses a fixed fraction of the domain.  Seminorm
 sampling is deterministic: pairs are enumerated by node offset, exhaustively
 when the pair count is small and stratified by separation scale otherwise, so
-repeated runs give bit-identical numbers.
+repeated runs give bit-identical numbers.  The ledger profiles the gradient
+fields of a whole run in stacks, one pass over the offsets per stack.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,7 @@ __all__ = [
 ]
 
 PAIR_CAP = 10 ** 6
+_PROFILE_BYTES = 2 ** 20  # field values a stacked separation profile of the ledger holds
 
 
 def intrinsic_derivative(u: GridFunction, k: int) -> GridFunction:
@@ -96,24 +99,41 @@ def _window_offsets(grid: Grid, lo: float, hi: float) -> tuple:
 
 
 def _separation_profile(grid: Grid, lo: float, hi: float, values: np.ndarray) -> tuple:
-    """(separation, max |difference|) arrays over the admissible offsets, in one pass.
+    """(separation, max |difference|) over the admissible offsets for a stack
+    of fields ``values`` of shape (m, n1, n2), in one pass over the offsets.
 
-    Offset (di, dj) pairs the runs of the flattened field that start at
-    ``di*n2 + max(dj, 0)`` and ``max(-dj, 0)``; of each row of ``n2``, the
-    first ``n2 - |dj|`` entries are node pairs, the rest wrap around.
+    The second array has shape (m, n_offsets), a row per field.  Offset
+    (di, dj) pairs the runs of the flattened stack that start at
+    ``di*n2 + max(dj, 0)`` and ``max(-dj, 0)``; of each field's first
+    ``n1 - di`` rows of ``n2``, the first ``n2 - |dj|`` entries are node
+    pairs.  The rest wrap around a row, or past a field into the next one.
     """
-    n1, n2 = values.shape
+    m, n1, n2 = values.shape
     off, seps = _window_offsets(grid, lo, hi)
     flat = np.ascontiguousarray(values).ravel()
     buf = np.empty(flat.size)
-    dmax = np.empty(len(off))
+    dmax = np.empty((m, len(off)))
     for k, (di, dj) in enumerate(off.tolist()):
         rows, skip = n1 - di, abs(dj)
         a, b = di * n2 + max(dj, 0), max(-dj, 0)
-        d = buf[: rows * n2 - skip]
+        d = buf[: (m - 1) * n1 * n2 + rows * n2 - skip]
         np.abs(np.subtract(flat[a : a + d.size], flat[b : b + d.size], out=d), out=d)
-        dmax[k] = buf[: rows * n2].reshape(rows, n2)[:, : n2 - skip].max()
+        buf.reshape(m, n1, n2)[:, :rows, : n2 - skip].max(axis=(1, 2), out=dmax[:, k])
     return seps, dmax
+
+
+def _seminorms(sep: np.ndarray, dmax: np.ndarray, alphas: tuple, window: tuple) -> np.ndarray:
+    """Max of ``dmax / sep**alpha`` over the offsets of a profile, shape
+    (len(alphas), m): a row per exponent, a column per field."""
+    best = np.empty((len(alphas), len(dmax)))
+    for k, alpha in enumerate(alphas):
+        # Python's float power is libm's pow, which numpy's SIMD power can miss by
+        # an ulp (on AVX-512 hosts); fmax skips a NaN quotient
+        scales = np.array([s ** alpha for s in sep.tolist()])
+        np.fmax.reduce(dmax / scales, axis=1, initial=-1.0, out=best[k])
+    if np.any(best < 0.0):
+        raise ValueError(f"no node pairs with separation in window {window}")
+    return best
 
 
 def holder_seminorm(f: GridFunction, alphas: tuple, window: tuple[float, float]) -> tuple:
@@ -129,17 +149,8 @@ def holder_seminorm(f: GridFunction, alphas: tuple, window: tuple[float, float])
     lo, hi = float(window[0]), float(window[1])
     if not 0.0 <= lo < hi:
         raise ValueError(f"bad separation window {window}")
-    sep, dmax = _separation_profile(f.grid, lo, hi, f.values)
-    out = []
-    for alpha in alphas:
-        # Python's float power is libm's pow, which numpy's SIMD power can miss by
-        # an ulp (on AVX-512 hosts); fmax skips a NaN quotient
-        scales = np.array([s ** alpha for s in sep.tolist()])
-        best = float(np.fmax.reduce(dmax / scales, initial=-1.0))
-        if best < 0.0:
-            raise ValueError(f"no node pairs with separation in window {window}")
-        out.append(best)
-    return tuple(out)
+    sep, dmax = _separation_profile(f.grid, lo, hi, f.values[None])
+    return tuple(_seminorms(sep, dmax, alphas, window)[:, 0].tolist())
 
 
 def holder_exponent_estimate(f: GridFunction, window: tuple[float, float]) -> float:
@@ -153,7 +164,7 @@ def holder_exponent_estimate(f: GridFunction, window: tuple[float, float]) -> fl
     if not 0.0 < lo < hi:
         raise ValueError(f"bad separation window {window}")
     edges = np.geomspace(lo, hi, nbins + 1)
-    sep, dmax = _separation_profile(f.grid, lo, hi, f.values)
+    sep, (dmax,) = _separation_profile(f.grid, lo, hi, f.values[None])
     k = np.minimum(np.searchsorted(edges, sep, side="right") - 1, nbins - 1)
     bin_max = np.zeros(nbins)
     np.fmax.at(bin_max, k[k >= 0], dmax[k >= 0])  # fmax, like max(), skips a NaN
@@ -253,10 +264,29 @@ def holder_window(grid: Grid, window: tuple[float, float] | None) -> tuple[float
     return lo, hi
 
 
-def _gradient_seminorms(frame: Frame, alphas: tuple, window: tuple[float, float]) -> tuple:
-    """Per exponent, the larger Holder seminorm of the frame gradient (X1u, X2u)."""
-    return tuple(map(max, holder_seminorm(apply_x1(frame, frame.u), alphas, window),
-                     holder_seminorm(apply_x2(frame, frame.u), alphas, window)))
+def _ledger_seminorms(frames: list) -> list:
+    """Per frame, the larger Holder seminorm of its gradient (X1u, X2u) at each
+    of ``DEFAULT_ALPHAS`` on the default window.
+
+    The gradient fields of consecutive frames on one grid are stacked, at
+    most ``_PROFILE_BYTES`` of values a stack, and each stack makes one
+    pass over the offsets.
+    """
+    out = []
+    for grid, group in itertools.groupby(frames, key=lambda fr: fr.grid):
+        group = list(group)
+        window = default_window(grid)
+        size = max(1, _PROFILE_BYTES // (16 * grid.n1 * grid.n2))  # frames a stack
+        for k in range(0, len(group), size):
+            chunk = group[k:k + size]
+            stack = np.empty((2 * len(chunk), grid.n1, grid.n2))
+            for i, fr in enumerate(chunk):
+                stack[2 * i] = apply_x1(fr, fr.u).values
+                stack[2 * i + 1] = apply_x2(fr, fr.u).values
+            best = _seminorms(*_separation_profile(grid, *window, stack), DEFAULT_ALPHAS, window)
+            # columns come in (X1u, X2u) pairs, one pair per frame
+            out += best.reshape(len(DEFAULT_ALPHAS), -1, 2).max(axis=2).T.tolist()
+    return out
 
 
 def norm_ledger(run: VanishingViscosityRun) -> dict:
@@ -265,20 +295,20 @@ def norm_ledger(run: VanishingViscosityRun) -> dict:
     Each row records the coarse size bound M from ``run.m_bounds`` (one per
     solution, else a ValueError), the order-2 scaled Sobolev norm of u, the
     order-1 norm of its vertical derivative, and Holder seminorms of both
-    gradient components at ``DEFAULT_ALPHAS`` on the default window.  Eps must
-    decrease strictly and each entry be finite and non-negative, else a ValueError.
+    gradient components at ``DEFAULT_ALPHAS`` on the default window, the
+    same numbers as :func:`holder_seminorm` gives.  Eps must decrease
+    strictly and each entry be finite and non-negative, else a ValueError.
     """
     if any(e2 >= e1 for e1, e2 in zip(run.eps_values, run.eps_values[1:])):
         raise ValueError("ledger rows must have strictly decreasing eps")
+    steps = list(zip(run.eps_values, run.solutions, run.m_bounds, strict=True))
+    frames = [Frame(sol, eps) for eps, sol, _ in steps]
     rows = []
-    for eps, sol, m in zip(run.eps_values, run.solutions, run.m_bounds, strict=True):
-        frame = Frame(sol, eps)
-        grid = sol.grid
+    for (eps, sol, m), frame, seminorms in zip(steps, frames, _ledger_seminorms(frames)):
         norms = {
             "u_W22_eps": sobolev_norm_eps(frame, 2, 2),
-            "d2u_W12_eps": sobolev_norm_eps(frame, 1, 2, of=GridFunction(grid, sol.d2())),
+            "d2u_W12_eps": sobolev_norm_eps(frame, 1, 2, of=GridFunction(sol.grid, sol.d2())),
         }
-        seminorms = _gradient_seminorms(frame, DEFAULT_ALPHAS, default_window(grid))
         if not all(np.isfinite(x) and x >= 0 for x in (eps, m, *norms.values(), *seminorms)):
             raise ValueError("ledger entries must be finite and non-negative")
         rows.append({"eps": eps, "M": m, "norms": norms,
@@ -323,7 +353,9 @@ def verdict(final: GridFunction, eps: float, lip_norms: list,
     """
     frame = Frame(final, eps)
     grid = final.grid
-    seminorms = _gradient_seminorms(frame, budgets.alphas, holder_window(grid, budgets.window))
+    window = holder_window(grid, budgets.window)
+    seminorms = map(max, holder_seminorm(apply_x1(frame, final), budgets.alphas, window),
+                    holder_seminorm(apply_x2(frame, final), budgets.alphas, window))
     alpha_rows = [{"alpha": a, "seminorm": s, "pass": s <= budgets.holder_cap}
                   for a, s in zip(budgets.alphas, seminorms)]
 

@@ -65,6 +65,7 @@ def _march(u: GridFunction, start: tuple[float, float], dt: float, t_max: float,
     Returns (t_list, y_list) excluding the seed itself.  A step whose stages
     or endpoint leave the grid rectangle is discarded and marching stops.
     The endpoint's slope, read to test the exit, is the next step's ``k1``.
+    Slopes come from ``u``'s bilinear evaluator, built once per march.
     """
     s1, s2 = start
     ts: list[float] = []
@@ -72,14 +73,15 @@ def _march(u: GridFunction, start: tuple[float, float], dt: float, t_max: float,
     t, y = 0.0, s2
     h = sign * dt
     n_max = int(np.floor(t_max / dt + 1e-12))
+    slope = u.bilinear()
     try:
-        k1 = u.interp(s1 + t, y) if n_max else None
+        k1 = slope(s1 + t, y) if n_max else None
         for _ in range(n_max):
-            k2 = u.interp(s1 + t + h / 2, y + h * k1 / 2)
-            k3 = u.interp(s1 + t + h / 2, y + h * k2 / 2)
-            k4 = u.interp(s1 + t + h, y + h * k3)
+            k2 = slope(s1 + t + h / 2, y + h * k1 / 2)
+            k3 = slope(s1 + t + h / 2, y + h * k2 / 2)
+            k4 = slope(s1 + t + h, y + h * k3)
             y_next = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            k1 = u.interp(s1 + (t + h), y_next)  # rejects steps that land outside
+            k1 = slope(s1 + (t + h), y_next)  # rejects steps that land outside
             t, y = t + h, y_next
             ts.append(t)
             ys.append(y)

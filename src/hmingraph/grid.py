@@ -145,38 +145,57 @@ class GridFunction:
         """Second-order partial along x2 (one-sided at the boundary)."""
         return np.gradient(self.values, self.grid.h2, axis=1, edge_order=2)
 
-    def interp(self, x1, x2):
-        """Bilinear interpolation at points inside the rectangle.
+    def bilinear(self) -> Callable[[float, float], float]:
+        """The scalar branch of :meth:`interp`: a function of two Python floats.
 
-        Accepts scalars or arrays; a point outside the rectangle by more than
-        ``1e-12·max(n1, n2)`` spacings, or a NaN coordinate, raises
-        ``ValueError`` (exact edge points are fine).  Two scalars take a
-        Python-float branch with the same arithmetic, so both branches agree
-        bit for bit; it spares the per-call overhead of 0-d arrays in
-        pointwise loops such as leaf marching.
+        The grid's constants and ``values.item`` are bound once, so a
+        pointwise loop such as a leaf march builds it once and calls it per
+        point.  Points and errors are those of :meth:`interp`, bit for bit.
         """
         g = self.grid
         eps = 1e-12 * max(g.n1, g.n2)
-        # isinstance first: np.ndim costs microseconds on a Python float
-        scalar = isinstance(x1, float) and isinstance(x2, float)
-        if scalar or (np.ndim(x1) == 0 and np.ndim(x2) == 0):
-            f1 = (float(x1) - g.x1_range[0]) / g.h1
-            f2 = (float(x2) - g.x2_range[0]) / g.h2
-            if not (-eps <= f1 <= g.n1 - 1 + eps and -eps <= f2 <= g.n2 - 1 + eps):
+        lo1, lo2, h1, h2 = g.x1_range[0], g.x2_range[0], g.h1, g.h2
+        top1, top2 = g.n1 - 1 + eps, g.n2 - 1 + eps  # the slack bounds of the index
+        end1, end2 = g.n1 - 1.0, g.n2 - 1.0
+        last1, last2 = g.n1 - 2, g.n2 - 2
+        v = self.values.item
+
+        def at(x1: float, x2: float) -> float:
+            f1 = (x1 - lo1) / h1
+            f2 = (x2 - lo2) / h2
+            if not (-eps <= f1 <= top1 and -eps <= f2 <= top2):  # NaN coordinates fail too
                 raise ValueError("interpolation point outside grid rectangle")
-            f1 = min(max(f1, 0.0), g.n1 - 1.0)
-            f2 = min(max(f2, 0.0), g.n2 - 1.0)
-            i = min(int(f1), g.n1 - 2)
-            j = min(int(f2), g.n2 - 2)
+            # clamp onto [0, end]; a comparison keeps -0.0, as np.clip does for arrays
+            f1 = 0.0 if f1 < 0.0 else end1 if f1 > end1 else f1
+            f2 = 0.0 if f2 < 0.0 else end2 if f2 > end2 else f2
+            i, j = int(f1), int(f2)
+            i, j = last1 if i > last1 else i, last2 if j > last2 else j
             t = f1 - i
             s = f2 - j
-            v = self.values.item
             return (
                 v(i, j) * (1 - t) * (1 - s)
                 + v(i + 1, j) * t * (1 - s)
                 + v(i, j + 1) * (1 - t) * s
                 + v(i + 1, j + 1) * t * s
             )
+
+        return at
+
+    def interp(self, x1, x2):
+        """Bilinear interpolation at points inside the rectangle.
+
+        Accepts scalars or arrays; a point outside the rectangle by more than
+        ``1e-12·max(n1, n2)`` spacings, or a NaN coordinate, raises
+        ``ValueError`` (exact edge points are fine).  Two scalars take
+        :meth:`bilinear`'s Python-float arithmetic, which is the array
+        branch's, so both branches agree bit for bit.
+        """
+        # isinstance first: np.ndim costs microseconds on a Python float
+        scalar = isinstance(x1, float) and isinstance(x2, float)
+        if scalar or (np.ndim(x1) == 0 and np.ndim(x2) == 0):
+            return self.bilinear()(float(x1), float(x2))
+        g = self.grid
+        eps = 1e-12 * max(g.n1, g.n2)
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
         f1 = (x1 - g.x1_range[0]) / g.h1

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hmingraph
 from hmingraph import UnreachableError, cli
@@ -292,6 +294,72 @@ def test_block_writer_matches_per_value_formatting(tmp_path, monkeypatch):
     assert path.read_text() == want
     _write_csv(path, ["a", "b", "c"], np.empty((0, 3)))
     assert path.read_text() == "a,b,c\n"
+
+
+def _generic_solution_csv(path, sol):
+    """``sol`` written by the generic writer: one (x1, x2, u) row per node in C order."""
+    x1, x2 = sol.grid.nodes()
+    _write_csv(path, ["x1", "x2", "u"], np.column_stack([x1.ravel(), x2.ravel(), sol.values.ravel()]))
+
+
+_RANGES = {  # coordinate ranges: negative, tiny, huge, subnormal
+    "negative": (-7.3, -0.2), "straddling": (-1.0, 2.5), "tiny": (1e-9, 1.000001e-9),
+    "huge": (-1e300, 1e300), "subnormal": (0.0, 1e-320),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_solution_writer_gives_the_generic_csv_bytes(data, tmp_path):
+    n1, n2 = data.draw(st.integers(3, 40), label="n1"), data.draw(st.integers(3, 40), label="n2")
+    x1 = _RANGES[data.draw(st.sampled_from(sorted(_RANGES)), label="x1 range")]
+    x2 = _RANGES[data.draw(st.sampled_from(sorted(_RANGES)), label="x2 range")]
+    grid = hmingraph.Grid(x1, x2, n1, n2)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    values = rng.standard_normal((n1, n2)) * 10.0 ** rng.integers(-300, 300, (n1, n2))
+    special = [-0.0, 0.0, 5e-324, -2.2e-310, 1e300, -1e300, 1.7976931348623157e308, 1 / 3]
+    values.flat[rng.choice(n1 * n2, min(len(special), n1 * n2), replace=False)] = special[:n1 * n2]
+    sol = hmingraph.GridFunction(grid, values)
+    with pytest.MonkeyPatch.context() as mp:  # blocks of one row, a few rows, or all
+        mp.setattr(cli, "_CSV_BLOCK", data.draw(st.sampled_from([1, 5, 4096]), label="block"))
+        cli._solution_writer(grid)(tmp_path / "fast.csv", sol)
+        _generic_solution_csv(tmp_path / "generic.csv", sol)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
+
+
+def test_solution_writer_spans_blocks_like_the_generic_csv(tmp_path):
+    # 70 x 61 = 4270 rows, more than one block of _CSV_BLOCK
+    grid = hmingraph.Grid((-3.0, 0.5), (1e-3, 2.0), 70, 61)
+    assert grid.n1 * grid.n2 > cli._CSV_BLOCK
+    sol = hmingraph.GridFunction(grid, np.random.default_rng(5).standard_normal((70, 61)))
+    cli._solution_writer(grid)(tmp_path / "fast.csv", sol)
+    _generic_solution_csv(tmp_path / "generic.csv", sol)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
+
+
+def test_a_stalled_solve_writes_its_best_iterate_as_the_generic_csv(tmp_path, monkeypatch):
+    failures = []
+
+    def solve_eps(*args):
+        try:
+            return hmingraph.solve_eps(*args)
+        except hmingraph.NonConvergenceError as e:
+            failures.append(e)
+            raise
+
+    monkeypatch.setattr(cli, "solve_eps", solve_eps)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path / "c.json", {
+        "grid": {"x1": [0, 1], "x2": [1, 2], "n1": 33, "n2": 33},
+        "boundary": {"expr": "x2 / (x1 + 2) + 0.25*x1*(1 - x1)"},
+        "eps": 0.001,
+        "solver": {"max_newton_iter": 2},
+        "output_dir": str(out),
+    })
+    assert main(["solve", cfg]) == 2
+    _generic_solution_csv(tmp_path / "generic.csv", failures[0].best)
+    assert (out / "solution.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
 
 
 class TestCorruptedRunDirectory:

@@ -16,6 +16,7 @@ from hmingraph import (
     Grid,
     GridFunction,
     apply_x1,
+    apply_x2,
     continuation,
     derivative_equation_residuals,
     holder_exponent_estimate,
@@ -292,6 +293,74 @@ def test_each_exponent_of_a_call_is_its_own_seminorm_bit_for_bit(n1, n2, seed, l
         assert np.float64(got[k]).tobytes() == np.float64(holder_seminorm(f, (a,), w)[0]).tobytes()
 
 
+def _flat_profile(grid, lo, hi, values):
+    """The single-field separation profile as computed before fields were
+    stacked: one flat run per offset over the field alone."""
+    n1, n2 = values.shape
+    off, seps = diagnostics._window_offsets(grid, lo, hi)
+    flat = np.ascontiguousarray(values).ravel()
+    buf = np.empty(flat.size)
+    dmax = np.empty(len(off))
+    for k, (di, dj) in enumerate(off.tolist()):
+        rows, skip = n1 - di, abs(dj)
+        a, b = di * n2 + max(dj, 0), max(-dj, 0)
+        d = buf[: rows * n2 - skip]
+        np.abs(np.subtract(flat[a : a + d.size], flat[b : b + d.size], out=d), out=d)
+        dmax[k] = buf[: rows * n2].reshape(rows, n2)[:, : n2 - skip].max()
+    return seps, dmax
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_each_row_of_a_stacked_profile_is_its_fields_own_profile_bit_for_bit(data):
+    exhaustive = data.draw(st.booleans(), label="exhaustive")
+    if exhaustive:  # at most 1414 nodes (37 x 37 is 1369): all offsets
+        n1 = data.draw(st.integers(3, 70), label="n1")
+        n2 = data.draw(st.integers(3, min(70, 1414 // n1)), label="n2")
+    else:  # stratified offsets
+        n1 = data.draw(st.integers(21, 70), label="n1")
+        n2 = data.draw(st.integers(-(-1415 // n1), 70), label="n2")
+    w1, w2 = data.draw(st.floats(0.1, 10.0), label="w1"), data.draw(st.floats(0.1, 10.0), label="w2")
+    g = Grid((0.0, w1), (-1.0, w2 - 1.0), n1, n2)
+    assert (n1 * n2 * (n1 * n2 - 1) // 2 <= diagnostics.PAIR_CAP) == exhaustive
+    m = data.draw(st.integers(1, 5), label="fields")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    scale = data.draw(st.sampled_from([1.0, 1e-300, 1e300]), label="scale")
+    stack = rng.standard_normal((m, n1, n2)) * scale
+    stack[rng.random(stack.shape) < 0.2] = 0.0  # repeated values give zero differences
+    h = min(g.h1, g.h2)
+    lo = data.draw(st.just(0.0) | st.floats(0.0, 4.0).map(lambda c: c * h), label="lo")
+    hi = lo + data.draw(st.floats(0.01, 1.0), label="span") * (float(np.hypot(w1, w2)) - lo)
+    sep, dmax = diagnostics._separation_profile(g, lo, hi, stack)
+    assert dmax.shape == (m, len(sep))
+    for k in range(m):
+        own_sep, own = _flat_profile(g, lo, hi, stack[k])
+        assert sep.tobytes() == own_sep.tobytes()
+        assert dmax[k].tobytes() == own.tobytes()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_ledger_seminorms_are_holder_seminorm_bit_for_bit_however_the_budget_splits(data):
+    # non-square grids on which the default window, from 2 max(h1, h2) to 1/4, holds pairs
+    n1, n2 = data.draw(st.integers(10, 40), label="n1"), data.draw(st.integers(18, 40), label="n2")
+    g = Grid((0.0, 1.0), (-0.5, data.draw(st.floats(0.6, 1.5), label="x2 hi")), n1, n2)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    count = data.draw(st.integers(1, 7), label="frames")
+    frames = [Frame(GridFunction(g, rng.standard_normal((n1, n2))), float(rng.uniform(0.01, 2.0)))
+              for _ in range(count)]
+    per_stack = data.draw(st.integers(1, count + 1), label="frames a stack")
+    window = diagnostics.default_window(g)
+    alone = [tuple(map(max, *(holder_seminorm(op(fr, fr.u), diagnostics.DEFAULT_ALPHAS, window)
+                              for op in (apply_x1, apply_x2)))) for fr in frames]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagnostics, "_PROFILE_BYTES", per_stack * 16 * n1 * n2)
+        calls = counting(mp, "_separation_profile")
+        got = diagnostics._ledger_seminorms(frames)
+    assert len(calls) == -(-count // per_stack)
+    assert np.array(got).tobytes() == np.array(alone).tobytes()
+
+
 def counting(monkeypatch, name):
     """Count the calls of ``diagnostics.<name>``; returns the list of calls."""
     calls, fn = [], getattr(diagnostics, name)
@@ -466,15 +535,19 @@ class TestVerdict:
 
 
 def test_ledger_and_verdict_measure_each_field_once(monkeypatch, affine_run):
-    # one seminorm call per gradient component takes every exponent at once
+    # the ledger profiles every gradient field of the run in one stacked pass;
+    # the verdict makes one seminorm call per gradient component, which takes
+    # every exponent at once
+    profiles = counting(monkeypatch, "_separation_profile")
     calls = counting(monkeypatch, "holder_seminorm")
     norm_ledger(affine_run)
-    assert len(calls) == 2 * len(affine_run.solutions)
-    assert all(alphas == diagnostics.DEFAULT_ALPHAS for _, alphas, _ in calls)
-    calls.clear()
+    assert calls == []
+    assert [values.shape for *_, values in profiles] == [(2 * len(affine_run.solutions), 17, 17)]
+    profiles.clear()
     verdict(affine_run.final, affine_run.final_eps, affine_run.lip_norms,
             DiagnosticsBudgets(alphas=(0.5, 0.3)))
     assert [alphas for _, alphas, _ in calls] == [(0.5, 0.3)] * 2
+    assert [values.shape for *_, values in profiles] == [(1, 17, 17)] * 2
 
 
 def test_rough_boundary_data_stays_near_its_generating_graph():

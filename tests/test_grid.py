@@ -145,6 +145,86 @@ def test_scalar_interp_equals_array_interp_bit_for_bit(case):
         assert batch.tobytes() == np.array([u.interp(a, b) for a, b in inside]).tobytes()
 
 
+def _min_max_scalar_interp(u, x1, x2):
+    """The scalar branch as written before the bound evaluator: the grid's
+    constants read per call and the clamps taken by min and max."""
+    g = u.grid
+    eps = 1e-12 * max(g.n1, g.n2)
+    f1 = (float(x1) - g.x1_range[0]) / g.h1
+    f2 = (float(x2) - g.x2_range[0]) / g.h2
+    if not (-eps <= f1 <= g.n1 - 1 + eps and -eps <= f2 <= g.n2 - 1 + eps):
+        return "interpolation point outside grid rectangle"
+    f1 = min(max(f1, 0.0), g.n1 - 1.0)
+    f2 = min(max(f2, 0.0), g.n2 - 1.0)
+    i = min(int(f1), g.n1 - 2)
+    j = min(int(f2), g.n2 - 2)
+    t = f1 - i
+    s = f2 - j
+    v = u.values.item
+    return (v(i, j) * (1 - t) * (1 - s) + v(i + 1, j) * t * (1 - s)
+            + v(i, j + 1) * (1 - t) * s + v(i + 1, j + 1) * t * s)
+
+
+def _bits_or_error(f, x1, x2):
+    """The bytes of ``f(x1, x2)``, or the message of its ValueError, or the
+    message that ``f`` returns in place of raising it."""
+    try:
+        value = f(x1, x2)
+    except ValueError as err:
+        return str(err)
+    return value if isinstance(value, str) else np.float64(value).tobytes()
+
+
+# A corner cell whose interpolant at (-0.0, -0.0) is -0.0 and at (0.0, -0.0)
+# is 0.0: a clamp that turned an index of -0.0 into 0.0 would show.
+_SIGNED_ZERO_CELL = [[-0.0, 1.0], [1.0, -1.0]]
+
+# On the unit square with 5 x 5 nodes the slack is 5e-12 in index units, and
+# x / 0.25 is exact: 0.5e-12 lies inside it, 2e-12 (8e-12 in index units) beyond.
+_SLACK_POINTS = {
+    "nan x1": (np.nan, 0.5), "nan x2": (0.5, np.nan),
+    "beyond left": (-2e-12, 0.5), "beyond right": (1.0 + 2e-12, 0.5),
+    "beyond bottom": (0.5, -2e-12), "beyond top": (0.5, 1.0 + 2e-12),
+    "inside left": (-0.5e-12, 0.3), "inside right": (1.0 + 0.5e-12, 0.3),
+    "inside bottom": (0.7, -0.5e-12), "inside top": (0.7, 1.0 + 0.5e-12),
+    "inside corner": (-0.5e-12, 1.0 + 0.5e-12), "negative zero": (-0.0, -0.0),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_SLACK_POINTS))
+def test_bound_evaluator_rejects_and_clamps_as_interp_does(where):
+    x1, x2 = _SLACK_POINTS[where]
+    g = Grid((0.0, 1.0), (0.0, 1.0), 5, 5)
+    values = np.random.default_rng(3).standard_normal((5, 5))
+    values[:2, :2] = _SIGNED_ZERO_CELL
+    u = GridFunction(g, values)
+    got = _bits_or_error(u.bilinear(), x1, x2)
+    assert got == _bits_or_error(u.interp, x1, x2)
+    assert got == _bits_or_error(lambda a, b: u.interp(np.array([a]), np.array([b]))[0], x1, x2)
+    assert got == _bits_or_error(lambda a, b: _min_max_scalar_interp(u, a, b), x1, x2)
+    if where.startswith(("nan", "beyond")):
+        assert got == "interpolation point outside grid rectangle"
+    elif where.startswith("inside"):  # the same bits as the nearest edge point
+        edge = (min(max(x1, 0.0), 1.0), min(max(x2, 0.0), 1.0))
+        assert got == np.float64(u.bilinear()(*edge)).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=grids_and_points(), signed_zero=st.booleans())
+def test_bound_evaluator_equals_the_min_max_clamped_branch_bit_for_bit(case, signed_zero):
+    u, pts = case
+    if signed_zero:  # a grid that starts at 0.0, probed at -0.0
+        g = Grid((0.0, u.grid.x1_range[1] - u.grid.x1_range[0]), (0.0, 1.0), u.grid.n1, u.grid.n2)
+        values = u.values.copy()
+        values[:2, :2] = _SIGNED_ZERO_CELL
+        u = GridFunction(g, values)
+        pts = [(-0.0, -0.0), (-0.0, 0.5), (0.0, -0.0)]
+    at = u.bilinear()
+    for x1, x2 in pts + [(np.nan, pts[0][1]), (pts[0][0], np.nan)]:
+        want = _bits_or_error(lambda a, b: _min_max_scalar_interp(u, a, b), x1, x2)
+        assert _bits_or_error(at, x1, x2) == want
+
+
 def test_restrict_views_shrink_symmetrically():
     g = Grid((0.0, 1.0), (0.0, 1.0), 9, 9)
     u = GridFunction.from_callable(g, lambda a, b: a + b)
