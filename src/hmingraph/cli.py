@@ -191,8 +191,28 @@ _GRID = _Section({"x1": _interval, "x2": _interval, "n1": _integer(3), "n2": _in
                  ("x1", "x2", "n1", "n2"), lambda x1, x2, n1, n2: Grid(x1, x2, n1, n2))
 # a continuation's ledger measures on the default window
 _RUN_GRID = _GRID._replace(into=lambda **keys: _measurable(_GRID.into(**keys), "grid", None))
+
+
+def _affine_params(keys: dict, entry: str) -> dict:
+    """``keys``, unless they give ``params`` to an entry other than ``affine``."""
+    if "params" in keys and keys.get(entry) != "affine":
+        raise ValueError("params: only the affine entry takes params")
+    return keys
+
+
+def _boundary_keys(**keys) -> dict:
+    """The boundary section's keys: exactly one of ``expr`` and ``catalog``."""
+    if "expr" in keys and "catalog" in keys:
+        raise ValueError("catalog: not allowed together with boundary.expr")
+    if "expr" not in keys and "catalog" not in keys:
+        raise ValueError("expr: required unless boundary.catalog is given")
+    return _affine_params(keys, "catalog")
+
+
 _PARAMS = _Section({"a": _number, "c": _number})  # the affine entry's; others take none
-_BOUNDARY = _Section({"expr": _string, "catalog": _entry, "params": _PARAMS})
+_BOUNDARY = _Section({"expr": _string, "catalog": _entry, "params": _PARAMS}, into=_boundary_keys)
+_EXAMPLE = _Section({"name": _entry, "params": _PARAMS}, ("name",),
+                    lambda **keys: _affine_params(keys, "name"))
 # the retired Picard fallback's keys are accepted and ignored, so older configs still run
 _SOLVER = _fields(SolverConfig, picard_fallback=None, max_picard_iter=None)
 
@@ -212,23 +232,31 @@ def boundary_expression(src: str):
     """Compile an arithmetic expression in x1, x2 into a vectorized callable.
 
     Only arithmetic operators, numeric literals, and a fixed function
-    whitelist are admitted; anything else is a config error.
+    whitelist are admitted; anything else is a config error.  Literals are
+    floats, so no power of literals runs as a big-integer power.
     """
+    names = ("x1", "x2", *_EXPR_FUNCS, *_EXPR_NAMES)
     try:
         tree = ast.parse(src, mode="eval")
+        for node in ast.walk(tree):
+            if not isinstance(node, _EXPR_NODES):
+                raise ConfigError(f"boundary.expr: {type(node).__name__} not allowed")
+            if isinstance(node, ast.Constant):
+                if not isinstance(node.value, (int, float)):
+                    raise ConfigError("boundary.expr: only numeric literals allowed")
+                node.value = float(node.value)
+            if isinstance(node, ast.Call) and (getattr(node.func, "id", None) not in _EXPR_FUNCS
+                                               or node.keywords):  # only a Name has an id
+                raise ConfigError("boundary.expr: only whitelisted function calls allowed")
+            if isinstance(node, ast.Name) and node.id not in names:
+                raise ConfigError(f"boundary.expr: unknown name {node.id!r}")
+        code = compile(tree, "<boundary>", "eval")
     except SyntaxError as e:
         raise ConfigError(f"boundary.expr: {e.msg} at column {e.offset}") from e
-    for node in ast.walk(tree):
-        if not isinstance(node, _EXPR_NODES):
-            raise ConfigError(f"boundary.expr: {type(node).__name__} not allowed")
-        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
-            raise ConfigError("boundary.expr: only numeric literals allowed")
-        if isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name) or node.func.id not in _EXPR_FUNCS or node.keywords:
-                raise ConfigError("boundary.expr: only whitelisted function calls allowed")
-        if isinstance(node, ast.Name) and node.id not in ("x1", "x2", *_EXPR_FUNCS, *_EXPR_NAMES):
-            raise ConfigError(f"boundary.expr: unknown name {node.id!r}")
-    code = compile(tree, "<boundary>", "eval")
+    except OverflowError as e:  # an integer literal beyond float range
+        raise ConfigError(f"boundary.expr: {e}") from e
+    except (MemoryError, RecursionError) as e:  # the parser's and the compiler's depth limits
+        raise ConfigError("boundary.expr: nested too deeply") from e
     env = {**_EXPR_FUNCS, **_EXPR_NAMES}
 
     def f(x1, x2):
@@ -240,13 +268,11 @@ def boundary_expression(src: str):
 def _boundary_from(sec: dict, grid: Grid) -> BoundaryData:
     if "expr" in sec:
         f = boundary_expression(sec["expr"])
-    elif "catalog" in sec:
-        f = make_entry(sec["catalog"], sec.get("params")).eval
     else:
-        raise ConfigError("boundary.expr: required unless boundary.catalog is given")
-    try:
+        f = make_entry(sec["catalog"], sec.get("params")).eval
+    try:  # an expression can also divide by zero, overflow or turn complex
         return BoundaryData.from_callable(grid, lambda a, b: np.asarray(f(a, b), dtype=float))
-    except (DomainError, ShearRootError, ValueError) as e:
+    except (ArithmeticError, TypeError, DomainError, ShearRootError, ValueError) as e:
         raise ConfigError(f"boundary evaluation failed: {e}") from e
 
 
@@ -647,7 +673,7 @@ _COMMANDS = {  # each command and the config sections it reads
     "diagnose": (cmd_diagnose, _Section({"diagnose": _Section(
         {"run_dir": _path, "budgets": _fields(DiagnosticsBudgets)}, ("run_dir",))}, ("diagnose",))),
     "example": (cmd_example, _Section(
-        {"grid": _GRID, "example": _Section({"name": _entry, "params": _PARAMS}, ("name",))},
+        {"grid": _GRID, "example": _EXAMPLE},
         ("grid", "example"))),
     "distance": (cmd_distance, _Section({"distance": _Section({
         "run_dir": _path, "x0": _reader(lambda v: _numbers(v, 2), "[x1, x2]", tuple),

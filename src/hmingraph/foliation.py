@@ -59,35 +59,31 @@ class Leaf:
         return len(self.t_samples)
 
 
-def _march(u: GridFunction, start: tuple[float, float], dt: float, t_max: float, sign: int):
+def _march(at, start: tuple[float, float], u0: float, dt: float, t_max: float, sign: int):
     """March RK4 steps of size ``sign*dt`` until ``|t| > t_max`` or exit.
 
-    Returns (t_list, y_list) excluding the seed itself.  A step whose stages
-    or endpoint leave the grid rectangle is discarded and marching stops.
-    The endpoint's slope, read to test the exit, is the next step's ``k1``.
-    Slopes come from ``u``'s bilinear evaluator, built once per march.
+    ``at`` is ``u``'s bilinear evaluator and ``u0`` its value at the seed
+    ``start``.  Returns the samples ``(t, gamma2, u)`` after the seed.  A
+    step whose stages or endpoint leave the grid rectangle is discarded and
+    marching stops.  The endpoint's slope, read to test the exit, is ``u``
+    at the new sample and the next step's ``k1``.
     """
     s1, s2 = start
-    ts: list[float] = []
-    ys: list[float] = []
-    t, y = 0.0, s2
+    samples: list[tuple[float, float, float]] = []
+    t, y, k1 = 0.0, s2, u0
     h = sign * dt
-    n_max = int(np.floor(t_max / dt + 1e-12))
-    slope = u.bilinear()
     try:
-        k1 = slope(s1 + t, y) if n_max else None
-        for _ in range(n_max):
-            k2 = slope(s1 + t + h / 2, y + h * k1 / 2)
-            k3 = slope(s1 + t + h / 2, y + h * k2 / 2)
-            k4 = slope(s1 + t + h, y + h * k3)
+        for _ in range(int(np.floor(t_max / dt + 1e-12))):
+            k2 = at(s1 + t + h / 2, y + h * k1 / 2)
+            k3 = at(s1 + t + h / 2, y + h * k2 / 2)
+            k4 = at(s1 + t + h, y + h * k3)
             y_next = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            k1 = slope(s1 + (t + h), y_next)  # rejects steps that land outside
+            k1 = at(s1 + (t + h), y_next)  # rejects steps that land outside
             t, y = t + h, y_next
-            ts.append(t)
-            ys.append(y)
+            samples.append((t, y, k1))
     except ValueError:
         pass
-    return ts, ys
+    return samples
 
 
 def trace_leaf(u: GridFunction, start: tuple[float, float], t_span: tuple[float, float],
@@ -97,12 +93,16 @@ def trace_leaf(u: GridFunction, start: tuple[float, float], t_span: tuple[float,
     Integrates backward to ``t_span[0] <= 0`` and forward to ``t_span[1] >= 0``
     with uniform steps, stopping early where the curve leaves the grid
     rectangle.  Raises :class:`LeafTraceError` if the seed lies outside the
-    grid or no step can be taken in either direction.
+    grid or no step can be taken in either direction.  ``u_values`` are the
+    slopes the marches read, as ``gamma2' = u``.
     """
     g = u.grid
     s1, s2 = float(start[0]), float(start[1])
-    if not g.contains(s1, s2):
-        raise LeafTraceError(f"leaf seed {(s1, s2)} outside grid rectangle")
+    at = u.bilinear()
+    try:
+        u0 = at(s1 + 0.0, s2)  # at the seed's sample point s1 + t, t = 0: -0.0 reads as 0.0
+    except ValueError:
+        raise LeafTraceError(f"leaf seed {(s1, s2)} outside grid rectangle") from None
     t_lo, t_hi = float(t_span[0]), float(t_span[1])
     if not (t_lo <= 0.0 <= t_hi) or t_hi - t_lo <= 0.0:
         raise LeafTraceError(f"flow-time span {t_span} must straddle 0")
@@ -111,15 +111,13 @@ def trace_leaf(u: GridFunction, start: tuple[float, float], t_span: tuple[float,
     if dt <= 0.0:
         raise LeafTraceError("dt must be positive")
 
-    fwd_t, fwd_y = _march(u, (s1, s2), dt, t_hi, +1)
-    bwd_t, bwd_y = _march(u, (s1, s2), dt, -t_lo, -1)
-    t = np.array(bwd_t[::-1] + [0.0] + fwd_t)
-    y = np.array(bwd_y[::-1] + [s2] + fwd_y)
-    if len(t) < 2:
+    bwd = _march(at, (s1, s2), u0, dt, -t_lo, -1)
+    fwd = _march(at, (s1, s2), u0, dt, t_hi, +1)
+    if not bwd and not fwd:
         raise LeafTraceError(
             f"zero-length leaf at {(s1, s2)}: no admissible step within the grid")
+    t, y, u_vals = np.array(bwd[::-1] + [(0.0, s2, u0)] + fwd).T.copy()
     points = np.column_stack([s1 + t, y])
-    u_vals = u.interp(points[:, 0], points[:, 1])
     return Leaf(start=(s1, s2), t_samples=t, points=points, u_values=u_vals)
 
 

@@ -74,12 +74,6 @@ class Grid:
         """Coordinate arrays ``(X1, X2)`` of shape ``(n1, n2)``."""
         return np.meshgrid(self.x1_coords, self.x2_coords, indexing="ij")
 
-    def contains(self, x1, x2) -> bool:
-        """Whether ``(x1, x2)`` lies in the rectangle, with a slack of 1e-12."""
-        lo1, hi1 = self.x1_range
-        lo2, hi2 = self.x2_range
-        return bool((lo1 - 1e-12 <= x1 <= hi1 + 1e-12) and (lo2 - 1e-12 <= x2 <= hi2 + 1e-12))
-
     def node_index(self, x1: float, x2: float) -> tuple[int, int]:
         """Indices of the node coinciding with ``(x1, x2)``.
 
@@ -146,11 +140,14 @@ class GridFunction:
         return np.gradient(self.values, self.grid.h2, axis=1, edge_order=2)
 
     def bilinear(self) -> Callable[[float, float], float]:
-        """The scalar branch of :meth:`interp`: a function of two Python floats.
+        """Bilinear interpolation as a function of two Python floats.
 
         The grid's constants and ``values.item`` are bound once, so a
         pointwise loop such as a leaf march builds it once and calls it per
-        point.  Points and errors are those of :meth:`interp`, bit for bit.
+        point.  A point outside the rectangle by more than
+        ``1e-12·max(n1, n2)`` spacings, or a NaN coordinate, raises
+        ``ValueError`` (exact edge points are fine); a point within that
+        slack reads as the nearest edge point.
         """
         g = self.grid
         eps = 1e-12 * max(g.n1, g.n2)
@@ -165,7 +162,7 @@ class GridFunction:
             f2 = (x2 - lo2) / h2
             if not (-eps <= f1 <= top1 and -eps <= f2 <= top2):  # NaN coordinates fail too
                 raise ValueError("interpolation point outside grid rectangle")
-            # clamp onto [0, end]; a comparison keeps -0.0, as np.clip does for arrays
+            # clamp onto [0, end]; a comparison keeps -0.0
             f1 = 0.0 if f1 < 0.0 else end1 if f1 > end1 else f1
             f2 = 0.0 if f2 < 0.0 else end2 if f2 > end2 else f2
             i, j = int(f1), int(f2)
@@ -181,41 +178,12 @@ class GridFunction:
 
         return at
 
-    def interp(self, x1, x2):
-        """Bilinear interpolation at points inside the rectangle.
+    def interp(self, x1: float, x2: float) -> float:
+        """Bilinear interpolation at one point: :meth:`bilinear` called once.
 
-        Accepts scalars or arrays; a point outside the rectangle by more than
-        ``1e-12·max(n1, n2)`` spacings, or a NaN coordinate, raises
-        ``ValueError`` (exact edge points are fine).  Two scalars take
-        :meth:`bilinear`'s Python-float arithmetic, which is the array
-        branch's, so both branches agree bit for bit.
+        NumPy scalars and 0-d arrays are read as Python floats.
         """
-        # isinstance first: np.ndim costs microseconds on a Python float
-        scalar = isinstance(x1, float) and isinstance(x2, float)
-        if scalar or (np.ndim(x1) == 0 and np.ndim(x2) == 0):
-            return self.bilinear()(float(x1), float(x2))
-        g = self.grid
-        eps = 1e-12 * max(g.n1, g.n2)
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        f1 = (x1 - g.x1_range[0]) / g.h1
-        f2 = (x2 - g.x2_range[0]) / g.h2
-        inside = (f1 >= -eps) & (f1 <= g.n1 - 1 + eps) & (f2 >= -eps) & (f2 <= g.n2 - 1 + eps)
-        if not np.all(inside):  # NaN coordinates fail too
-            raise ValueError("interpolation point outside grid rectangle")
-        f1 = np.clip(f1, 0.0, g.n1 - 1)
-        f2 = np.clip(f2, 0.0, g.n2 - 1)
-        i = np.minimum(f1.astype(int), g.n1 - 2)
-        j = np.minimum(f2.astype(int), g.n2 - 2)
-        t = f1 - i
-        s = f2 - j
-        v = self.values
-        return (
-            v[i, j] * (1 - t) * (1 - s)
-            + v[i + 1, j] * t * (1 - s)
-            + v[i, j + 1] * (1 - t) * s
-            + v[i + 1, j + 1] * t * s
-        )
+        return self.bilinear()(float(x1), float(x2))
 
     def restrict(self, margin: int) -> np.ndarray:
         """View of the values at least ``margin`` layers from the boundary."""

@@ -184,7 +184,8 @@ def exp_coords_lifted(frame: Frame, x0: tuple[float, float], p: LiftedPoint):
     :class:`PathExitsGridError`.
     """
     g = frame.grid
-    if not g.contains(x0[0], x0[1]):
+    (lo1, hi1), (lo2, hi2) = g.x1_range, g.x2_range
+    if not (lo1 - 1e-12 <= x0[0] <= hi1 + 1e-12 and lo2 - 1e-12 <= x0[1] <= hi2 + 1e-12):
         raise ValueError("base point outside grid")
 
     def u_eval(a, b):

@@ -36,11 +36,11 @@ def solve_cfg(out_dir, **overrides):
     return cfg
 
 
-def run_cli(command, cfg):
+def run_cli(command, cfg, timeout=None):
     """``python -m hmingraph.cli command cfg`` in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(Path(hmingraph.__file__).parents[1])}
     return subprocess.run([sys.executable, "-m", "hmingraph.cli", command, cfg],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def load_u_column(csv_path):
@@ -244,10 +244,38 @@ class TestExitOneWritesNothing:
         ({"expr": "x1 * 'a'"}, "boundary.expr: only numeric literals allowed"),
         ({}, "boundary.expr: required unless boundary.catalog is given"),
         ({"catalog": "pauls"}, "boundary evaluation failed: the piecewise-rational graph needs x1 > 1"),
-    ], ids=["syntax", "string-literal", "empty", "outside-the-domain"])
+        ({"expr": "1/0"}, "boundary evaluation failed: float division by zero"),
+        ({"expr": "10.0 ** 400"}, "boundary evaluation failed"),
+        ({"expr": "2 ** 10000"}, "boundary evaluation failed"),
+        ({"expr": "(-1) ** 0.5"}, "boundary evaluation failed"),
+        ({"expr": "-" * 1000 + "x1"}, "boundary.expr: nested too deeply"),
+        ({"expr": "x1", "catalog": "affine"},
+         "boundary.catalog: not allowed together with boundary.expr"),
+        ({"expr": "x1", "params": {"a": 1}}, "boundary.params: only the affine entry takes params"),
+        ({"catalog": "shear-neg", "params": {"a": 1}},
+         "boundary.params: only the affine entry takes params"),
+    ], ids=["syntax", "string-literal", "empty", "outside-the-domain", "zero-division",
+            "float-overflow", "integer-power", "complex", "nested-too-deeply", "expr-and-catalog",
+            "expr-params", "catalog-params"])
     def test_boundary(self, tmp_path, capsys, boundary, message):
         self.exit_1(tmp_path, capsys, "solve", solve_cfg(tmp_path / "out", boundary=boundary),
                     message)
+
+    def test_tower_of_integer_powers_ends_within_seconds(self, tmp_path):
+        # as a big-integer power 9 ** 9 ** 9 ran past a minute; the timeout
+        # fails the test in place of hanging the suite
+        cfg = solve_cfg(tmp_path / "out", boundary={"expr": "9 ** 9 ** 9"}, schedule={})
+        done = run_cli("continuation", write_cfg(tmp_path / "c.json", cfg), timeout=60)
+        assert done.returncode == 1
+        assert "error: boundary evaluation failed" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_params_for_an_example_other_than_affine(self, tmp_path, capsys):
+        cfg = {"example": {"name": "pauls", "params": {"a": 1}}, "output_dir": str(tmp_path / "out"),
+               "grid": {"x1": [2, 4], "x2": [0.2, 1.2], "n1": 9, "n2": 9}}  # where pauls is defined
+        self.exit_1(tmp_path, capsys, "example", cfg,
+                    "example.params: only the affine entry takes params")
 
     def test_final_solution_with_four_columns(self, tmp_path, capsys):
         run = tmp_path / "run"

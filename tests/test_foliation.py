@@ -155,9 +155,10 @@ def test_coverage_of_a_traced_cover_matches_a_kdtree():
 
 
 def _five_call_march(u, start, dt, t_max, sign):
-    """RK4 march with its own k1 per step and a separate exit test."""
+    """RK4 march with its own k1 per step and a separate exit test; u at
+    each new sample point ``s1 + t`` is read once more."""
     s1, s2 = start
-    ts, ys = [], []
+    samples = []
     t, y = 0.0, s2
     h = sign * dt
     for _ in range(int(np.floor(t_max / dt + 1e-12))):
@@ -168,12 +169,12 @@ def _five_call_march(u, start, dt, t_max, sign):
             k4 = u.interp(s1 + t + h, y + h * k3)
             y_next = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             u.interp(s1 + t + h, y_next)
+            u_next = u.interp(s1 + (t + h), y_next)
         except ValueError:
             break
         t, y = t + h, y_next
-        ts.append(t)
-        ys.append(y)
-    return ts, ys
+        samples.append((t, y, u_next))
+    return samples
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -202,15 +203,68 @@ def test_march_reuses_the_exit_slope_bit_for_bit(data):
     start = (lo1 + f1 * w1, lo2 + f2 * w2)
     dt = data.draw(st.floats(0.003, 0.1), label="dt cells") * w1
     t_max = 2.0 * w1 if edge else data.draw(st.floats(0.0, 2.0), label="t_max") * w1
-    ts, ys = _march(u, start, dt, t_max, sign)
-    assert (ts, ys) == _five_call_march(u, start, dt, t_max, sign)
-    if edge and ts:
+    samples = _march(u.bilinear(), start, u.interp(start[0] + 0.0, start[1]), dt, t_max, sign)
+    assert samples == _five_call_march(u, start, dt, t_max, sign)
+    if edge and samples:
         # the march stopped within one step of the drawn edge
         slope = max(abs(v) for v in u.values.ravel())
-        last = {"left": start[0] + ts[-1] - lo1, "right": lo1 + w1 - start[0] - ts[-1],
-                "bottom": ys[-1] - lo2, "top": lo2 + w2 - ys[-1]}[edge]
+        t, y, _ = samples[-1]
+        last = {"left": start[0] + t - lo1, "right": lo1 + w1 - start[0] - t,
+                "bottom": y - lo2, "top": lo2 + w2 - y}[edge]
         reach = dt if edge in ("left", "right") else dt * slope
         assert -1e-9 <= last <= 1.01 * reach
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_leaf_u_values_are_interp_at_its_samples_bit_for_bit(data):
+    n1, n2 = data.draw(st.integers(3, 30), label="n1"), data.draw(st.integers(3, 30), label="n2")
+    lo1 = data.draw(st.sampled_from([0.0, -1.5, 2.25]), label="lo1")
+    lo2 = data.draw(st.floats(-2.0, 2.0), label="lo2")
+    w1, w2 = data.draw(st.floats(0.1, 3.0), label="w1"), data.draw(st.floats(0.1, 3.0), label="w2")
+    g = Grid((lo1, lo1 + w1), (lo2, lo2 + w2), n1, n2)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="rng"))
+    u = GridFunction(g, rng.normal(size=(n1, n2)) * data.draw(st.sampled_from([0.1, 1.0, 10.0])))
+    # a seed at -0.0 on a grid that starts at 0.0 is its sample point 0.0
+    f1 = data.draw(st.floats(0.0, 1.0), label="start x1")
+    s1 = -0.0 if lo1 == 0.0 and f1 < 0.1 else lo1 + f1 * w1
+    start = (s1, lo2 + data.draw(st.floats(0.0, 1.0), label="start x2") * w2)
+    t_span = (-data.draw(st.floats(0.0, 2.0), label="back") * w1,
+              data.draw(st.floats(0.0, 2.0), label="forward") * w1)
+    dt = data.draw(st.floats(0.01, 0.5), label="dt cells") * g.h1
+    try:
+        leaf = trace_leaf(u, start, t_span, dt)
+    except LeafTraceError as err:
+        assert "zero-length" in str(err) or "straddle" in str(err)
+        return
+    assert leaf.points[:, 0].tobytes() == (s1 + leaf.t_samples).tobytes()
+    want = [u.interp(a, b) for a, b in leaf.points]
+    assert leaf.u_values.tobytes() == np.array(want).tobytes()
+
+
+def test_seed_at_negative_zero_reads_u_at_its_sample_point():
+    # a corner cell whose interpolant at (-0.0, -0.0) is -0.0 and at (0.0, -0.0) is 0.0
+    values = np.random.default_rng(3).standard_normal((5, 5))
+    values[:2, :2] = [[-0.0, 1.0], [1.0, -1.0]]
+    u = GridFunction(Grid((0.0, 1.0), (0.0, 1.0), 5, 5), values)
+    leaf = trace_leaf(u, (-0.0, -0.0), (0.0, 0.5))
+    assert np.signbit(leaf.start).all()  # the seed as given
+    k = int(np.flatnonzero(leaf.t_samples == 0.0)[0])
+    assert leaf.points[k].tobytes() == np.array([0.0, -0.0]).tobytes()
+    assert leaf.u_values[k].tobytes() == np.float64(u.interp(0.0, -0.0)).tobytes()
+    assert not np.signbit(leaf.u_values[k])
+
+
+@pytest.mark.parametrize("start", [(-2e-12, 0.5), (1.0 + 2e-12, 0.5), (0.5, -2e-12),
+                                   (0.5, 1.0 + 2e-12), (np.nan, 0.5)])
+def test_seed_beyond_the_slack_raises(start):
+    # 5 x 5 nodes on the unit square: the slack is 5e-12 index units, 1.25e-12 in x,
+    # so seeds 2e-12 outside lie beyond it; the nearest points inside trace
+    u = GridFunction(Grid((0.0, 1.0), (0.0, 1.0), 5, 5), np.full((5, 5), 0.25))
+    with pytest.raises(LeafTraceError, match="outside grid rectangle"):
+        trace_leaf(u, start, (0.0, 0.5))
+    inside = tuple(0.5 if np.isnan(c) else min(max(c, 0.0), 1.0) for c in start)
+    assert len(trace_leaf(u, inside, (-0.5, 0.5))) > 1
 
 
 def test_leaves_never_cross():

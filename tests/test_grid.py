@@ -75,22 +75,6 @@ def test_interp_outside_raises():
         u.interp(0.5, -0.2)
 
 
-@pytest.mark.parametrize("point", [(np.nan, 0.5), (0.5, np.nan)])
-def test_interp_rejects_nan_in_both_branches(point):
-    u = GridFunction(Grid((0.0, 1.0), (0.0, 1.0), 5, 5), np.zeros((5, 5)))
-    with pytest.raises(ValueError, match="outside grid rectangle"):
-        u.interp(*point)
-    with pytest.raises(ValueError, match="outside grid rectangle"):
-        u.interp(np.array([point[0], 0.5]), np.array([point[1], 0.5]))
-
-
-def _interp_or_error(u, x1, x2):
-    try:
-        return u.interp(x1, x2)
-    except ValueError as err:
-        return str(err)
-
-
 @st.composite
 def grids_and_points(draw):
     """A random rectangular grid, random node values and probe points.
@@ -123,31 +107,9 @@ def grids_and_points(draw):
     return u, pts
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(grids_and_points())
-def test_scalar_interp_equals_array_interp_bit_for_bit(case):
-    u, pts = case
-    inside = []
-    for x1, x2 in pts:
-        scalar = _interp_or_error(u, x1, x2)
-        array = _interp_or_error(u, np.array([x1]), np.array([x2]))
-        if isinstance(array, str):
-            assert scalar == array  # both raise, with the same message
-            continue
-        assert isinstance(scalar, float)
-        assert np.float64(scalar).tobytes() == array.tobytes()
-        # NumPy scalars and 0-d arrays give the same bits
-        assert np.float64(u.interp(np.float64(x1), np.asarray(x2))).tobytes() == array.tobytes()
-        inside.append((x1, x2))
-    if inside:
-        x1s, x2s = np.array(inside).T
-        batch = u.interp(x1s, x2s)
-        assert batch.tobytes() == np.array([u.interp(a, b) for a, b in inside]).tobytes()
-
-
 def _min_max_scalar_interp(u, x1, x2):
-    """The scalar branch as written before the bound evaluator: the grid's
-    constants read per call and the clamps taken by min and max."""
+    """One-point interpolation as written before the bound evaluator: the
+    grid's constants read per call and the clamps taken by min and max."""
     g = u.grid
     eps = 1e-12 * max(g.n1, g.n2)
     f1 = (float(x1) - g.x1_range[0]) / g.h1
@@ -200,7 +162,6 @@ def test_bound_evaluator_rejects_and_clamps_as_interp_does(where):
     u = GridFunction(g, values)
     got = _bits_or_error(u.bilinear(), x1, x2)
     assert got == _bits_or_error(u.interp, x1, x2)
-    assert got == _bits_or_error(lambda a, b: u.interp(np.array([a]), np.array([b]))[0], x1, x2)
     assert got == _bits_or_error(lambda a, b: _min_max_scalar_interp(u, a, b), x1, x2)
     if where.startswith(("nan", "beyond")):
         assert got == "interpolation point outside grid rectangle"
@@ -223,6 +184,19 @@ def test_bound_evaluator_equals_the_min_max_clamped_branch_bit_for_bit(case, sig
     for x1, x2 in pts + [(np.nan, pts[0][1]), (pts[0][0], np.nan)]:
         want = _bits_or_error(lambda a, b: _min_max_scalar_interp(u, a, b), x1, x2)
         assert _bits_or_error(at, x1, x2) == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(grids_and_points())
+def test_interp_reads_numpy_scalars_as_floats_bit_for_bit(case):
+    u, pts = case
+    at = u.bilinear()
+    for x1, x2 in pts:
+        want = _bits_or_error(at, x1, x2)
+        assert _bits_or_error(u.interp, x1, x2) == want
+        # NumPy scalars and 0-d arrays give the same bits, or the same error
+        assert _bits_or_error(u.interp, np.float64(x1), np.asarray(x2)) == want
+        assert _bits_or_error(u.interp, np.asarray(x1), np.float64(x2)) == want
 
 
 def test_restrict_views_shrink_symmetrically():
