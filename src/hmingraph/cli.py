@@ -242,7 +242,7 @@ def boundary_expression(src: str):
             if not isinstance(node, _EXPR_NODES):
                 raise ConfigError(f"boundary.expr: {type(node).__name__} not allowed")
             if isinstance(node, ast.Constant):
-                if not isinstance(node.value, (int, float)):
+                if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
                     raise ConfigError("boundary.expr: only numeric literals allowed")
                 node.value = float(node.value)
             if isinstance(node, ast.Call) and (getattr(node.func, "id", None) not in _EXPR_FUNCS
@@ -411,6 +411,10 @@ def _read_solution_csv(path: Path) -> GridFunction:
         raise ConfigError(f"{path}: rows do not form a full lattice")
     try:
         grid = Grid((float(x1s[0]), float(x1s[-1])), (float(x2s[0]), float(x2s[-1])), n1, n2)
+        # the grid's nodes, to within the 1e-9 spacings of Grid.node_index; NaN fails
+        if not (np.abs(x1s - grid.x1_coords).max() <= 1e-9 * grid.h1
+                and np.abs(x2s - grid.x2_coords).max() <= 1e-9 * grid.h2):
+            raise ValueError("coordinates are not evenly spaced")
         vals = np.empty((n1, n2))
         vals[i, j] = data[:, 2]
         return GridFunction(grid, vals)

@@ -25,14 +25,13 @@ import numpy as np
 
 from .geometry import Frame, apply_x1, apply_x2
 from .grid import Grid, GridFunction
-from .operators import coefficients
+from .operators import aij_from_gradient
 from .solver import VanishingViscosityRun
 
 __all__ = [
     "intrinsic_derivative",
     "holder_seminorm",
     "holder_exponent_estimate",
-    "default_window",
     "holder_window",
     "sobolev_norm_eps",
     "derivative_equation_residuals",
@@ -217,20 +216,20 @@ def derivative_equation_residuals(frame: Frame, margin: int = 3) -> tuple[float,
     ax1 = lambda arr: apply_x1(frame, GridFunction(u.grid, arr)).values
     ax2 = lambda arr: apply_x2(frame, GridFunction(u.grid, arr)).values
     eps = frame.epsilon
-    c = coefficients(frame)
-    b11, b12, b22 = c.a11 / c.w, c.a12 / c.w, c.a22 / c.w
-
     v = u.d2()
+    z = ax1(u.values)  # graph-direction derivative of u
+    p2 = eps * v  # X2 u
+    a11, a12, a22, w = aij_from_gradient(z, p2)
+    b11, b12, b22 = a11 / w, a12 / w, a22 / w
+
     x1v, x2v = ax1(v), ax2(v)
     lhs_v = ax1(b11 * x1v + b12 * x2v) + ax2(b12 * x1v + b22 * x2v)
     rhs_v = -b11 * v ** 3 - (b11 * x1v + b12 * x2v) * v - (ax1(b11 * v * v) + ax2(b12 * v * v))
     v_res = float(np.max(np.abs((lhs_v - rhs_v)[margin:-margin, margin:-margin])))
 
-    z = ax1(u.values)  # graph-direction derivative of u
     x1z, x2z = ax1(z), ax2(z)
     lhs_z = ax1(b11 * x1z + b12 * x2z) + ax2(b12 * x1z + b22 * x2z)
-    p2 = eps * v
-    rhs_z = v * ax2(p2 / c.w) + ax1(b12 * eps * v * v) + ax2(b22 * eps * v * v)
+    rhs_z = v * ax2(p2 / w) + ax1(b12 * eps * v * v) + ax2(b22 * eps * v * v)
     z_res = float(np.max(np.abs((lhs_z - rhs_z)[margin:-margin, margin:-margin])))
     return v_res, z_res
 
@@ -238,27 +237,25 @@ def derivative_equation_residuals(frame: Frame, margin: int = 3) -> tuple[float,
 DEFAULT_ALPHAS = (0.25, 0.5, 0.75, 0.9)
 
 
-def default_window(grid: Grid) -> tuple[float, float]:
-    """Separations from twice the larger spacing to a quarter of the shorter
-    side: the window of the ledger, and of a verdict whose budgets set none.
-
-    Empty, a ValueError, on a grid too coarse for it: on a square, one of 9
-    or fewer nodes per side.
-    """
-    h = max(grid.h1, grid.h2)
-    width = min(grid.x1_range[1] - grid.x1_range[0], grid.x2_range[1] - grid.x2_range[0])
-    lo, hi = 2 * h, 0.25 * width
-    if not lo < hi:
-        raise ValueError(f"a {grid.n1} x {grid.n2} grid is too coarse for the default Holder "
-                         f"window: twice its spacing, {lo:g}, is not below a quarter of its "
-                         f"shorter side, {hi:g}")
-    return lo, hi
-
-
 def holder_window(grid: Grid, window: tuple[float, float] | None) -> tuple[float, float]:
-    """``window``, or :func:`default_window` if None; a ValueError, as from
-    :func:`holder_seminorm`, unless it holds a node pair of ``grid``."""
-    lo, hi = default_window(grid) if window is None else window
+    """``window``, or if None the default: separations from twice the larger
+    spacing to a quarter of the shorter side, the window of the ledger and of
+    a verdict whose budgets set none.
+
+    A ValueError, as from :func:`holder_seminorm`, unless the window holds a
+    node pair of ``grid``; the default is empty on a grid too coarse for it
+    (on a square, one of 9 or fewer nodes per side).
+    """
+    if window is not None:
+        lo, hi = window
+    else:
+        h = max(grid.h1, grid.h2)
+        width = min(grid.x1_range[1] - grid.x1_range[0], grid.x2_range[1] - grid.x2_range[0])
+        lo, hi = 2 * h, 0.25 * width
+        if not lo < hi:
+            raise ValueError(f"a {grid.n1} x {grid.n2} grid is too coarse for the default Holder "
+                             f"window: twice its spacing, {lo:g}, is not below a quarter of its "
+                             f"shorter side, {hi:g}")
     if not len(_window_offsets(grid, lo, hi)[0]):
         raise ValueError(f"no node pairs with separation in window {(lo, hi)}")
     return lo, hi
@@ -275,7 +272,7 @@ def _ledger_seminorms(frames: list) -> list:
     out = []
     for grid, group in itertools.groupby(frames, key=lambda fr: fr.grid):
         group = list(group)
-        window = default_window(grid)
+        window = holder_window(grid, None)
         size = max(1, _PROFILE_BYTES // (16 * grid.n1 * grid.n2))  # frames a stack
         for k in range(0, len(group), size):
             chunk = group[k:k + size]

@@ -113,12 +113,13 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, grid: Grid, f: Callable) -> "GridFunction":
-        """Sample ``f(x1, x2)`` (vectorized or scalar) at the grid nodes."""
+        """Sample ``f(x1, x2)`` at the grid nodes: one call on the node arrays.
+
+        A result that broadcasts to the grid's shape, such as a constant,
+        fills it; ``f`` must accept arrays.
+        """
         X1, X2 = grid.nodes()
-        vals = np.asarray(f(X1, X2), dtype=float)
-        if vals.shape != X1.shape:  # scalar-only callable
-            vals = np.vectorize(lambda a, b: float(f(a, b)))(X1, X2)
-        return cls(grid, vals)
+        return cls(grid, np.broadcast_to(np.asarray(f(X1, X2), dtype=float), X1.shape).copy())
 
     @property
     def sup_norm(self) -> float:

@@ -25,7 +25,6 @@ the interior unknowns.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .geometry import Frame, apply_x1, apply_x2
 from .grid import GridFunction
 
 __all__ = [
-    "CoefficientField",
     "aij_from_gradient",
     "coefficients",
     "residual_div",
@@ -43,35 +41,22 @@ __all__ = [
 ]
 
 
-@dataclass
-class CoefficientField:
-    """Nodal ``a_ij`` and ``W`` evaluated from the frame gradient of u.
+def aij_from_gradient(p1, p2):
+    """``(a11, a12, a22, W)`` from gradient components (arrays or scalars).
 
     The matrix has eigenvalues ``1/(1+|p|^2)`` (along p) and ``1`` (across),
     so it stays symmetric positive definite with ellipticity degenerating
     only as the gradient blows up.
     """
-
-    a11: np.ndarray
-    a12: np.ndarray
-    a22: np.ndarray
-    w: np.ndarray
-
-
-def aij_from_gradient(p1, p2):
-    """``a_ij`` and ``W`` from gradient components (arrays or scalars)."""
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     q = 1.0 + p1 * p1 + p2 * p2
     return 1.0 - p1 * p1 / q, -p1 * p2 / q, 1.0 - p2 * p2 / q, np.sqrt(q)
 
 
-def coefficients(frame: Frame) -> CoefficientField:
-    """Nodal coefficient field from second-order nodal derivatives of u."""
-    p1 = apply_x1(frame, frame.u).values
-    p2 = apply_x2(frame, frame.u).values
-    a11, a12, a22, w = aij_from_gradient(p1, p2)
-    return CoefficientField(a11=a11, a12=a12, a22=a22, w=w)
+def coefficients(frame: Frame) -> tuple:
+    """Nodal ``(a11, a12, a22, W)`` from second-order nodal derivatives of u."""
+    return aij_from_gradient(apply_x1(frame, frame.u).values, apply_x2(frame, frame.u).values)
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +128,14 @@ def residual_nondiv(frame: Frame) -> GridFunction:
     makes ``W * residual_div = residual_nondiv`` hold for smooth fields).
     Zero on the boundary ring, like :func:`residual_div`.
     """
-    c = coefficients(frame)
     x1u = apply_x1(frame, frame.u)
     x2u = apply_x2(frame, frame.u)
+    a11, a12, a22, _ = aij_from_gradient(x1u.values, x2u.values)
     x11 = apply_x1(frame, x1u).values
     x12 = apply_x1(frame, x2u).values
     x21 = apply_x2(frame, x1u).values
     x22 = apply_x2(frame, x2u).values
-    vals = c.a11 * x11 + c.a12 * (x12 + x21) + c.a22 * x22
+    vals = a11 * x11 + a12 * (x12 + x21) + a22 * x22
     return GridFunction(frame.u.grid, np.pad(vals[1:-1, 1:-1], 1))
 
 

@@ -374,6 +374,8 @@ class EpsSchedule:
             raise ValueError(f"factor: must lie in (0, 1), got {self.factor}")
         if self.eps_min > self.eps_start:
             raise ValueError(f"eps_min: exceeds eps_start, {self.eps_min} > {self.eps_start}")
+        if self.max_steps < 1:  # else values() would still hold eps_start
+            raise ValueError(f"max_steps: must be at least 1, got {self.max_steps}")
 
     def values(self) -> list[float]:
         out = [self.eps_start]

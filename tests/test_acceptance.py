@@ -113,7 +113,7 @@ def test_03_divergence_and_nondivergence_forms_agree(conclude):
             g = Grid((0.0, 1.0), (1.0, 2.0), n, n)
             u = GridFunction.from_callable(g, f)
             fr = Frame(u, eps)
-            w = coefficients(fr).w
+            w = coefficients(fr)[3]
             disc = w * residual_div(fr).values - residual_nondiv(fr).values
             sups.append(float(np.max(np.abs(disc[2:-2, 2:-2]))))
         ratios += [sups[0] / sups[1], sups[1] / sups[2]]

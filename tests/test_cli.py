@@ -242,6 +242,9 @@ class TestExitOneWritesNothing:
     @pytest.mark.parametrize("boundary, message", [
         ({"expr": "x1 +"}, "boundary.expr: invalid syntax"),
         ({"expr": "x1 * 'a'"}, "boundary.expr: only numeric literals allowed"),
+        ({"expr": "True + x1"}, "boundary.expr: only numeric literals allowed"),
+        ({"expr": "False"}, "boundary.expr: only numeric literals allowed"),
+        ({"expr": "x1 * True"}, "boundary.expr: only numeric literals allowed"),
         ({}, "boundary.expr: required unless boundary.catalog is given"),
         ({"catalog": "pauls"}, "boundary evaluation failed: the piecewise-rational graph needs x1 > 1"),
         ({"expr": "1/0"}, "boundary evaluation failed: float division by zero"),
@@ -254,9 +257,9 @@ class TestExitOneWritesNothing:
         ({"expr": "x1", "params": {"a": 1}}, "boundary.params: only the affine entry takes params"),
         ({"catalog": "shear-neg", "params": {"a": 1}},
          "boundary.params: only the affine entry takes params"),
-    ], ids=["syntax", "string-literal", "empty", "outside-the-domain", "zero-division",
-            "float-overflow", "integer-power", "complex", "nested-too-deeply", "expr-and-catalog",
-            "expr-params", "catalog-params"])
+    ], ids=["syntax", "string-literal", "true-literal", "false-literal", "true-factor", "empty",
+            "outside-the-domain", "zero-division", "float-overflow", "integer-power", "complex",
+            "nested-too-deeply", "expr-and-catalog", "expr-params", "catalog-params"])
     def test_boundary(self, tmp_path, capsys, boundary, message):
         self.exit_1(tmp_path, capsys, "solve", solve_cfg(tmp_path / "out", boundary=boundary),
                     message)
@@ -336,10 +339,9 @@ _RANGES = {  # coordinate ranges: negative, tiny, huge, subnormal
 }
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_solution_writer_gives_the_generic_csv_bytes(data, tmp_path):
+def _extreme_field(data):
+    """A field on a drawn grid of ``_RANGES``, with values from subnormal to
+    near the float maximum, signed zeros among them."""
     n1, n2 = data.draw(st.integers(3, 40), label="n1"), data.draw(st.integers(3, 40), label="n2")
     x1 = _RANGES[data.draw(st.sampled_from(sorted(_RANGES)), label="x1 range")]
     x2 = _RANGES[data.draw(st.sampled_from(sorted(_RANGES)), label="x2 range")]
@@ -348,12 +350,31 @@ def test_solution_writer_gives_the_generic_csv_bytes(data, tmp_path):
     values = rng.standard_normal((n1, n2)) * 10.0 ** rng.integers(-300, 300, (n1, n2))
     special = [-0.0, 0.0, 5e-324, -2.2e-310, 1e300, -1e300, 1.7976931348623157e308, 1 / 3]
     values.flat[rng.choice(n1 * n2, min(len(special), n1 * n2), replace=False)] = special[:n1 * n2]
-    sol = hmingraph.GridFunction(grid, values)
+    return hmingraph.GridFunction(grid, values)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_solution_writer_gives_the_generic_csv_bytes(data, tmp_path):
+    sol = _extreme_field(data)
     with pytest.MonkeyPatch.context() as mp:  # blocks of one row, a few rows, or all
         mp.setattr(cli, "_CSV_BLOCK", data.draw(st.sampled_from([1, 5, 4096]), label="block"))
-        cli._solution_writer(grid)(tmp_path / "fast.csv", sol)
+        cli._solution_writer(sol.grid)(tmp_path / "fast.csv", sol)
         _generic_solution_csv(tmp_path / "generic.csv", sol)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_written_solution_reads_back_bit_for_bit(data, tmp_path):
+    # the reader's check that the coordinates are the grid's passes every file the writer makes
+    sol = _extreme_field(data)
+    cli._solution_writer(sol.grid)(tmp_path / "u.csv", sol)
+    back = cli._read_solution_csv(tmp_path / "u.csv")
+    assert back.grid == sol.grid
+    assert back.values.tobytes() == sol.values.tobytes()
 
 
 def test_solution_writer_spans_blocks_like_the_generic_csv(tmp_path):
@@ -411,6 +432,28 @@ class TestCorruptedRunDirectory:
         assert code == 1
         assert f"error: {path}: rows do not form a full lattice" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, artifact", [("foliate", "leaves.json"),
+                                                   ("diagnose", "verdict.json")])
+    def test_unevenly_spaced_coordinates(self, tmp_path, capsys, command, artifact):
+        # x1 -> x1**2 keeps the endpoints, the order and the node count
+        run_dir = tmp_path / "run"
+        cfg = solve_cfg(run_dir, grid={"x1": [0, 1], "x2": [1, 2], "n1": 17, "n2": 17},
+                        schedule={"max_steps": 1})
+        del cfg["eps"]
+        assert main(["continuation", write_cfg(tmp_path / "run.json", cfg)]) == 0
+        path = run_dir / "solution_000.csv"
+        head, *rows = path.read_text().splitlines()
+        rows = [f"{float(x1) ** 2!r},{rest}" for x1, rest in (r.split(",", 1) for r in rows)]
+        path.write_text("\n".join([head, *rows]) + "\n")
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path / "c.json", {command: {"run_dir": str(run_dir)},
+                                              "output_dir": str(out)})
+        assert main([command, cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: coordinates are not evenly spaced"), err
+        assert "Traceback" not in err
+        assert not (out / artifact).exists()
 
     def test_final_solution_that_is_a_directory(self, fan_run_dir, tmp_path, capsys):
         run_dir = tmp_path / "run"

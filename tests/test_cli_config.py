@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmingraph import cli
 from hmingraph.cli import main
 
 GRID = {"x1": [0, 1], "x2": [1, 2], "n1": 17, "n2": 17}
@@ -159,6 +161,7 @@ SILENT = [
     ("diagnose", "diagnose.holder_cap", 1.0),
     ("distance", "distance.n", 5),
     ("diagnose", "diagnose.budgets.alphas", []),
+    ("continuation", "schedule.max_steps", 0),
 ]
 
 
@@ -223,3 +226,55 @@ def test_integral_float_count_is_read_as_an_integer(runs):
     cfg = {**cfg, "grid": {**GRID, "n1": 17.0}, "output_dir": str(out)}
     assert run(command, cfg, runs)[0] == 0
     assert len((out / "solution.csv").read_text().splitlines()) == 1 + 17 * 17
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_tables():
+    """The README's config tables: the name in each header's first cell (a
+    section, or ``top level``) and the table's rows, as lists of cells."""
+    tables, rows = {}, None
+    for line in README.read_text().splitlines():
+        if not line.startswith("|"):
+            rows = None
+            continue
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if rows is None:  # a header; other tables are read into a list that is dropped
+            config = cells[1:4] == ["type", "range", "default"]
+            rows = tables.setdefault(cells[0].strip("`"), []) if config else []
+        elif set(cells[0]) - set("-"):
+            rows.append(cells)
+    return tables
+
+
+def quoted(cell):
+    return re.findall(r"`([^`]+)`", cell)
+
+
+def test_the_readme_config_tables_list_the_keys_the_readers_take():
+    readers = {key: reader for _, section in cli._COMMANDS.values()
+               for key, reader in section.table.items()}
+    read_by = {key: [c for c, (_, section) in cli._COMMANDS.items() if key in section.table]
+               for key in readers}
+    nested = lambda section: {"": set(section.table)} | {
+        key: set(sub.table) for key, sub in section.table.items() if isinstance(sub, cli._Section)}
+    expected = {name: nested(r) for name, r in readers.items() if isinstance(r, cli._Section)}
+    # the top level lists every key but the sections named after their command
+    expected["top level"] = {"": set(readers) - set(cli._COMMANDS) | set(cli._OUTPUT.table)}
+
+    documented = {}
+    for name, rows in readme_tables().items():
+        keys = documented[name] = {"": set()}
+        for cells in rows:
+            for key in quoted(cells[0]):
+                head, _, sub = key.partition(".")
+                if sub:  # a row of its own per key of a nested section
+                    keys.setdefault(head, set()).add(sub)
+                else:
+                    keys[""].add(key)
+                if cells[1].startswith("object:"):  # or the keys named in its type
+                    keys[key] = set(quoted(cells[1]))
+                if name == "top level" and key in read_by:
+                    assert quoted(cells[4]) == read_by[key], key
+    assert documented == expected

@@ -350,7 +350,7 @@ def test_the_ledger_seminorms_are_holder_seminorm_bit_for_bit_however_the_budget
     frames = [Frame(GridFunction(g, rng.standard_normal((n1, n2))), float(rng.uniform(0.01, 2.0)))
               for _ in range(count)]
     per_stack = data.draw(st.integers(1, count + 1), label="frames a stack")
-    window = diagnostics.default_window(g)
+    window = diagnostics.holder_window(g, None)
     alone = [tuple(map(max, *(holder_seminorm(op(fr, fr.u), diagnostics.DEFAULT_ALPHAS, window)
                               for op in (apply_x1, apply_x2)))) for fr in frames]
     with pytest.MonkeyPatch.context() as mp:

@@ -50,6 +50,17 @@ def test_gridfunction_rejects_wrong_shape():
         GridFunction(g, np.zeros((3, 4)))
 
 
+def test_from_callable_makes_one_array_call_and_broadcasts_a_constant():
+    g = Grid((0.0, 1.0), (0.0, 1.0), 4, 6)
+    calls = []
+    u = GridFunction.from_callable(g, lambda a, b: calls.append(a.shape) or 2.5)
+    assert calls == [(4, 6)]
+    assert u.values.tobytes() == np.full((4, 6), 2.5).tobytes()
+    u.values[0, 0] = 1.0  # its own writable array
+    with pytest.raises(TypeError):  # a callable that takes scalars only
+        GridFunction.from_callable(g, lambda a, b: float(a) + b)
+
+
 def test_sup_and_lip_norms_on_affine():
     g = Grid((0.0, 1.0), (0.0, 1.0), 33, 33)
     u = GridFunction.from_callable(g, lambda a, b: 2.0 * a - 1.0)

@@ -50,26 +50,26 @@ def test_coefficients_from_frame_match_gradient_substitution():
     # u = x1 has graph slope 1 and no vertical slope anywhere
     g = Grid((0.0, 1.0), (0.0, 1.0), 17, 17)
     fr = Frame(GridFunction.from_callable(g, lambda a, b: a), 1.0)
-    c = coefficients(fr)
-    assert np.allclose(c.a11, 0.5, atol=1e-12)
-    assert np.allclose(c.a12, 0.0, atol=1e-12)
-    assert np.allclose(c.a22, 1.0, atol=1e-12)
-    assert np.allclose(c.w, np.sqrt(2.0), atol=1e-12)
+    a11, a12, a22, w = coefficients(fr)
+    assert np.allclose(a11, 0.5, atol=1e-12)
+    assert np.allclose(a12, 0.0, atol=1e-12)
+    assert np.allclose(a22, 1.0, atol=1e-12)
+    assert np.allclose(w, np.sqrt(2.0), atol=1e-12)
 
 
 def test_coefficient_eigenvalues_stay_in_the_elliptic_band():
     g = bench_grid_n(33)
     fr = Frame(sample(g, lambda a, b: np.sin(2 * a) * b + 0.3 * a), 0.5)
-    c = coefficients(fr)
+    a11, a12, a22, w = coefficients(fr)
     # symmetric 2x2 eigenvalues, nodewise
-    tr = c.a11 + c.a22
-    det = c.a11 * c.a22 - c.a12**2
+    tr = a11 + a22
+    det = a11 * a22 - a12**2
     disc = np.sqrt(np.maximum(0.0, tr**2 / 4.0 - det))
     lo, hi = tr / 2.0 - disc, tr / 2.0 + disc
-    floor = 1.0 / c.w**2
+    floor = 1.0 / w**2
     assert np.all(lo >= floor - 1e-12)
     assert np.all(hi <= 1.0 + 1e-12)
-    assert np.all(c.w >= 1.0)
+    assert np.all(w >= 1.0)
 
 
 # ----------------------------------------------------------------- residuals
@@ -131,8 +131,8 @@ def test_form_identity_discrepancy_refines_at_second_order():
         for n in (33, 65):
             g = bench_grid_n(n)
             fr = Frame(sample(g, field), eps)
-            c = coefficients(fr)
-            disc = c.w * residual_div(fr).values - residual_nondiv(fr).values
+            w = coefficients(fr)[3]
+            disc = w * residual_div(fr).values - residual_nondiv(fr).values
             m = 2
             sups.append(np.max(np.abs(disc[m:-m, m:-m])))
         assert 3.5 <= sups[0] / sups[1] <= 4.5

@@ -242,6 +242,8 @@ def test_schedule_validation():
         EpsSchedule(factor=1.2)
     with pytest.raises(ValueError):
         EpsSchedule(eps_min=0.0)
+    with pytest.raises(ValueError, match="max_steps"):  # values() would still hold eps_start
+        EpsSchedule(max_steps=0)
 
 
 def test_solver_config_rejects_a_line_search_that_never_ends():
