@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .catalog import DomainError, ShearRootError, catalog, make_entry
+from .catalog import catalog, make_entry
 from .diagnostics import DiagnosticsBudgets, holder_window, norm_ledger, verdict
 from .foliation import coverage_fraction, fit_leaf, foliation_cover, leaf_table
 from .geometry import (
@@ -124,8 +124,9 @@ _string = _reader(lambda v: isinstance(v, str), "a string")
 _path = _reader(lambda v: isinstance(v, str), "a string", Path)
 _interval = _reader(lambda v: _numbers(v, 2) and v[0] < v[1], "[lo, hi] with lo < hi", tuple)
 _entry = _reader(lambda v: v in sorted(catalog()), f"one of {sorted(catalog())}")
-_BY_ANNOTATION = {  # the readers of dataclass fields
-    "float": _number, "int": _integer(0), "tuple": _reader(_numbers, "a list of numbers", tuple),
+_BY_ANNOTATION = {  # the readers of dataclass fields; each class checks its own ranges
+    "float": _number, "int": _reader(lambda v: _finite(v) and int(v) == v, "an integer", int),
+    "tuple": _reader(_numbers, "a list of numbers", tuple),
     "tuple[float, float] | None": _reader(lambda v: v is None or _numbers(v, 2), "null or a pair",
                                           lambda v: v and tuple(v))}
 
@@ -265,15 +266,23 @@ def boundary_expression(src: str):
     return f
 
 
+def _on_grid(grid: Grid, f, what: str) -> GridFunction:
+    """The closed form ``f(x1, x2)`` on ``grid``; a ConfigError ``<what>: <why>``
+    where it divides by zero, overflows, turns complex or leaves its domain
+    (the catalog's DomainError and ShearRootError are ValueErrors)."""
+    try:
+        with np.errstate(all="ignore"):
+            return GridFunction.from_callable(grid, f)
+    except (ArithmeticError, TypeError, ValueError) as e:
+        raise ConfigError(f"{what}: {e}") from e
+
+
 def _boundary_from(sec: dict, grid: Grid) -> BoundaryData:
     if "expr" in sec:
         f = boundary_expression(sec["expr"])
     else:
         f = make_entry(sec["catalog"], sec.get("params")).eval
-    try:  # an expression can also divide by zero, overflow or turn complex
-        return BoundaryData.from_callable(grid, lambda a, b: np.asarray(f(a, b), dtype=float))
-    except (ArithmeticError, TypeError, DomainError, ShearRootError, ValueError) as e:
-        raise ConfigError(f"boundary evaluation failed: {e}") from e
+    return BoundaryData(grid, _on_grid(grid, f, "boundary evaluation failed").values)
 
 
 def _out_dir(cfg: dict) -> tuple[Path, list]:
@@ -602,12 +611,8 @@ def cmd_diagnose(c: dict, out: Path, prov: dict) -> int:
 def cmd_example(c: dict, out: Path, prov: dict) -> int:
     grid = c["grid"]
     entry = make_entry(c["example"]["name"], c["example"].get("params"))
-    x1, x2 = grid.nodes()
-    try:
-        vals = np.asarray(entry.eval(x1, x2), dtype=float)
-    except (DomainError, ShearRootError) as e:
-        raise ConfigError(f"example {entry.name!r} undefined on this grid: {e}") from e
-    _solution_writer(grid)(out / "example.csv", GridFunction(grid, vals))
+    vals = _on_grid(grid, entry.eval, f"example {entry.name!r} undefined on this grid")
+    _solution_writer(grid)(out / "example.csv", vals)
     _write_json(out / "example.json", {**prov, "name": entry.name, "flags": entry.flags})
     return 0
 

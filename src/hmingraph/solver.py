@@ -6,7 +6,7 @@ with ``residual_div(u) = 0`` at every interior node.  Newton iterates with
 the exact sparse Jacobian and Armijo backtracking on the residual 2-norm;
 its linear systems are solved by GMRES preconditioned with the LU of an
 earlier Jacobian, refactoring only when that stale LU stops being good
-enough.  A step that stagnates ends the solve with
+enough.  Every stop short of convergence ends the solve with
 :class:`NonConvergenceError`.  :func:`continuation` walks a geometric eps
 schedule, warm-starting each solve from the previous solution and the
 previous LU, and records the uniform bounds whose stability is the whole
@@ -93,6 +93,8 @@ class SolverConfig:
     linear_tol: float = 1e-8
 
     def __post_init__(self):
+        if self.max_newton_iter < 0:
+            raise ValueError(f"max_newton_iter: must be at least 0, got {self.max_newton_iter}")
         if not 0.0 < self.armijo_shrink < 1.0:  # else the line search never ends
             raise ValueError(f"armijo_shrink: must lie in (0, 1), got {self.armijo_shrink}")
 
@@ -109,8 +111,8 @@ class NewtonReport:
     linear_residuals: list = dc_field(default_factory=list)  # |J d - rhs| / |rhs| per iteration
     krylov_iterations: list = dc_field(default_factory=list)  # per iteration; 0 = fresh LU
     factorizations: int = 0
-    used_picard: bool = False  # always False: Newton has no fallback; report.json keeps the key
     message: str = ""
+    used_picard = False  # a class constant: Newton has no fallback; report.json keeps the key
 
 
 class NonConvergenceError(RuntimeError):
@@ -155,9 +157,16 @@ def transfinite_interpolation(boundary: BoundaryData) -> GridFunction:
     return GridFunction(g, blend)
 
 
-def _interior_residual(grid: Grid, values: np.ndarray, eps: float) -> np.ndarray:
+def _interior_residual(grid: Grid, values: np.ndarray, eps: float) -> np.ndarray | None:
+    """The interior residual of the iterate ``values``; None if either is not finite."""
+    if not np.all(np.isfinite(values)):
+        return None
     fr = Frame(GridFunction(grid, values), eps)
-    return residual_div(fr).restrict(1)
+    try:
+        with np.errstate(all="ignore"):
+            return residual_div(fr).restrict(1)
+    except ValueError:  # the residual's GridFunction rejects a value that is not finite
+        return None
 
 
 class LUCache:
@@ -257,7 +266,9 @@ def solve_eps(
     spacing) that a second-difference residual cannot go below; the report
     then says "converged at the rounding floor".  A step whose linear solve
     misses ``linear_tol`` or whose line search falls below ``min_step``
-    ends the solve, as does ``max_newton_iter``.
+    ends the solve, as do ``max_newton_iter`` and a residual that is not
+    finite.  Every stop leaves through one exit, whose error carries the
+    first iterate of least residual sup.
 
     Each Newton step goes through :func:`spsolve` with ``lu_cache`` (a fresh
     :class:`LUCache` when None): GMRES preconditioned by the LU of an
@@ -282,32 +293,20 @@ def solve_eps(
         u = boundary.impose(initial_guess.values[1:-1, 1:-1])
 
     report = NewtonReport(converged=False, iterations=0, final_residual=np.inf)
-    best_vals, best_sup = u.copy(), np.inf
-
-    def record_best(vals, sup):
-        nonlocal best_vals, best_sup
-        if sup < best_sup:
-            best_vals, best_sup = vals.copy(), sup
-
+    best, best_sup = u, np.inf  # iterates are replaced, never written into
     if lu_cache is None:
         lu_cache = LUCache()
     factorizations_before = lu_cache.factorizations
-    floor_per_unit_u = _ROUNDING_FLOOR_C * np.finfo(float).eps / min(grid.h1, grid.h2) ** 2
-    it = 0
+    floor_per_unit_u = _ROUNDING_FLOOR_C * float(np.finfo(float).eps) / min(grid.h1, grid.h2) ** 2
     while True:
         r = _interior_residual(grid, u, eps)
-        sup = float(np.max(np.abs(r)))
+        sup = np.inf if r is None else float(np.max(np.abs(r)))
         report.residual_history.append(sup)
-        record_best(u, sup)
-        if sup <= max(config.newton_tol, floor_per_unit_u * float(np.max(np.abs(u)))):
-            report.converged = True
-            report.final_residual = sup
-            report.iterations = it
-            report.factorizations = lu_cache.factorizations - factorizations_before
-            if sup > config.newton_tol:
-                report.message = "converged at the rounding floor"
-            return GridFunction(grid, u), report
-        if it >= config.max_newton_iter:
+        if sup < best_sup:
+            best, best_sup = u, sup
+        report.converged = sup <= max(config.newton_tol,
+                                      floor_per_unit_u * float(np.max(np.abs(u))))
+        if report.converged or r is None or report.iterations >= config.max_newton_iter:
             break
 
         fr = Frame(GridFunction(grid, u), eps)
@@ -319,37 +318,46 @@ def solve_eps(
         report.krylov_iterations.append(krylov_its)
         if not np.all(np.isfinite(delta)) or lin_res > config.linear_tol:
             break
-        # Armijo on the residual 2-norm
-        r2 = np.linalg.norm(r)
-        lam = 1.0
-        stagnated = False
-        while True:
-            trial = u.copy()
-            trial[1:-1, 1:-1] += lam * delta.reshape(r.shape)
-            tr = _interior_residual(grid, trial, eps)
-            if np.linalg.norm(tr) <= (1.0 - config.armijo_c * lam) * r2:
-                u = trial
-                report.step_lengths.append(lam)
-                break
-            lam *= config.armijo_shrink
-            if lam < config.min_step:
-                stagnated = True
-                break
-        if stagnated:
+        step = _armijo(grid, u, delta.reshape(r.shape), np.linalg.norm(r), eps, config)
+        if step is None:
             break
-        it += 1
+        lam, u = step
+        report.step_lengths.append(lam)
+        report.iterations += 1
 
-    # every break leaves u as it was at the top of its iteration, whose
-    # residual record_best has already seen
-    report.final_residual = best_sup
-    report.iterations = it
+    # the one exit of every stop
     report.factorizations = lu_cache.factorizations - factorizations_before
+    if report.converged:
+        report.final_residual = sup
+        if sup > config.newton_tol:
+            report.message = "converged at the rounding floor"
+        return GridFunction(grid, u), report
+    report.final_residual = best_sup
     report.message = "newton did not reach tolerance"
     raise NonConvergenceError(
         f"no convergence at eps={eps}: best residual {best_sup:.3e}",
-        GridFunction(grid, best_vals),
+        GridFunction(grid, best),
         report,
     )
+
+
+def _armijo(grid: Grid, u: np.ndarray, delta: np.ndarray, r2: float, eps: float,
+            config: SolverConfig):
+    """Armijo backtracking from ``u``, of interior residual 2-norm ``r2``, along
+    ``delta``: ``(lam, trial)`` for the first lam of 1, shrink, shrink^2, ...
+    that it accepts, or None below ``min_step``.  lam = 1 is tried even when
+    ``min_step > 1``; a trial whose residual is not finite is rejected.
+    """
+    lam = 1.0
+    while True:
+        trial = u.copy()
+        trial[1:-1, 1:-1] += lam * delta
+        tr = _interior_residual(grid, trial, eps)
+        if tr is not None and np.linalg.norm(tr) <= (1.0 - config.armijo_c * lam) * r2:
+            return lam, trial
+        lam *= config.armijo_shrink
+        if lam < config.min_step:
+            return None
 
 
 # ---------------------------------------------------------------------------

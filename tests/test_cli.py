@@ -107,6 +107,21 @@ class TestSolve:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("no convergence at eps=0.001: best residual")
 
+    def test_a_residual_that_overflows_exits_2_and_keeps_the_starting_guess(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = solve_cfg(out, grid={"x1": [0, 1], "x2": [1, 2], "n1": 17, "n2": 17},
+                        boundary={"expr": "1e160*x2*sin(3*x1)"})
+        assert main(["solve", write_cfg(tmp_path / "c.json", cfg)]) == 2
+        grid = hmingraph.Grid((0, 1), (1, 2), 17, 17)
+        guess = hmingraph.transfinite_interpolation(hmingraph.BoundaryData.from_callable(
+            grid, lambda a, b: 1e160 * b * np.sin(3 * a)))
+        assert np.array_equal(load_u_column(out / "solution.csv")[2], guess.values.ravel())
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is False and report["iterations"] == 0
+        assert report["final_residual"] == report["residual_history"][0] == np.inf
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["no convergence at eps=0.5: best residual inf"]
+
     def test_missing_eps_is_a_config_error(self, tmp_path, capsys):
         cfg = solve_cfg(tmp_path / "out")
         del cfg["eps"]
@@ -279,6 +294,18 @@ class TestExitOneWritesNothing:
                "grid": {"x1": [2, 4], "x2": [0.2, 1.2], "n1": 9, "n2": 9}}  # where pauls is defined
         self.exit_1(tmp_path, capsys, "example", cfg,
                     "example.params: only the affine entry takes params")
+
+    def test_example_that_overflows(self, tmp_path):
+        # in a fresh interpreter, so that a numpy overflow warning would show on stderr
+        cfg = {"example": {"name": "affine", "params": {"a": 1e308, "c": 0}},
+               "grid": {"x1": [2, 4], "x2": [-1, 1], "n1": 33, "n2": 33},
+               "output_dir": str(tmp_path / "out")}
+        done = run_cli("example", write_cfg(tmp_path / "c.json", cfg))
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            "error: example 'affine(a=1e+308, c=0)' undefined on this grid: "
+            "grid function values must be finite at every node"]
+        assert not (tmp_path / "out").exists()
 
     def test_final_solution_with_four_columns(self, tmp_path, capsys):
         run = tmp_path / "run"

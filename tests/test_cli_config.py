@@ -179,6 +179,28 @@ def test_malformed_value_is_exit_1_naming_the_key(runs, name, path, value):
     assert not out.exists()
 
 
+# integer fields of dataclasses: each message states the class's own bound
+INTEGER_BOUNDS = [
+    ("continuation", "schedule.max_steps", -1, "must be at least 1, got -1"),
+    ("continuation", "schedule.max_steps", 0, "must be at least 1, got 0"),
+    ("solve", "solver.max_newton_iter", -1, "must be at least 0, got -1"),
+    ("solve", "solver.max_newton_iter", 0.5, "expected an integer, got 0.5"),
+]
+
+
+@pytest.mark.parametrize("name, path, value, message", INTEGER_BOUNDS,
+                         ids=[f"{n}:{p}={v}" for n, p, v, _ in INTEGER_BOUNDS])
+def test_an_integer_field_is_checked_against_its_own_bound(runs, name, path, value, message):
+    # the field's reader checks only that it is an integer
+    command, cfg = valid_configs(runs)[name]
+    out = Path(tempfile.mkdtemp(dir=runs)) / "out"
+    cfg = json.loads(json.dumps({**cfg, "output_dir": str(out)}))
+    parent, _, key = path.rpartition(".")
+    section_of(cfg, parent)[key] = value
+    assert run(command, cfg, runs) == (1, f"error: {path}: {message}\n")
+    assert not out.exists()
+
+
 def test_window_without_a_node_pair_is_exit_1_before_the_verdict(runs):
     # well formed, so only the run's grid can reject it: the output directory
     # exists by then, and is removed again

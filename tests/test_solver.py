@@ -206,6 +206,55 @@ def test_nonconvergence_carries_best_iterate(monkeypatch):
     assert len(calls) == rep.iterations + 1 + trials
 
 
+def test_min_step_above_one_still_tries_the_full_step():
+    # the line search tries lam = 1 before it compares lam with min_step, so a
+    # min_step above 1 changes nothing while every full step is accepted
+    g = Grid((0.0, 1.0), (1.0, 2.0), 33, 33)
+    bd = boundary(g, fan_bump)
+    u, rep = solve_eps(g, bd, 0.5, SolverConfig(), None)
+    u2, rep2 = solve_eps(g, bd, 0.5, SolverConfig(min_step=2.0), None)
+    assert rep.converged and set(rep.step_lengths) == {1.0}
+    assert np.array_equal(u2.values, u.values) and rep2 == rep
+
+
+def test_a_residual_that_overflows_ends_the_solve():
+    # |grad u|^2 overflows in the first residual: the starting guess is the
+    # best iterate, at an infinite residual
+    g = Grid((0.0, 1.0), (1.0, 2.0), 17, 17)
+    bd = boundary(g, lambda a, b: 1e160 * b * np.sin(3 * a))
+    with pytest.raises(NonConvergenceError) as exc:
+        solve_eps(g, bd, 0.5, SolverConfig(), None)
+    rep = exc.value.report
+    assert not rep.converged and rep.iterations == 0 and rep.linear_residuals == []
+    assert rep.final_residual == np.inf and rep.residual_history == [np.inf]
+    assert np.array_equal(exc.value.best.values, transfinite_interpolation(bd).values)
+    with pytest.raises(ValueError, match="epsilon must be positive"):  # not a stop
+        solve_eps(g, bd, 0.0, SolverConfig(), None)
+
+
+def test_a_trial_step_whose_residual_overflows_is_rejected(monkeypatch):
+    # the full first step's residual is made non-finite, which residual_div's
+    # GridFunction rejects as it would an overflow: the line search halves
+    # the step, and the solve goes on to converge
+    g = Grid((0.0, 1.0), (1.0, 2.0), 33, 33)
+    bd = boundary(g, fan_bump)
+    calls = []
+
+    def overflowing(fr):
+        calls.append(fr)
+        if len(calls) == 2:
+            return GridFunction(fr.grid, np.full((g.n1, g.n2), np.inf))
+        return residual_div(fr)
+
+    monkeypatch.setattr(solver, "residual_div", overflowing)
+    _, rep = solve_eps(g, bd, 0.5, SolverConfig(), None)
+    assert rep.converged and rep.step_lengths[0] == SolverConfig().armijo_shrink
+    assert rep.residual_history[1] < rep.residual_history[0]
+    # one residual per Newton iteration, the last included, and one per trial
+    trials = sum(round(np.log2(1 / lam)) + 1 for lam in rep.step_lengths)
+    assert len(calls) == rep.iterations + 1 + trials
+
+
 def test_transfinite_guess_matches_boundary_ring():
     g = unit_grid_n(17)
     bd = boundary(g, lambda a, b: np.cos(a) + b * b)
@@ -251,6 +300,12 @@ def test_solver_config_rejects_a_line_search_that_never_ends():
     for shrink in (0.0, 1.0, 2.0):
         with pytest.raises(ValueError, match="armijo_shrink"):
             SolverConfig(armijo_shrink=shrink)
+
+
+def test_solver_config_rejects_a_negative_iteration_cap():
+    SolverConfig(max_newton_iter=0)  # zero takes no step: the guess is checked only
+    with pytest.raises(ValueError, match="max_newton_iter: must be at least 0, got -1"):
+        SolverConfig(max_newton_iter=-1)
 
 
 def test_m_bound_closed_form_for_affine():
