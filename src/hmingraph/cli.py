@@ -579,7 +579,10 @@ def cmd_foliate(c: dict, out: Path, prov: dict) -> int:
     sec = c["foliate"]
     sol, _eps = _load_state(sec["run_dir"])
     spacing = sec.get("seed_spacing", 2 * max(sol.grid.h1, sol.grid.h2))
-    leaves = foliation_cover(sol, spacing)
+    try:
+        leaves = foliation_cover(sol, spacing)
+    except ValueError as e:  # a spacing below the run's grid spacing
+        raise ConfigError(f"foliate.seed_spacing: {e}") from e
     _clear(out, _LEAF_STATE)
     summary = []
     for k, leaf in enumerate(leaves):

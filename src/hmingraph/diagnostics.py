@@ -81,10 +81,11 @@ def _offset_set(grid: Grid, lo: float, hi: float) -> tuple:
     angles = np.linspace(-np.pi / 2, np.pi / 2, 25)
     for r in radii:
         for th in angles:
-            di = int(round(r * np.cos(th) / grid.h1))
-            dj = int(round(r * np.sin(th) / grid.h2))
-            if 0 <= di < n1 and -n2 < dj < n2:
-                offsets.add((di, dj))
+            fi, fj = float(r * np.cos(th)) / grid.h1, float(r * np.sin(th)) / grid.h2
+            if abs(fi) < n1 and abs(fj) < n2:  # in floats: beyond the grid may not round to an int
+                di, dj = int(round(fi)), int(round(fj))
+                if 0 <= di < n1 and -n2 < dj < n2:
+                    offsets.add((di, dj))
     return tuple(sorted({(di, abs(dj) if di == 0 else dj) for di, dj in offsets} - {(0, 0)}))
 
 
@@ -332,8 +333,8 @@ class DiagnosticsBudgets:
             raise ValueError(f"alphas: each must lie in (0, 1), got {self.alphas}")
         if self.window is not None and not 0.0 <= self.window[0] < self.window[1]:
             raise ValueError(f"window: need 0 <= lo < hi, got {self.window}")
-        if not self.margin_fraction < 0.5:  # else the verdict's interior window is empty
-            raise ValueError(f"margin_fraction: must be below 0.5, got {self.margin_fraction}")
+        if not 0.0 <= self.margin_fraction < 0.5:  # else the verdict's interior window is empty
+            raise ValueError(f"margin_fraction: must lie in [0, 0.5), got {self.margin_fraction}")
 
 
 def verdict(final: GridFunction, eps: float, lip_norms: list,

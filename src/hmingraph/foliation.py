@@ -175,11 +175,15 @@ def foliation_cover(u: GridFunction, seed_spacing: float) -> list[Leaf]:
 
     The left edge is always inflow (the first flow component has unit speed);
     bottom and top edge points are seeded where the field points into the
-    rectangle.  Seeds where no step fits are skipped silently.
+    rectangle.  Seeds where no step fits are skipped silently.  A spacing
+    below the grid's smaller spacing is a ValueError: each seed is a leaf.
     """
+    g = u.grid
+    h = min(g.h1, g.h2)
     if seed_spacing <= 0.0:
         raise ValueError("seed spacing must be positive")
-    g = u.grid
+    if seed_spacing < h:
+        raise ValueError(f"seed spacing {seed_spacing:g} is below the grid's smaller spacing {h:g}")
     (a1, b1), (a2, b2) = g.x1_range, g.x2_range
     span = b1 - a1
     leaves: list[Leaf] = []

@@ -264,12 +264,17 @@ class OracleLattice:
         self.ff, self.mesh = ff, mesh
         eps = ff.epsilon
         self.spacings = (mesh, eps * mesh / 2.0, mesh)
-        self.half = tuple(max(1, int(round(b / a))) for b, a in zip(box, self.spacings))
-        N1, N2, N3 = self.shape = tuple(2 * n + 1 for n in self.half)
-        if N1 * N2 * N3 > 4_000_000:
+        ratios = [b / a for b, a in zip(box, self.spacings)]
+        if max(ratios) < 4_000_000:
+            self.half = tuple(max(1, int(round(r))) for r in ratios)
+            nodes = math.prod(2 * n + 1 for n in self.half)
+        else:  # counted in floats: the ratio may be too large to round to an int
+            nodes = math.prod(2 * r + 1 for r in ratios)
+        if not nodes <= 4_000_000:
             raise ValueError(
-                f"oracle lattice would hold {N1 * N2 * N3} nodes "
+                f"oracle lattice would hold {nodes} nodes "
                 "(the vertical spacing scales with eps*mesh); coarsen the mesh or shrink the box")
+        N1, N2, N3 = self.shape = tuple(2 * n + 1 for n in self.half)
 
         # node (i, j, k) ~ (x0_1 + (i - n1) a1, x0_2 + (j - n2) a2, (k - n3) a3).
         # The d2-coefficient of the frozen X1 field at a node is p1[i, j] + s2[k].
@@ -289,9 +294,10 @@ class OracleLattice:
         the sweep ends without reaching it."""
         (n1, n2, n3), (a1, a2, a3) = self.half, self.spacings
         N1, N2, N3 = self.shape
-        qi = n1 + int(round((p.x1 - self.ff.x0[0]) / a1))
-        qj = n2 + int(round((p.x2 - self.ff.x0[1]) / a2))
-        qk = n3 + int(round(p.s / a3))
+        f = ((p.x1 - self.ff.x0[0]) / a1, (p.x2 - self.ff.x0[1]) / a2, p.s / a3)
+        if not all(map(math.isfinite, f)):
+            raise UnreachableError("query point outside the oracle lattice box")
+        qi, qj, qk = (n + int(round(x)) for n, x in zip(self.half, f))
         if not (0 <= qi < N1 and 0 <= qj < N2 and 0 <= qk < N3):
             raise UnreachableError("query point outside the oracle lattice box")
         node = (qi * N2 + qj) * N3 + qk

@@ -82,9 +82,10 @@ class Grid:
         """
         fi = (x1 - self.x1_range[0]) / self.h1
         fj = (x2 - self.x2_range[0]) / self.h2
-        i, j = int(round(fi)), int(round(fj))
-        if not (0 <= i < self.n1 and 0 <= j < self.n2):
+        # compared in floats: an index too large for an int is outside too
+        if not (-0.5 < fi < self.n1 - 0.5 and -0.5 < fj < self.n2 - 0.5):
             raise ValueError(f"point ({x1}, {x2}) outside grid")
+        i, j = int(round(fi)), int(round(fj))
         if abs(fi - i) > 1e-9 or abs(fj - j) > 1e-9:
             raise ValueError(f"point ({x1}, {x2}) is not a grid node")
         return i, j

@@ -9,7 +9,10 @@ own, a number that a package routine computes too:
 - :func:`_swept_lattice` and :func:`_lattice_distances`: the oracle lattice
   swept to its end, the reference of the on-demand sweep;
 - :func:`picard_solve` with :func:`_lagged_matrix`: a Jacobian-free
-  lagged-coefficient fixed point, the reference of the Newton solve.
+  lagged-coefficient fixed point, the reference of the Newton solve;
+- :func:`residual_by_hand` and :func:`offsets_by_hand`: the divergence row
+  written out for the residual and for each of the nine Jacobian offsets,
+  the reference of the one row formula they share in ``hmingraph``.
 """
 
 from __future__ import annotations
@@ -286,3 +289,61 @@ def _lagged_offsets(hd: _HalfData) -> dict:
         h1, h2, eps, hd.uI, -bx / h1, bx / h1, bx * hd.ubar_x / (4 * h2),
         cyB1, -cyB1, by / (4 * h1), cyB2, -cyB2, np.zeros_like(by),
     )
+
+
+# ---------------------------------------------------------------------------
+# the divergence row, written out once per use
+# ---------------------------------------------------------------------------
+
+
+def residual_by_hand(hd: _HalfData) -> np.ndarray:
+    """Interior values of :func:`residual_div`, the row written out."""
+    g1x = hd.p1_x / hd.W_x
+    g1y = hd.p1_y / hd.W_y
+    g2y = hd.p2_y / hd.W_y
+    return (
+        (g1x[1:, :] - g1x[:-1, :]) / hd.h1
+        + hd.uI * (g1y[:, 1:] - g1y[:, :-1]) / hd.h2
+        + hd.eps * (g2y[:, 1:] - g2y[:, :-1]) / hd.h2
+    )
+
+
+def offsets_by_hand(h1, h2, eps, uI, cxL, cxR, cxD, cyB1, cyT1, cyS1, cyB2, cyT2, cyS2):
+    """:func:`hmingraph.operators._combine_offsets` with each of the nine rows
+    written out, the y-terms of (0, -1), (1, -1) and (-1, 1) subtracted."""
+    xp = lambda a: a[1:, :]
+    xm = lambda a: a[:-1, :]
+    yp = lambda a: a[:, 1:]
+    ym = lambda a: a[:, :-1]
+
+    D = {}
+    D[(0, 0)] = (
+        (xp(cxL) - xm(cxR)) / h1
+        + uI * (yp(cyB1) - ym(cyT1)) / h2
+        + eps * (yp(cyB2) - ym(cyT2)) / h2
+    )
+    D[(1, 0)] = (
+        xp(cxR) / h1
+        + uI * (yp(cyS1) - ym(cyS1)) / h2
+        + eps * (yp(cyS2) - ym(cyS2)) / h2
+    )
+    D[(-1, 0)] = (
+        -xm(cxL) / h1
+        + uI * (-yp(cyS1) + ym(cyS1)) / h2
+        + eps * (-yp(cyS2) + ym(cyS2)) / h2
+    )
+    D[(0, 1)] = (
+        (xp(cxD) - xm(cxD)) / h1
+        + uI * yp(cyT1) / h2
+        + eps * yp(cyT2) / h2
+    )
+    D[(0, -1)] = (
+        (-xp(cxD) + xm(cxD)) / h1
+        - uI * ym(cyB1) / h2
+        - eps * ym(cyB2) / h2
+    )
+    D[(1, 1)] = xp(cxD) / h1 + uI * yp(cyS1) / h2 + eps * yp(cyS2) / h2
+    D[(1, -1)] = -xp(cxD) / h1 - uI * ym(cyS1) / h2 - eps * ym(cyS2) / h2
+    D[(-1, 1)] = -xm(cxD) / h1 - uI * yp(cyS1) / h2 - eps * yp(cyS2) / h2
+    D[(-1, -1)] = xm(cxD) / h1 + uI * ym(cyS1) / h2 + eps * ym(cyS2) / h2
+    return D

@@ -214,6 +214,67 @@ def test_window_without_a_node_pair_is_exit_1_before_the_verdict(runs):
     assert not out.exists()
 
 
+# finite values whose float index or count overflowed int(round(.)) into a traceback;
+# the grid of the runs is 17^2 with spacing 1/16
+OVERFLOWS = [
+    ("distance", "distance.x0", [1e308, 1.5], "distance.x0: point (1e+308, 1.5) outside grid"),
+    ("distance", "distance.mesh", 1e-320, "distance: oracle lattice would hold inf nodes"),
+    ("distance", "distance.box", [1e308, 0.2, 0.2], "distance: oracle lattice would hold inf nodes"),
+    ("diagnose", "diagnose.budgets.margin_fraction", -1e308,
+     "diagnose.budgets.margin_fraction: must lie in [0, 0.5), got -1e+308"),
+    ("foliate", "foliate.seed_spacing", 1e-300,
+     "foliate.seed_spacing: seed spacing 1e-300 is below the grid's smaller spacing 0.0625"),
+    ("foliate", "foliate.seed_spacing", 1 / 32,
+     "foliate.seed_spacing: seed spacing 0.03125 is below the grid's smaller spacing 0.0625"),
+]
+
+
+@pytest.mark.parametrize("name, path, value, message", OVERFLOWS,
+                         ids=[f"{p}={json.dumps(v)}" for _, p, v, _ in OVERFLOWS])
+def test_a_value_out_of_index_range_is_exit_1_on_one_line(runs, name, path, value, message):
+    # well formed, so only the run can reject it: the output directory exists
+    # by then, and is removed again
+    command, cfg = valid_configs(runs)[name]
+    out = Path(tempfile.mkdtemp(dir=runs)) / "out"
+    cfg = json.loads(json.dumps({**cfg, "output_dir": str(out)}))
+    parent, _, key = path.rpartition(".")
+    section_of(cfg, parent)[key] = value
+    code, err = run(command, cfg, runs)
+    assert code == 1
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_a_rejected_seed_spacing_keeps_the_leaves_of_a_reused_directory(runs):
+    command, cfg = valid_configs(runs)["foliate"]
+    out = Path(tempfile.mkdtemp(dir=runs)) / "out"
+    cfg = json.loads(json.dumps({**cfg, "output_dir": str(out)}))
+    assert run(command, cfg, runs)[0] == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert "leaf_000.csv" in before
+    cfg["foliate"]["seed_spacing"] = 1e-300
+    code, err = run(command, cfg, runs)
+    assert code == 1 and err.startswith("error: foliate.seed_spacing: "), err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_a_window_far_beyond_the_grid_is_measured(runs):
+    # on a grid of more than PAIR_CAP node pairs the offsets are sampled on
+    # separation shells up to the window's top; those past the grid are skipped
+    base = Path(tempfile.mkdtemp(dir=runs))
+    grid = {**GRID, "n1": 65, "n2": 65}
+    code, err = run("continuation", {
+        "grid": grid, "boundary": {"expr": "x2 / (x1 + 2)"}, "output_dir": str(base / "run"),
+        "schedule": {"eps_start": 0.5, "factor": 0.5, "eps_min": 0.5}}, runs)
+    assert code == 0, err
+    code, err = run("diagnose", {"diagnose": {"run_dir": str(base / "run"),
+                                              "budgets": {"window": [0, 1e308]}},
+                                 "output_dir": str(base / "out")}, runs)
+    assert (code, err) == (0, "")
+    rows = json.loads((base / "out" / "verdict.json").read_text())["alpha_estimates"]
+    assert all(math.isfinite(row["seminorm"]) for row in rows)
+
+
 def test_run_dir_without_a_run_is_exit_1_leaving_no_output_directory(runs):
     command, cfg = valid_configs(runs)["diagnose"]
     base = Path(tempfile.mkdtemp(dir=runs))

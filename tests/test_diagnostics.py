@@ -559,3 +559,19 @@ def test_rough_boundary_data_stays_near_its_generating_graph():
     X1, X2 = g.nodes()
     diff = float(np.max(np.abs(run.final.values - pauls_graph(X1, X2))))
     assert 1e-6 < diff < 1e-2
+
+
+def test_a_window_far_beyond_the_grid_skips_the_offsets_it_cannot_index():
+    # a 65^2 grid samples offsets on separation shells up to the window's top,
+    # whose float indices overflow to inf; the window itself holds node pairs
+    g = Grid((0.0, 1.0), (1.0, 2.0), 65, 65)
+    assert diagnostics.holder_window(g, (0.0, 1e308)) == (0.0, 1e308)
+    offsets = np.array(diagnostics._offset_set(g, 0.0, 1e308))
+    assert np.all((offsets[:, 0] < g.n1) & (np.abs(offsets[:, 1]) < g.n2))
+
+
+@pytest.mark.parametrize("fraction", [-1e308, -0.1, 0.5])
+def test_margin_fraction_lies_in_the_half_open_unit_half(fraction):
+    with pytest.raises(ValueError, match=r"margin_fraction: must lie in \[0, 0\.5\)"):
+        DiagnosticsBudgets(margin_fraction=fraction)
+    DiagnosticsBudgets(margin_fraction=0.0)

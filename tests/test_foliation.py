@@ -344,3 +344,11 @@ def test_leaf_table_matches_the_per_sample_loop():
     new = leaf_table(leaf)
     assert n > 20 and new.shape == old.shape
     assert np.array_equal(new.view(np.int64), old.view(np.int64))  # NaNs included
+
+
+@pytest.mark.parametrize("spacing", [1e-300, 1.0 / 64])
+def test_seed_spacing_below_the_grid_spacing_is_rejected(spacing):
+    # about 1/spacing seeds, each a traced leaf: 1e-300 cannot even be laid out
+    u = field(lambda a, b: 0.3 * a + 0.1 * b - 0.2)
+    with pytest.raises(ValueError, match="below the grid's smaller spacing"):
+        foliation_cover(u, spacing)

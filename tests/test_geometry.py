@@ -618,3 +618,18 @@ def test_remainder_fit_needs_enough_samples():
     fr = frame_of(lambda a, b: a * a, eps=0.5)
     with pytest.raises(ValueError):
         taylor_remainder_exponent(fr, (0.5, 0.5), (1e-6, 2e-6))
+
+
+@pytest.mark.parametrize("mesh, box", [(1e-320, (0.2, 0.2, 0.2)), (0.01, (1e308, 0.2, 0.2))])
+def test_a_lattice_too_large_for_an_int_index_is_counted_in_floats(mesh, box):
+    with pytest.raises(ValueError, match=r"oracle lattice would hold inf nodes"):
+        OracleLattice(FF_UNREACHABLE, mesh, box)
+
+
+def test_a_query_whose_lattice_index_is_not_finite_is_unreachable():
+    lattice = OracleLattice(FF_UNREACHABLE, 0.02, (0.2, 0.2, 0.2))
+    for p in (LiftedPoint(1e308, 0.5, 0.0), LiftedPoint(0.5, -1e308, 0.0),
+              LiftedPoint(0.5, 0.5, 1e308)):
+        with pytest.raises(UnreachableError, match="outside the oracle lattice box"):
+            lattice.distance(p)
+    assert lattice.distance(LiftedPoint(0.5, 0.5, 0.0)) == 0.0

@@ -235,3 +235,12 @@ def test_require_same_grid_flags_mismatch():
     assert require_same_grid(a, a) == g1
     with pytest.raises(GridMismatchError):
         require_same_grid(a, b)
+
+
+def test_node_index_of_a_point_too_far_out_for_an_int_is_outside():
+    # (1e308 - 0) / (1/16) overflows to inf, which does not round to an int
+    g = Grid((0.0, 1.0), (1.0, 2.0), 17, 17)
+    for x1, x2 in ((1e308, 1.5), (0.5, -1e308), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="outside grid"):
+            g.node_index(x1, x2)
+    assert g.node_index(0.5, 1.5) == (8, 8)

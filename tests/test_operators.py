@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 import scipy.sparse as sp
 from scipy.sparse import coo_matrix
 
@@ -18,14 +19,10 @@ from hmingraph import (
     residual_nondiv,
 )
 
-from hmingraph.operators import (
-    _HalfData,
-    _jacobian_offsets,
-    interior_index_maps,
-)
+from hmingraph.operators import _combine_offsets, _HalfData, _jacobian_offsets
 
 from helpers import bench_grid_n, fan_bump, sample
-from crosscheck import _lagged_matrix, _lagged_offsets
+from crosscheck import _lagged_matrix, _lagged_offsets, offsets_by_hand, residual_by_hand
 
 
 # ------------------------------------------------------------- coefficients
@@ -210,6 +207,13 @@ def test_jacobian_row_sums_match_uniform_shift_response():
 
 # ------------------------------------------------- cached sparsity pattern
 
+def interior_numbers(n1, n2):
+    """Per node of the flattened grid, its row-major interior number, -1 on the ring."""
+    inv = np.full((n1, n2), -1, dtype=np.int64)
+    inv[1:-1, 1:-1] = np.arange((n1 - 2) * (n2 - 2)).reshape(n1 - 2, n2 - 2)
+    return inv.ravel()
+
+
 def coo_route(D, n1, n2):
     """Interior and boundary blocks built directly from the offset dict, via COO."""
     m1, m2 = n1 - 2, n2 - 2
@@ -217,7 +221,7 @@ def coo_route(D, n1, n2):
     rows = np.tile(((ii - 1) * m2 + (jj - 1)).ravel(), len(D))
     cols = np.concatenate([((ii + di) * n2 + (jj + dj)).ravel() for di, dj in D])
     vals = np.concatenate([c.ravel() for c in D.values()])
-    _, inv = interior_index_maps(n1, n2)
+    inv = interior_numbers(n1, n2)
     bnd = np.flatnonzero(inv < 0)
     binv = -np.ones(n1 * n2, dtype=np.int64)
     binv[bnd] = np.arange(bnd.size)
@@ -252,9 +256,9 @@ def smooth_field(data, n1, n2, label):
 @given(data=st.data())
 def test_cached_assembly_matches_coo_route_and_the_residual(data):
     # grid sizes change between examples, so a pattern cached under the
-    # wrong key would put values in the wrong places
-    n1 = data.draw(st.integers(4, 40), label="n1")
-    n2 = data.draw(st.integers(4, 40), label="n2")
+    # wrong key would put values in the wrong places; 3 nodes leave one interior row
+    n1 = data.draw(st.integers(3, 40), label="n1")
+    n2 = data.draw(st.integers(3, 40), label="n2")
     eps = 10.0 ** data.draw(st.floats(-3.0, 0.0), label="log10 eps")
     g, u = smooth_field(data, n1, n2, "u")
     fr = Frame(GridFunction(g, u), eps)
@@ -280,6 +284,42 @@ def test_cached_assembly_matches_coo_route_and_the_residual(data):
 
     # the lagged operator frozen at u, applied to u, is the residual itself
     r = residual_div(fr).restrict(1).ravel()
-    _, inv = interior_index_maps(n1, n2)
+    inv = interior_numbers(n1, n2)
     au = ref_int @ u[1:-1, 1:-1].ravel() + ref_bnd @ u.ravel()[inv < 0]
     assert np.max(np.abs(au - r)) <= 1e-10 * np.max(np.abs(r))
+
+
+# ------------------------------------------------------ the one row formula
+
+def edge_values(big):
+    """Signed zeros, subnormals and +-big, besides ordinary values."""
+    return st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, big, -big]),
+                     st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_row_formula_gives_the_bits_of_the_rows_written_out(data):
+    m1 = data.draw(st.integers(1, 6), label="interior rows")
+    m2 = data.draw(st.integers(1, 6), label="interior columns")
+    h1, h2 = (data.draw(st.floats(1e-3, 10.0), label=f"h{k}") for k in (1, 2))
+    eps = 10.0 ** data.draw(st.floats(-12.0, 1.0), label="log10 eps")
+
+    def draw(shape, label, big=1e300):
+        return data.draw(arrays(np.float64, shape, elements=edge_values(big)), label=label)
+
+    uI = draw((m1, m2), "uI")
+    xs = [draw((m1 + 1, m2), f"x-half {k}") for k in range(3)]
+    ys = [draw((m1, m2 + 1), f"y-half {k}") for k in range(6)]
+    u = draw((m1 + 2, m2 + 2), "u", 1e100)  # products overflow, the residual stays finite
+    fr = Frame(GridFunction(Grid((0.0, h1 * (m1 + 1)), (1.0, 1.0 + h2 * (m2 + 1)),
+                                 m1 + 2, m2 + 2), u), eps)
+    with np.errstate(all="ignore"):
+        D = _combine_offsets(h1, h2, eps, uI, *xs, *ys)
+        ref = offsets_by_hand(h1, h2, eps, uI, *xs, *ys)
+        r = residual_div(fr).restrict(1)
+        r_ref = residual_by_hand(_HalfData(fr))
+    assert list(D) == list(ref)
+    for off in ref:
+        assert D[off].tobytes() == ref[off].tobytes(), off
+    assert r.tobytes() == r_ref.tobytes()
