@@ -33,7 +33,6 @@ from .solver import (
     NonConvergenceError,
     SolverConfig,
     continuation,
-    m_bound,
     solve_eps,
     transfinite_interpolation,
 )
@@ -51,6 +50,7 @@ from .diagnostics import (
     holder_exponent_estimate,
     holder_seminorm,
     intrinsic_derivative,
+    m_bound,
     norm_ledger,
     sobolev_norm_eps,
     verdict,

@@ -539,7 +539,9 @@ def cmd_solve(c: dict, out: Path, prov: dict) -> int:
 
 def _write_run(prov: dict, out: Path, run: VanishingViscosityRun) -> None:
     """``run.json``, ``ledger.json`` and one CSV per solution, in place of the
-    earlier run state in ``out``; nothing for an empty run.
+    earlier run state in ``out``; nothing for an empty run.  The ledger is
+    measured first: ``run.json``'s ``m_bounds`` are its rows' M, and its
+    ``lip_norms`` and ``sup_diffs`` are measured from the solutions.
 
     A continuation that stalls at its first eps leaves only the stalled
     step's ``solution.csv`` and ``report.json``, which read back as a solve.
@@ -547,6 +549,7 @@ def _write_run(prov: dict, out: Path, run: VanishingViscosityRun) -> None:
     _clear(out, _RUN_STATE)
     if not run.solutions:
         return
+    ledger = norm_ledger(run)
     files = []
     write = _solution_writer(run.solutions[0].grid)  # a continuation's steps share its grid
     for k, sol in enumerate(run.solutions):
@@ -556,12 +559,13 @@ def _write_run(prov: dict, out: Path, run: VanishingViscosityRun) -> None:
     _write_json(out / "run.json", {
         **prov,
         "eps_values": list(run.eps_values),
-        "lip_norms": list(run.lip_norms),
-        "m_bounds": list(run.m_bounds),
-        "sup_diffs": list(run.sup_diffs),
+        "lip_norms": [sol.lip_norm for sol in run.solutions],
+        "m_bounds": [row["M"] for row in ledger["rows"]],
+        "sup_diffs": [float(np.max(np.abs(new.values - prev.values)))
+                      for prev, new in zip(run.solutions, run.solutions[1:])],
         "files": files,
     })
-    _write_json(out / "ledger.json", {**prov, **norm_ledger(run)})
+    _write_json(out / "ledger.json", {**prov, **ledger})
 
 
 def cmd_continuation(c: dict, out: Path, prov: dict) -> int:

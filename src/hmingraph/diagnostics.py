@@ -34,6 +34,7 @@ __all__ = [
     "holder_exponent_estimate",
     "holder_window",
     "sobolev_norm_eps",
+    "m_bound",
     "derivative_equation_residuals",
     "norm_ledger",
     "DiagnosticsBudgets",
@@ -202,6 +203,15 @@ def sobolev_norm_eps(frame: Frame, m: int, p: float, of: GridFunction | None = N
     return total
 
 
+def m_bound(frame: Frame) -> float:
+    """Uniform bound ``sup|u| + sup|grad u| + sup|d2 u|`` (frame gradient)."""
+    u = frame.u
+    p1 = apply_x1(frame, u).values
+    p2 = apply_x2(frame, u).values
+    grad_sup = float(np.max(np.sqrt(p1 * p1 + p2 * p2)))
+    return u.sup_norm + grad_sup + float(np.max(np.abs(u.d2())))
+
+
 def derivative_equation_residuals(frame: Frame, margin: int = 3) -> tuple[float, float]:
     """Sup-norm defects of the two equations solved by derivatives of ``u``.
 
@@ -290,19 +300,19 @@ def _ledger_seminorms(frames: list) -> list:
 def norm_ledger(run: VanishingViscosityRun) -> dict:
     """The ``ledger.json`` object: ``{"rows": [...]}``, one row per epsilon of a run.
 
-    Each row records the coarse size bound M from ``run.m_bounds`` (one per
-    solution, else a ValueError), the order-2 scaled Sobolev norm of u, the
-    order-1 norm of its vertical derivative, and Holder seminorms of both
-    gradient components at ``DEFAULT_ALPHAS`` on the default window, the
-    same numbers as :func:`holder_seminorm` gives.  Eps must decrease
-    strictly and each entry be finite and non-negative, else a ValueError.
+    Each row records the coarse size bound M of :func:`m_bound`, the order-2
+    scaled Sobolev norm of u, the order-1 norm of its vertical derivative,
+    and Holder seminorms of both gradient components at ``DEFAULT_ALPHAS`` on
+    the default window, the same numbers as :func:`holder_seminorm` gives.
+    Eps must decrease strictly, with one solution each, and each entry be
+    finite and non-negative, else a ValueError.
     """
     if any(e2 >= e1 for e1, e2 in zip(run.eps_values, run.eps_values[1:])):
         raise ValueError("ledger rows must have strictly decreasing eps")
-    steps = list(zip(run.eps_values, run.solutions, run.m_bounds, strict=True))
-    frames = [Frame(sol, eps) for eps, sol, _ in steps]
+    frames = [Frame(sol, eps) for eps, sol in zip(run.eps_values, run.solutions, strict=True)]
     rows = []
-    for (eps, sol, m), frame, seminorms in zip(steps, frames, _ledger_seminorms(frames)):
+    for frame, seminorms in zip(frames, _ledger_seminorms(frames)):
+        eps, sol, m = frame.epsilon, frame.u, m_bound(frame)
         norms = {
             "u_W22_eps": sobolev_norm_eps(frame, 2, 2),
             "d2u_W12_eps": sobolev_norm_eps(frame, 1, 2, of=GridFunction(sol.grid, sol.d2())),

@@ -36,7 +36,8 @@ class Grid:
     Attributes
     ----------
     x1_range, x2_range : tuple of float
-        Closed coordinate intervals ``(lo, hi)`` with ``lo < hi``.
+        Closed coordinate intervals ``(lo, hi)`` with ``lo < hi``, each of
+        a positive finite spacing.
     n1, n2 : int
         Node counts per axis, at least 3 so an interior exists.
     """
@@ -53,6 +54,9 @@ class Grid:
             raise ValueError("grid ranges must be non-degenerate intervals (lo < hi)")
         if self.n1 < 3 or self.n2 < 3:
             raise ValueError("need n1 >= 3 and n2 >= 3 for an interior node to exist")
+        for name, h in (("x1", self.h1), ("x2", self.h2)):
+            if not 0.0 < h < np.inf:  # a range beyond float range, or too short to divide
+                raise ValueError(f"{name}: the spacing {h:g} is not a positive finite number")
 
     @property
     def h1(self) -> float:

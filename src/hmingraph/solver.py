@@ -9,8 +9,7 @@ earlier Jacobian, refactoring only when that stale LU stops being good
 enough.  Every stop short of convergence ends the solve with
 :class:`NonConvergenceError`.  :func:`continuation` walks a geometric eps
 schedule, warm-starting each solve from the previous solution and the
-previous LU, and records the uniform bounds whose stability is the whole
-point of the limit.
+previous LU, and records each eps with its solution and report.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .geometry import Frame, apply_x1, apply_x2
+from .geometry import Frame
 from .grid import Grid, GridFunction
 from .operators import jacobian_assemble, residual_div
 
@@ -47,7 +46,6 @@ __all__ = [
     "spsolve",
     "solve_eps",
     "continuation",
-    "m_bound",
 ]
 
 
@@ -231,8 +229,10 @@ def spsolve(A, b: np.ndarray, cache: LUCache, rtol: float):
     explicit residual ``|A x - b|`` is at most ``rtol |b|``.  Otherwise A
     is factored afresh by SuperLU and solved directly (0 iterations), and
     the new LU replaces the cached one.  The stale LU is dropped before
-    the factorization, so at most one LU is alive at a time.  SuperLU is
-    imported on that branch only, so scipy loads when ``solve`` or
+    the factorization, so at most one LU is alive at a time.  A matrix that
+    SuperLU finds exactly singular gives a NaN ``x``, a step that is not
+    finite, and leaves no LU cached and no factorization counted.  SuperLU
+    is imported on that branch only, so scipy loads when ``solve`` or
     ``continuation`` factors its first Jacobian and never at import.
     """
     if cache.lu is not None and cache.lu.shape == A.shape:
@@ -243,7 +243,10 @@ def spsolve(A, b: np.ndarray, cache: LUCache, rtol: float):
         cache.lu = None
     from scipy.sparse.linalg import splu
 
-    lu = splu(A, permc_spec=_PERMC_SPEC)
+    try:
+        lu = splu(A, permc_spec=_PERMC_SPEC)
+    except RuntimeError:  # "Factor is exactly singular"
+        return np.full(len(b), np.nan), 0
     cache.lu = lu
     cache.factorizations += 1
     return lu.solve(b), 0
@@ -265,10 +268,11 @@ def solve_eps(
     at most the rounding floor ``4 eps_mach |u|_inf / h^2`` (h the smaller
     spacing) that a second-difference residual cannot go below; the report
     then says "converged at the rounding floor".  A step whose linear solve
-    misses ``linear_tol`` or whose line search falls below ``min_step``
-    ends the solve, as do ``max_newton_iter`` and a residual that is not
-    finite.  Every stop leaves through one exit, whose error carries the
-    first iterate of least residual sup.
+    misses ``linear_tol`` or is not finite (an exactly singular Jacobian, say)
+    or whose line search falls below ``min_step`` ends the solve, as do
+    ``max_newton_iter`` and a residual that is not finite.  Every stop
+    leaves through one exit, whose error carries the first iterate of least
+    residual sup.
 
     Each Newton step goes through :func:`spsolve` with ``lu_cache`` (a fresh
     :class:`LUCache` when None): GMRES preconditioned by the LU of an
@@ -310,7 +314,8 @@ def solve_eps(
             break
 
         fr = Frame(GridFunction(grid, u), eps)
-        J = jacobian_assemble(fr).tocsc()
+        with np.errstate(all="ignore"):  # entries that overflow make a step that is not finite
+            J = jacobian_assemble(fr).tocsc()
         rhs = -r.ravel()
         delta, krylov_its = spsolve(J, rhs, lu_cache, _KRYLOV_MARGIN * config.linear_tol)
         lin_res = float(np.linalg.norm(J @ delta - rhs) / max(np.linalg.norm(rhs), 1e-300))
@@ -392,25 +397,13 @@ class EpsSchedule:
         return out
 
 
-def m_bound(frame: Frame) -> float:
-    """Uniform bound ``sup|u| + sup|grad u| + sup|d2 u|`` (frame gradient)."""
-    u = frame.u
-    p1 = apply_x1(frame, u).values
-    p2 = apply_x2(frame, u).values
-    grad_sup = float(np.max(np.sqrt(p1 * p1 + p2 * p2)))
-    return u.sup_norm + grad_sup + float(np.max(np.abs(u.d2())))
-
-
 @dataclass
 class VanishingViscosityRun:
-    """Solutions and uniform bounds along a decreasing eps schedule."""
+    """The solutions of a decreasing eps schedule and their Newton reports."""
 
     eps_values: list
     solutions: list
     reports: list
-    lip_norms: list
-    m_bounds: list
-    sup_diffs: list  # |u_{j+1} - u_j|_inf, one per consecutive pair
 
     @property
     def final(self) -> GridFunction:
@@ -440,8 +433,7 @@ def continuation(
     repeated runs bit-identical.  A failed step raises
     :class:`ContinuationError` carrying the partial run.
     """
-    run = VanishingViscosityRun(eps_values=[], solutions=[], reports=[], lip_norms=[],
-                                m_bounds=[], sup_diffs=[])
+    run = VanishingViscosityRun(eps_values=[], solutions=[], reports=[])
     guess = None
     lu_cache = LUCache()
     for eps in schedule.values():
@@ -450,12 +442,8 @@ def continuation(
                                     lu_cache=lu_cache)
         except NonConvergenceError as exc:
             raise ContinuationError(exc, eps, run) from exc
-        if run.solutions:
-            run.sup_diffs.append(float(np.max(np.abs(sol.values - run.solutions[-1].values))))
         run.eps_values.append(eps)
         run.solutions.append(sol)
         run.reports.append(report)
-        run.lip_norms.append(sol.lip_norm)
-        run.m_bounds.append(m_bound(Frame(sol, eps)))
         guess = sol
     return run

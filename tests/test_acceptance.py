@@ -169,8 +169,10 @@ def test_05_leaves_straighten_along_the_vanishing_limit(conclude, bench129):
 
 def test_06_height_family_is_uniformly_controlled(conclude, bench129):
     run, _ = bench129
-    lip_ratio = max(run.lip_norms) / min(run.lip_norms)
-    sd = run.sup_diffs
+    lip_norms = [u.lip_norm for u in run.solutions]
+    lip_ratio = max(lip_norms) / min(lip_norms)
+    sd = [float(np.max(np.abs(new.values - prev.values)))
+          for prev, new in zip(run.solutions, run.solutions[1:])]
     mono = all(sd[k + 1] <= 1.1 * sd[k] for k in range(len(sd) - 1))
     ok = lip_ratio <= 2.0 and mono
     conclude(6, ok, f"lip ratio {lip_ratio:.3f}, sup diffs mono={mono}")

@@ -122,6 +122,30 @@ class TestSolve:
         err = capsys.readouterr().err.splitlines()
         assert err == ["no convergence at eps=0.5: best residual inf"]
 
+    @pytest.mark.parametrize("command, message", [
+        ("solve", "no convergence at eps=0.5: best residual 3.000e+81"),
+        ("continuation",
+         "continuation stalled at eps=1: no convergence at eps=1.0: best residual 3.000e+81"),
+    ], ids=["solve", "continuation"])
+    def test_an_exactly_singular_jacobian_exits_2_and_keeps_the_best_iterate(
+            self, tmp_path, capsys, command, message):
+        out = tmp_path / "out"
+        cfg = solve_cfg(out, grid={"x1": [0, 1], "x2": [1, 2], "n1": 17, "n2": 17},
+                        boundary={"expr": "1e80*x1"}, schedule={"eps_min": 0.25})
+        assert main([command, write_cfg(tmp_path / "c.json", cfg)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "solution.csv"]
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is False and report["iterations"] == 0
+        assert capsys.readouterr().err.splitlines() == [message]
+
+    def test_a_jacobian_that_overflows_exits_2_on_one_line(self, tmp_path):
+        # in a fresh interpreter, so that a numpy overflow warning would show on stderr
+        cfg = solve_cfg(tmp_path / "out", grid={"x1": [0, 1], "x2": [1, 2], "n1": 33, "n2": 33},
+                        boundary={"expr": "1e100*x1"})
+        done = run_cli("solve", write_cfg(tmp_path / "c.json", cfg))
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == ["no convergence at eps=0.5: best residual 3.100e+101"]
+
     def test_missing_eps_is_a_config_error(self, tmp_path, capsys):
         cfg = solve_cfg(tmp_path / "out")
         del cfg["eps"]
@@ -278,6 +302,17 @@ class TestExitOneWritesNothing:
     def test_boundary(self, tmp_path, capsys, boundary, message):
         self.exit_1(tmp_path, capsys, "solve", solve_cfg(tmp_path / "out", boundary=boundary),
                     message)
+
+    @pytest.mark.parametrize("command, grid, message", [
+        ("solve", {"x2": [-1e308, 1e308]}, "error: grid.x2: the spacing inf is not a positive"),
+        ("solve", {"x1": [0, 5e-324]}, "error: grid.x1: the spacing 0 is not a positive"),
+        ("continuation", {"x2": [-1e308, 1e308]},
+         "error: grid.x2: the spacing inf is not a positive"),
+    ], ids=["solve-infinite-spacing", "solve-zero-spacing", "continuation-infinite-spacing"])
+    def test_grid_spacing(self, tmp_path, capsys, command, grid, message):
+        cfg = solve_cfg(tmp_path / "out", boundary={"expr": "1"}, schedule={},
+                        grid={"x1": [0, 1], "x2": [1, 2], "n1": 17, "n2": 17, **grid})
+        self.exit_1(tmp_path, capsys, command, cfg, message)
 
     def test_tower_of_integer_powers_ends_within_seconds(self, tmp_path):
         # as a big-integer power 9 ** 9 ** 9 ran past a minute; the timeout
@@ -558,6 +593,21 @@ class TestContinuationCommand:
         assert len(meta["sup_diffs"]) == 2
         ledger = json.loads((fan_run_dir / "ledger.json").read_text())
         assert [r["eps"] for r in ledger["rows"]] == [1.0, 0.5, 0.25]
+
+    def test_run_json_bounds_read_back_from_the_ledger_and_the_solutions(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = solve_cfg(out, boundary={"expr": "x2 / (x1 + 2) + 0.25*x1*(1 - x1)"},
+                        grid={"x1": [0, 1], "x2": [1, 2], "n1": 17, "n2": 17},
+                        schedule={"eps_min": 0.25})
+        assert main(["continuation", write_cfg(tmp_path / "c.json", cfg)]) == 0
+        meta = json.loads((out / "run.json").read_text())
+        ledger = json.loads((out / "ledger.json").read_text())
+        assert meta["m_bounds"] == [row["M"] for row in ledger["rows"]]
+        sols = [cli._read_solution_csv(out / name) for name in meta["files"]]
+        assert meta["lip_norms"] == [u.lip_norm for u in sols]
+        assert meta["sup_diffs"] == [float(np.max(np.abs(b.values - a.values)))
+                                     for a, b in zip(sols, sols[1:])]
+        assert len(meta["sup_diffs"]) == 2
 
     def test_unknown_schedule_key_is_named(self, tmp_path, capsys):
         out = tmp_path / "out"

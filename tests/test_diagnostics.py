@@ -22,6 +22,7 @@ from hmingraph import (
     holder_exponent_estimate,
     holder_seminorm,
     intrinsic_derivative,
+    m_bound,
     norm_ledger,
     pauls_graph,
     sobolev_norm_eps,
@@ -461,6 +462,17 @@ class TestDerivativeEquationResiduals:
         assert z_res >= 1.0
 
 
+def test_m_bound_closed_form_for_affine():
+    g = Grid((0.0, 1.0), (0.0, 1.0), 33, 33)
+    fr = Frame(GridFunction.from_callable(g, lambda a, b: 0.5 * a + 0.25), 0.5)
+    # sup|u| + sup|grad| + sup|d2 u| = 0.75 + 0.5 + 0
+    assert m_bound(fr) == pytest.approx(1.25, abs=1e-12)
+
+
+def lip_norms(run):
+    return [u.lip_norm for u in run.solutions]
+
+
 @pytest.fixture(scope="module")
 def affine_run():
     g = Grid((0.0, 1.0), (0.0, 1.0), 17, 17)
@@ -489,28 +501,33 @@ class TestNormLedger:
         d = norm_ledger(affine_run)
         assert json.loads(json.dumps(d)) == d
 
-    def test_M_is_read_from_the_run(self, affine_run):
-        run = dataclasses.replace(affine_run, m_bounds=[3.0, 2.0, 1.0])
-        assert [r["M"] for r in norm_ledger(run)["rows"]] == [3.0, 2.0, 1.0]
+    def test_M_is_measured_from_each_solution(self, affine_run):
+        # u = 0.5 x1 + 0.25 scaled by k has M = 1.25 k
+        sols = [GridFunction(u.grid, k * u.values) for k, u in zip((3, 2, 1), affine_run.solutions)]
+        run = dataclasses.replace(affine_run, solutions=sols)
+        m = [r["M"] for r in norm_ledger(run)["rows"]]
+        assert m == [m_bound(Frame(u, eps)) for eps, u in zip(run.eps_values, sols)]
+        assert m == pytest.approx([3.75, 2.5, 1.25])
 
-    def test_rejects_a_run_whose_m_bounds_miss_a_step(self, affine_run):
+    def test_rejects_a_run_whose_eps_values_miss_a_step(self, affine_run):
         with pytest.raises(ValueError):
-            norm_ledger(dataclasses.replace(affine_run, m_bounds=affine_run.m_bounds[:-1]))
+            norm_ledger(dataclasses.replace(affine_run, eps_values=affine_run.eps_values[:-1]))
 
     def test_rejects_nondecreasing_eps(self, affine_run):
         with pytest.raises(ValueError, match="decreasing"):
             norm_ledger(dataclasses.replace(affine_run, eps_values=[1.0, 0.5, 0.5]))
 
     def test_rejects_nonfinite_entries(self, affine_run):
-        with pytest.raises(ValueError, match="finite"):
-            norm_ledger(dataclasses.replace(affine_run, m_bounds=[1.0, np.nan, 1.0]))
-        with pytest.raises(ValueError, match="finite"):
-            norm_ledger(dataclasses.replace(affine_run, m_bounds=[1.0, 1.0, -2.0]))
+        # a constant 1e160 solves the equation, but its scaled Sobolev norm overflows
+        huge = GridFunction(affine_run.final.grid, np.full((17, 17), 1e160))
+        run = dataclasses.replace(affine_run, solutions=[*affine_run.solutions[:-1], huge])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            norm_ledger(run)
 
 
 class TestVerdict:
     def test_exact_solution_passes_with_silent_monitors(self, affine_run):
-        v = verdict(affine_run.final, affine_run.final_eps, affine_run.lip_norms)
+        v = verdict(affine_run.final, affine_run.final_eps, lip_norms(affine_run))
         assert v["pass"]
         assert v["x2u_sup"] == 0.0
         assert v["residuals"]["v"] == 0.0
@@ -518,18 +535,18 @@ class TestVerdict:
         assert v["lip_ratio"] == pytest.approx(1.0)
 
     def test_serialization_schema(self, affine_run):
-        d = verdict(affine_run.final, affine_run.final_eps, affine_run.lip_norms)
+        d = verdict(affine_run.final, affine_run.final_eps, lip_norms(affine_run))
         assert set(d) == {"alpha_estimates", "x2u_sup", "residuals", "lip_ratio", "pass"}
         assert set(d["residuals"]) == {"v", "z"}
         assert set(d["alpha_estimates"][0]) == {"alpha", "seminorm", "pass"}
         assert d["pass"] is True
 
     def test_verdict_is_its_json_artifact(self, affine_run):
-        d = verdict(affine_run.final, affine_run.final_eps, affine_run.lip_norms)
+        d = verdict(affine_run.final, affine_run.final_eps, lip_norms(affine_run))
         assert json.loads(json.dumps(d)) == d
 
     def test_unmeetable_budget_fails_the_verdict(self, affine_run):
-        v = verdict(affine_run.final, affine_run.final_eps, affine_run.lip_norms,
+        v = verdict(affine_run.final, affine_run.final_eps, lip_norms(affine_run),
                     DiagnosticsBudgets(residual_cap=-1.0))
         assert not v["pass"]
 
@@ -544,7 +561,7 @@ def test_ledger_and_verdict_measure_each_field_once(monkeypatch, affine_run):
     assert calls == []
     assert [values.shape for *_, values in profiles] == [(2 * len(affine_run.solutions), 17, 17)]
     profiles.clear()
-    verdict(affine_run.final, affine_run.final_eps, affine_run.lip_norms,
+    verdict(affine_run.final, affine_run.final_eps, lip_norms(affine_run),
             DiagnosticsBudgets(alphas=(0.5, 0.3)))
     assert [alphas for _, alphas, _ in calls] == [(0.5, 0.3)] * 2
     assert [values.shape for *_, values in profiles] == [(1, 17, 17)] * 2

@@ -36,6 +36,16 @@ def test_degenerate_range_rejected():
         Grid((1.0, 1.0), (0.0, 1.0), 5, 5)
 
 
+@pytest.mark.parametrize("x1, x2, message", [
+    ((0.0, 1.0), (-1e308, 1e308), "x2: the spacing inf is not a positive finite number"),
+    ((0.0, 5e-324), (1.0, 2.0), "x1: the spacing 0 is not a positive finite number"),
+], ids=["infinite", "zero"])
+def test_a_spacing_that_is_not_a_positive_finite_number_is_rejected(x1, x2, message):
+    with pytest.raises(ValueError, match=message):
+        Grid(x1, x2, 17, 17)
+    Grid((-1e300, 1e300), (0.0, 1e-320), 17, 17)  # wide and narrow, but each spacing is fine
+
+
 def test_gridfunction_rejects_nonfinite():
     g = Grid((0.0, 1.0), (0.0, 1.0), 3, 3)
     vals = np.zeros((3, 3))

@@ -1,12 +1,14 @@
 """Damped Newton solves and the shrinking-regularization driver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmingraph import solver
+from hmingraph import diagnostics, solver
 from hmingraph import (
     BoundaryData,
     ContinuationError,
@@ -18,7 +20,6 @@ from hmingraph import (
     SolverConfig,
     affine_graph,
     continuation,
-    m_bound,
     residual_div,
     solve_eps,
     transfinite_interpolation,
@@ -232,6 +233,22 @@ def test_a_residual_that_overflows_ends_the_solve():
         solve_eps(g, bd, 0.0, SolverConfig(), None)
 
 
+def test_an_exactly_singular_jacobian_ends_the_solve():
+    # SuperLU finds the first Jacobian exactly singular: a linear step that is
+    # not finite, so the starting guess is the best iterate and no LU is kept
+    g = Grid((0.0, 1.0), (1.0, 2.0), 17, 17)
+    bd = boundary(g, lambda a, b: 1e80 * a + 0.0 * b)
+    cache = LUCache()
+    with pytest.raises(NonConvergenceError) as exc:
+        solve_eps(g, bd, 0.5, SolverConfig(), None, lu_cache=cache)
+    rep = exc.value.report
+    assert cache.lu is None and cache.factorizations == rep.factorizations == 0
+    assert not rep.converged and rep.iterations == 0 and rep.krylov_iterations == [0]
+    assert np.isnan(rep.linear_residuals).all() and len(rep.linear_residuals) == 1
+    assert rep.final_residual == rep.residual_history[0] == pytest.approx(3e81)
+    assert np.array_equal(exc.value.best.values, transfinite_interpolation(bd).values)
+
+
 def test_a_trial_step_whose_residual_overflows_is_rejected(monkeypatch):
     # the full first step's residual is made non-finite, which residual_div's
     # GridFunction rejects as it would an overflow: the line search halves
@@ -308,13 +325,6 @@ def test_solver_config_rejects_a_negative_iteration_cap():
         SolverConfig(max_newton_iter=-1)
 
 
-def test_m_bound_closed_form_for_affine():
-    g = unit_grid_n(33)
-    fr = Frame(GridFunction.from_callable(g, lambda a, b: 0.5 * a + 0.25), 0.5)
-    # sup|u| + sup|grad| + sup|d2 u| = 0.75 + 0.5 + 0
-    assert m_bound(fr) == pytest.approx(1.25, abs=1e-12)
-
-
 # ------------------------------------------------------------- continuation
 
 def test_continuation_on_affine_data_is_stationary():
@@ -324,7 +334,8 @@ def test_continuation_on_affine_data_is_stationary():
     base = run.solutions[0].values
     for u in run.solutions[1:]:
         assert np.max(np.abs(u.values - base)) <= 1e-11
-    assert max(run.lip_norms) / min(run.lip_norms) <= 1.0 + 1e-9
+    lip_norms = [u.lip_norm for u in run.solutions]
+    assert max(lip_norms) / min(lip_norms) <= 1.0 + 1e-9
 
 
 def test_continuation_records_and_reverifies_residuals():
@@ -332,10 +343,27 @@ def test_continuation_records_and_reverifies_residuals():
     bd = boundary(g, fan_bump)
     run = continuation(g, bd, EpsSchedule(eps_min=0.125), SolverConfig())
     assert run.eps_values == [1.0, 0.5, 0.25, 0.125]
-    assert len(run.sup_diffs) == 3
+    assert len(run.solutions) == len(run.reports) == 4
     residuals = [residual_div(Frame(sol, eps)).sup_norm
                  for eps, sol in zip(run.eps_values, run.solutions)]
     assert max(residuals) <= SolverConfig().newton_tol
+
+
+def test_continuation_measures_nothing(monkeypatch):
+    # the run keeps what the solves produced; the bounds are the ledger's to measure
+    calls = []
+    for module in (solver, diagnostics):
+        if hasattr(module, "m_bound"):
+            fn = module.m_bound
+            monkeypatch.setattr(module, "m_bound", lambda fr, fn=fn: calls.append(fr) or fn(fr))
+    lip_norm = GridFunction.lip_norm.fget
+    monkeypatch.setattr(GridFunction, "lip_norm",
+                        property(lambda u: calls.append(u) or lip_norm(u)))
+    g = unit_grid_n(17)
+    run = continuation(g, boundary(g, lambda a, b: 0.5 * a + 0.25 + 0.0 * b),
+                       EpsSchedule(eps_min=0.25))
+    assert calls == []
+    assert [f.name for f in dataclasses.fields(run)] == ["eps_values", "solutions", "reports"]
 
 
 def test_warm_start_needs_no_more_iterations_than_cold():
