@@ -187,11 +187,22 @@ def _measurable(grid: Grid, key: str, window: tuple[float, float] | None) -> Gri
     return grid
 
 
+def _solvable(grid: Grid) -> Grid:
+    """``grid``, if each spacing squared is a normal float: the Newton solve's
+    rounding floor divides by the smaller one."""
+    for name, h in (("x1", grid.h1), ("x2", grid.h2)):
+        if h * h < sys.float_info.min:
+            raise ValueError(
+                f"{name}: the spacing {h:g} squared is below the smallest normal float")
+    return grid
+
+
 _OUTPUT = _Section({"output_dir": _string})
 _GRID = _Section({"x1": _interval, "x2": _interval, "n1": _integer(3), "n2": _integer(3)},
                  ("x1", "x2", "n1", "n2"), lambda x1, x2, n1, n2: Grid(x1, x2, n1, n2))
+_SOLVE_GRID = _GRID._replace(into=lambda **keys: _solvable(_GRID.into(**keys)))
 # a continuation's ledger measures on the default window
-_RUN_GRID = _GRID._replace(into=lambda **keys: _measurable(_GRID.into(**keys), "grid", None))
+_RUN_GRID = _GRID._replace(into=lambda **keys: _measurable(_SOLVE_GRID.into(**keys), "grid", None))
 
 
 def _affine_params(keys: dict, entry: str) -> dict:
@@ -678,7 +689,7 @@ def cmd_distance(c: dict, out: Path, prov: dict) -> int:
 
 _COMMANDS = {  # each command and the config sections it reads
     "solve": (cmd_solve, _Section(
-        {"grid": _GRID, "boundary": _BOUNDARY, "eps": _positive, "solver": _SOLVER},
+        {"grid": _SOLVE_GRID, "boundary": _BOUNDARY, "eps": _positive, "solver": _SOLVER},
         ("grid", "boundary", "eps"))),
     "continuation": (cmd_continuation, _Section(
         {"grid": _RUN_GRID, "boundary": _BOUNDARY, "schedule": _fields(EpsSchedule),

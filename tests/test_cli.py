@@ -308,7 +308,18 @@ class TestExitOneWritesNothing:
         ("solve", {"x1": [0, 5e-324]}, "error: grid.x1: the spacing 0 is not a positive"),
         ("continuation", {"x2": [-1e308, 1e308]},
          "error: grid.x2: the spacing inf is not a positive"),
-    ], ids=["solve-infinite-spacing", "solve-zero-spacing", "continuation-infinite-spacing"])
+        # the spacing squared is subnormal, or 0: the rounding floor would be inf, or divide by 0
+        ("solve", {"x1": [0, 1e-160]},
+         "error: grid.x1: the spacing 6.25e-162 squared is below the smallest normal float"),
+        ("continuation", {"x1": [0, 1e-160]},
+         "error: grid.x1: the spacing 6.25e-162 squared is below the smallest normal float"),
+        ("solve", {"x1": [0, 1e-300]},
+         "error: grid.x1: the spacing 6.25e-302 squared is below the smallest normal float"),
+        ("continuation", {"x1": [0, 1e-300]},
+         "error: grid.x1: the spacing 6.25e-302 squared is below the smallest normal float"),
+    ], ids=["solve-infinite-spacing", "solve-zero-spacing", "continuation-infinite-spacing",
+            "solve-subnormal-spacing-squared", "continuation-subnormal-spacing-squared",
+            "solve-spacing-squared-zero", "continuation-spacing-squared-zero"])
     def test_grid_spacing(self, tmp_path, capsys, command, grid, message):
         cfg = solve_cfg(tmp_path / "out", boundary={"expr": "1"}, schedule={},
                         grid={"x1": [0, 1], "x2": [1, 2], "n1": 17, "n2": 17, **grid})
@@ -654,6 +665,19 @@ class TestContinuationCommand:
                                               "output_dir": str(tmp_path / "fol")})
         assert main(["foliate", fol]) == 0
         assert (tmp_path / "fol" / "leaves.json").exists()
+
+    def test_a_residual_2_norm_that_overflows_exits_2_on_one_line(self, tmp_path):
+        # the residual is finite but its 2-norm overflows, so no trial step can be
+        # compared with it; in a fresh interpreter, so that a numpy overflow warning
+        # would show on stderr
+        cfg = solve_cfg(tmp_path / "out", grid={"x1": [0, 1], "x2": [1, 2], "n1": 17, "n2": 17},
+                        boundary={"expr": "1e160"}, schedule={})
+        done = run_cli("continuation", write_cfg(tmp_path / "c.json", cfg))
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            "continuation stalled at eps=1: no convergence at eps=1.0: best residual 1.600e+161"]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["iterations"] == 0 and report["residual_history"] == [pytest.approx(1.6e161)]
 
     def test_reruns_are_byte_identical(self, fan_run_dir, tmp_path, monkeypatch):
         other = tmp_path / "rerun"

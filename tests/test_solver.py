@@ -272,6 +272,21 @@ def test_a_trial_step_whose_residual_overflows_is_rejected(monkeypatch):
     assert len(calls) == rep.iterations + 1 + trials
 
 
+def test_a_residual_2_norm_that_overflows_accepts_no_trial():
+    # an infinite r2 would let the Armijo test pass any finite trial
+    g = Grid((0.0, 1.0), (1.0, 2.0), 17, 17)
+    u = np.zeros((g.n1, g.n2))
+    assert solver._armijo(g, u, np.full((15, 15), 1e3), np.inf, 0.5, SolverConfig()) is None
+    # a constant 1e160 has a finite residual whose 2-norm overflows: the solve
+    # stops at its starting guess, without a numpy warning
+    bd = boundary(g, lambda a, b: 1e160 + 0.0 * a * b)
+    with np.errstate(all="raise"), pytest.raises(NonConvergenceError) as exc:
+        solve_eps(g, bd, 1.0, SolverConfig(), None)
+    rep = exc.value.report
+    assert rep.iterations == 0 and rep.step_lengths == [] and np.isfinite(rep.final_residual)
+    assert np.array_equal(exc.value.best.values, transfinite_interpolation(bd).values)
+
+
 def test_transfinite_guess_matches_boundary_ring():
     g = unit_grid_n(17)
     bd = boundary(g, lambda a, b: np.cos(a) + b * b)
@@ -328,14 +343,87 @@ def test_solver_config_rejects_a_negative_iteration_cap():
 # ------------------------------------------------------------- continuation
 
 def test_continuation_on_affine_data_is_stationary():
-    g = unit_grid_n(33)
-    bd = boundary(g, lambda a, b: 2.0 * a - 1.0)
-    run = continuation(g, bd, EpsSchedule(eps_min=0.25), SolverConfig())
-    base = run.solutions[0].values
-    for u in run.solutions[1:]:
-        assert np.max(np.abs(u.values - base)) <= 1e-11
+    # the blend of affine data already solves every eps, and the predictor
+    # adds its weights times differences that are exactly 0: no Newton step,
+    # and every interior is the first bit for bit.  The first solution keeps
+    # the blend's ring, which rounds the data; later steps impose the data
+    g = Grid((-0.3, 0.7), (1.0, 2.5), 33, 33)
+    bd = boundary(g, affine_graph(0.4, -0.2).eval)
+    run = continuation(g, bd, EpsSchedule(), SolverConfig())
+    assert len(run.solutions) == 11
+    assert [r.iterations for r in run.reports] == [0] * 11
+    first, second = run.solutions[0].values, run.solutions[1].values
+    assert np.array_equal(second[1:-1, 1:-1], first[1:-1, 1:-1])
+    assert np.max(np.abs(second - first)) <= 1e-15
+    for u in run.solutions[2:]:
+        assert np.array_equal(u.values, second)
     lip_norms = [u.lip_norm for u in run.solutions]
     assert max(lip_norms) / min(lip_norms) <= 1.0 + 1e-9
+
+
+def _warm_start_chain(g, bd, schedule):
+    """The continuation that starts each eps from the previous solution."""
+    cache, guess, solutions, reports = LUCache(), None, [], []
+    for eps in schedule.values():
+        guess, rep = solve_eps(g, bd, eps, SolverConfig(), initial_guess=guess, lu_cache=cache)
+        solutions.append(guess)
+        reports.append(rep)
+    return solutions, reports
+
+
+def test_extrapolated_start_matches_the_warm_start_chain_in_fewer_newton_steps():
+    # u(eps) is even in eps, so the extrapolation in eps^2 of the last three
+    # solutions is nearly the next one: 22 Newton steps against 27
+    g = Grid((0.0, 1.0), (1.0, 2.0), 65, 65)
+    bd = boundary(g, fan_bump)
+    run = continuation(g, bd, EpsSchedule(), SolverConfig())
+    chain, chain_reports = _warm_start_chain(g, bd, EpsSchedule())
+    assert len(run.solutions) == len(chain) == 11
+    for a, b in zip(run.solutions, chain):
+        assert np.max(np.abs(a.values - b.values)) <= 1e-11
+    assert sum(r.iterations for r in run.reports) < sum(r.iterations for r in chain_reports)
+    # the first two steps have no third solution to extrapolate from, so they
+    # start as the chain does and match it bit for bit
+    for a, b in zip(run.solutions[:2], chain[:2]):
+        assert np.array_equal(a.values, b.values)
+
+
+def test_eps_ratios_that_overflow_fall_back_to_the_previous_solution():
+    # (1 / 1e-320)^2 overflows, so the third step has no extrapolation and
+    # starts from the second solution, as the warm-start chain does
+    g = Grid((0.0, 1.0), (1.0, 2.0), 9, 9)
+    bd = boundary(g, fan_bump)
+    schedule = EpsSchedule(eps_start=1.0, factor=1e-160, eps_min=1e-320)
+    run = continuation(g, bd, schedule, SolverConfig())
+    chain, chain_reports = _warm_start_chain(g, bd, schedule)
+    assert run.eps_values == [1.0, 1e-160, 1e-320]
+    for a, b in zip(run.solutions, chain):
+        assert np.array_equal(a.values, b.values)
+    assert [r.iterations for r in run.reports] == [r.iterations for r in chain_reports]
+
+
+def test_the_predictor_evaluates_no_residual(monkeypatch):
+    # every residual_div call is made inside solve_eps, so perfbench's count
+    # of Armijo trials, derived from those calls, keeps its meaning
+    depth, outside = [0], []
+
+    def counted_residual(fr):
+        if depth[0] == 0:
+            outside.append(fr)
+        return residual_div(fr)
+
+    def counted_solve(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return solve_eps(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(solver, "residual_div", counted_residual)
+    monkeypatch.setattr(solver, "solve_eps", counted_solve)
+    g = Grid((0.0, 1.0), (1.0, 2.0), 33, 33)
+    run = continuation(g, boundary(g, fan_bump), EpsSchedule(eps_min=0.01), SolverConfig())
+    assert len(run.solutions) == 8 and outside == []
 
 
 def test_continuation_records_and_reverifies_residuals():
