@@ -9,9 +9,10 @@ missing-data error, 2 non-convergence: the best iterate is still written as
 ``solution.csv`` and ``report.json`` (after the converged steps of a stalled
 continuation), and the reason goes to stderr once.
 
-The output directory comes from the config, overridden by ``HMINGRAPH_OUT``;
-a path that names a file, or lies under one, is exit 1.  A ``.lock`` file
-guards each directory against concurrent writers.
+The output directory comes from the config, overridden by ``HMINGRAPH_OUT``.
+:func:`_output_dir` makes it, holds its ``.lock`` for the command, and after
+an exit 1 removes the directories it made.  A lock held by another writer,
+or an OS error making the directory or taking the lock, is exit 1.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .solver import (
     NonConvergenceError,
     SolverConfig,
     VanishingViscosityRun,
+    _solvable,
     continuation,
     solve_eps,
 )
@@ -68,11 +70,18 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def load_config(path) -> dict:
+@contextlib.contextmanager
+def _os_errors_naming(path):
+    """Turn an OSError in the block into a :class:`ConfigError` naming ``path``."""
     try:
-        text = Path(path).read_text()
+        yield
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror or e}") from e
+
+
+def load_config(path) -> dict:
+    with _os_errors_naming(path):
+        text = Path(path).read_text()
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as e:
@@ -187,16 +196,6 @@ def _measurable(grid: Grid, key: str, window: tuple[float, float] | None) -> Gri
     return grid
 
 
-def _solvable(grid: Grid) -> Grid:
-    """``grid``, if each spacing squared is a normal float: the Newton solve's
-    rounding floor divides by the smaller one."""
-    for name, h in (("x1", grid.h1), ("x2", grid.h2)):
-        if h * h < sys.float_info.min:
-            raise ValueError(
-                f"{name}: the spacing {h:g} squared is below the smallest normal float")
-    return grid
-
-
 _OUTPUT = _Section({"output_dir": _string})
 _GRID = _Section({"x1": _interval, "x2": _interval, "n1": _integer(3), "n2": _integer(3)},
                  ("x1", "x2", "n1", "n2"), lambda x1, x2, n1, n2: Grid(x1, x2, n1, n2))
@@ -296,49 +295,49 @@ def _boundary_from(sec: dict, grid: Grid) -> BoundaryData:
     return BoundaryData(grid, _on_grid(grid, f, "boundary evaluation failed").values)
 
 
-def _out_dir(cfg: dict) -> tuple[Path, list]:
-    """The output directory, created if missing, and the directories this
-    call created, innermost first."""
+@contextlib.contextmanager
+def _output_dir(cfg: dict):
+    """The output directory, ``HMINGRAPH_OUT`` or ``output_dir``, made if
+    missing and locked while the block runs by a ``.lock`` file holding the
+    writer's PID; a held lock is reported with its PID, never broken.  An
+    OSError making the directory or taking the lock is a ConfigError naming
+    the path.  After a ConfigError in the making, the locking or the block,
+    the lock, if held, is released first; then the directories this call
+    made are removed, innermost first, while they are empty.
+    """
     d = os.environ.get("HMINGRAPH_OUT") or _read(cfg, _OUTPUT).get("output_dir")
     if not d:
         raise ConfigError("output_dir missing (set it in the config or via HMINGRAPH_OUT)")
     path = Path(d)
     made = [p for p in (path, *path.parents) if not p.exists()]
+    lock = path / ".lock"
     try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as e:  # the path, or a parent of it, is a file, say
-        raise ConfigError(f"{path}: {e.strerror or e}") from e
-    return path, made
-
-
-class _RunLock:
-    """Exclusive .lock file in the output directory, holding the writer's PID.
-
-    The lock is removed on exit but never broken automatically: a stale lock
-    is reported with the PID read back from it, for the user to remove.
-    """
-
-    def __init__(self, directory: Path):
-        self.path = directory / ".lock"
-
-    def __enter__(self):
-        try:
-            self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+        with _os_errors_naming(path):  # apart from the lock: mkdir on a file raises FileExistsError
+            path.mkdir(parents=True, exist_ok=True)
+        with _os_errors_naming(lock):
             try:
-                holder = f" by PID {int(self.path.read_text())}"
-            except (OSError, ValueError):
-                holder = "; no PID could be read from the lock"
-            raise ConfigError(
-                f"{self.path}: output directory already in use{holder} "
-                "(remove stale lock to proceed)")
-        os.write(self._fd, f"{os.getpid()}\n".encode())
-        return self
-
-    def __exit__(self, *exc):
-        os.close(self._fd)
-        os.unlink(self.path)
-        return False
+                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                try:
+                    holder = f" by PID {int(lock.read_text())}"
+                except (OSError, ValueError):
+                    holder = "; no PID could be read from the lock"
+                raise ConfigError(f"{lock}: output directory already in use{holder} "
+                                  "(remove stale lock to proceed)") from None
+        try:
+            with _os_errors_naming(lock):
+                os.write(fd, f"{os.getpid()}\n".encode())
+            yield path
+        finally:
+            os.close(fd)
+            lock.unlink()
+    except ConfigError:
+        for p in filter(os.path.isdir, made):  # a failed mkdir can leave some unmade
+            try:
+                p.rmdir()
+            except OSError:  # it holds an artifact, so it and its parents stay
+                break
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -721,23 +720,14 @@ def main(argv=None) -> int:
         p.add_argument("config", help="path to the declarative JSON config")
     args = parser.parse_args(argv)
     command, section = _COMMANDS[args.command]
-    made = []
     try:
         cfg = load_config(args.config)
         c = _read(cfg, section)  # the whole config, before a run is loaded or a file written
-        out, made = _out_dir(cfg)
-        with _RunLock(out):
+        with _output_dir(cfg) as out:
             return command(c, out, _provenance(cfg))
     except ConfigError as e:
-        # an error found against the run leaves no directory this call made behind
-        for d in made:
-            try:
-                d.rmdir()
-            except OSError:  # it holds an artifact, so it and its parents stay
-                break
         print(f"error: {e}", file=sys.stderr)
         return 1
-
 
 if __name__ == "__main__":
     sys.exit(main())

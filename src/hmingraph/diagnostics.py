@@ -204,7 +204,8 @@ def sobolev_norm_eps(frame: Frame, m: int, p: float, of: GridFunction | None = N
 
 
 def m_bound(frame: Frame) -> float:
-    """Uniform bound ``sup|u| + sup|grad u| + sup|d2 u|`` (frame gradient)."""
+    """Uniform bound ``sup|u| + sup|grad u| + sup|d2 u|``: grad u is the frame
+    gradient (X1u, X2u), d2 u the first partial along x2 (:meth:`GridFunction.d2`)."""
     u = frame.u
     p1 = apply_x1(frame, u).values
     p2 = apply_x2(frame, u).values

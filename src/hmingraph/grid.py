@@ -138,11 +138,11 @@ class GridFunction:
         return float(max(d1.max(initial=0.0), d2.max(initial=0.0)))
 
     def d1(self) -> np.ndarray:
-        """Second-order partial along x1 (one-sided at the boundary)."""
+        """First partial along x1, second-order accurate (one-sided at the boundary)."""
         return np.gradient(self.values, self.grid.h1, axis=0, edge_order=2)
 
     def d2(self) -> np.ndarray:
-        """Second-order partial along x2 (one-sided at the boundary)."""
+        """First partial along x2, second-order accurate (one-sided at the boundary)."""
         return np.gradient(self.values, self.grid.h2, axis=1, edge_order=2)
 
     def bilinear(self) -> Callable[[float, float], float]:

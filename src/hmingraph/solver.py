@@ -104,7 +104,6 @@ class NewtonReport:
     """Iteration record of one solve (no timings: reports are deterministic)."""
 
     converged: bool
-    iterations: int
     final_residual: float
     residual_history: list = dc_field(default_factory=list)
     step_lengths: list = dc_field(default_factory=list)
@@ -113,6 +112,10 @@ class NewtonReport:
     factorizations: int = 0
     message: str = ""
     used_picard = False  # a class constant: Newton has no fallback; report.json keeps the key
+
+    @property
+    def iterations(self) -> int:  # Newton steps taken: one per accepted step length
+        return len(self.step_lengths)
 
 
 class NonConvergenceError(RuntimeError):
@@ -254,6 +257,16 @@ def spsolve(A, b: np.ndarray, cache: LUCache, rtol: float):
     return lu.solve(b), 0
 
 
+def _solvable(grid: Grid) -> Grid:
+    """``grid``, if each spacing squared is a normal float: the Newton solve's
+    rounding floor divides by the smaller one."""
+    for name, h in (("x1", grid.h1), ("x2", grid.h2)):
+        if h * h < np.finfo(float).tiny:
+            raise ValueError(
+                f"{name}: the spacing {h:g} squared is below the smallest normal float")
+    return grid
+
+
 def solve_eps(
     grid: Grid,
     boundary: BoundaryData,
@@ -287,8 +300,10 @@ def solve_eps(
     tolerance.  Factorizations use the column ordering ``MMD_AT_PLUS_A``,
     minimum degree on the pattern of ``J^T + J``: on the structurally
     symmetric 9-point pattern it leaves about a third less fill than the
-    default COLAMD.
+    default COLAMD.  A grid whose spacing squared is below the smallest
+    normal float is a ValueError, as the rounding floor would divide by it.
     """
+    _solvable(grid)
     if grid != boundary.grid:
         raise ValueError("boundary data lives on a different grid")
     if initial_guess is None:
@@ -298,7 +313,7 @@ def solve_eps(
             raise ValueError("initial guess lives on a different grid")
         u = boundary.impose(initial_guess.values[1:-1, 1:-1])
 
-    report = NewtonReport(converged=False, iterations=0, final_residual=np.inf)
+    report = NewtonReport(converged=False, final_residual=np.inf)
     best, best_sup = u, np.inf  # iterates are replaced, never written into
     if lu_cache is None:
         lu_cache = LUCache()
@@ -332,7 +347,6 @@ def solve_eps(
             break
         lam, u = step
         report.step_lengths.append(lam)
-        report.iterations += 1
 
     # the one exit of every stop
     report.factorizations = lu_cache.factorizations - factorizations_before

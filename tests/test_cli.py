@@ -1,5 +1,6 @@
 """In-process command line tests: exit codes, artifacts, determinism."""
 
+import errno
 import json
 import os
 import shutil
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import hmingraph
 from hmingraph import UnreachableError, cli
-from hmingraph.cli import ConfigError, _RunLock, _write_csv, boundary_expression, canonical_json, main
+from hmingraph.cli import ConfigError, _output_dir, _write_csv, boundary_expression, canonical_json, main
 from hmingraph.geometry import OracleLattice
 
 from crosscheck import _swept_lattice
@@ -202,6 +203,14 @@ class TestConfigHandling:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "taken"]
         assert blocker.read_text() == "not a directory\n"
 
+    def test_a_failed_mkdir_leaves_no_directory_it_made(self, tmp_path, capsys, monkeypatch):
+        # mkdir makes "made", then fails on a name longer than a path component may be
+        monkeypatch.delenv("HMINGRAPH_OUT", raising=False)
+        out = tmp_path / "made" / ("x" * 300)
+        assert main(["solve", write_cfg(tmp_path / "c.json", solve_cfg(out))]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {out}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
     def test_env_override_redirects_output(self, tmp_path, monkeypatch):
         other = tmp_path / "redirected"
         monkeypatch.setenv("HMINGRAPH_OUT", str(other))
@@ -230,10 +239,31 @@ class TestConfigHandling:
         assert "no PID could be read" in capsys.readouterr().err
         assert (out / ".lock").exists()  # never removed automatically
 
-    def test_lock_holds_the_writer_pid(self, tmp_path):
-        with _RunLock(tmp_path):
+    def test_lock_holds_the_writer_pid(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("HMINGRAPH_OUT", raising=False)
+        with _output_dir({"output_dir": str(tmp_path)}):
             assert int((tmp_path / ".lock").read_text()) == os.getpid()
         assert not (tmp_path / ".lock").exists()
+
+    @pytest.mark.parametrize("call, code", [("write", errno.ENOSPC), ("open", errno.EROFS)],
+                             ids=["pid-write-fails", "lock-open-fails"])
+    def test_lock_io_error_is_exit_1_and_leaves_nothing(self, tmp_path, capsys, monkeypatch,
+                                                        call, code):
+        # a lock left behind, empty, would block every later run into the directory
+        monkeypatch.delenv("HMINGRAPH_OUT", raising=False)
+        out = tmp_path / "made" / "out"
+        cfg = write_cfg(tmp_path / "c.json", solve_cfg(out))
+
+        def fail(*args):
+            raise OSError(code, os.strerror(code))
+
+        with monkeypatch.context() as m:
+            m.setattr(cli.os, call, fail)
+            assert main(["solve", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {out / '.lock'}: {os.strerror(code)}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+        assert main(["solve", cfg]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "solution.csv"]
 
     def test_lock_is_released_after_a_run(self, tmp_path):
         out = tmp_path / "out"

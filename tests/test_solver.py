@@ -556,3 +556,13 @@ def test_gmres_gives_up_before_the_cap_when_the_cap_cannot_be_reached(monkeypatc
     monkeypatch.setattr(solver, "_KRYLOV_MIN_RATE_ITERS", solver._KRYLOV_MAXITER + 1)
     assert solver._gmres(A, b, np.copy, target, solver._KRYLOV_MAXITER) == (None, solver._KRYLOV_MAXITER)
 
+
+@pytest.mark.parametrize("x1", [(0.0, 1e-160), (0.0, 1e-300)], ids=["subnormal", "zero"])
+def test_a_grid_whose_spacing_squared_is_not_a_normal_float_is_rejected(x1):
+    # the rounding floor divides by the spacing squared: by a subnormal on (0, 1e-160),
+    # which makes the floor inf and any residual "converged", and by 0 on (0, 1e-300)
+    g = Grid(x1, (1.0, 2.0), 17, 17)
+    b = BoundaryData.from_callable(g, lambda x1, x2: x2 * x2 + 1e160 * x1 * x1)
+    for run in (lambda: solve_eps(g, b, 0.5), lambda: continuation(g, b)):
+        with pytest.raises(ValueError, match=r"^x1: the spacing .* squared is below the smallest"):
+            run()
