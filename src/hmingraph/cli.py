@@ -4,15 +4,16 @@ One declarative JSON config per run.  Subcommands: ``solve``, ``continuation``,
 ``foliate``, ``diagnose``, ``example``, ``distance``.  Artifacts are CSV
 (header row, ``%.17g`` — doubles round-trip losslessly) and JSON (sorted keys,
 no timestamps, config hash and package version stamped in), so identical
-configs produce byte-identical outputs.  Exit codes: 0 success, 1 config or
-missing-data error, 2 non-convergence: the best iterate is still written as
+configs produce byte-identical outputs.  Exit codes: 0 success, 1 config,
+missing-data or OS error (``error: <file>: <reason>``, say a directory where
+an artifact goes), 2 non-convergence: the best iterate is still written as
 ``solution.csv`` and ``report.json`` (after the converged steps of a stalled
 continuation), and the reason goes to stderr once.
 
 The output directory comes from the config, overridden by ``HMINGRAPH_OUT``.
 :func:`_output_dir` makes it, holds its ``.lock`` for the command, and after
-an exit 1 removes the directories it made.  A lock held by another writer,
-or an OS error making the directory or taking the lock, is exit 1.
+an exit 1 removes the directories it made.  A lock held by another writer
+is exit 1.
 """
 
 from __future__ import annotations
@@ -80,8 +81,7 @@ def _os_errors_naming(path):
 
 
 def load_config(path) -> dict:
-    with _os_errors_naming(path):
-        text = Path(path).read_text()
+    text = Path(path).read_text()
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as e:
@@ -300,10 +300,10 @@ def _output_dir(cfg: dict):
     """The output directory, ``HMINGRAPH_OUT`` or ``output_dir``, made if
     missing and locked while the block runs by a ``.lock`` file holding the
     writer's PID; a held lock is reported with its PID, never broken.  An
-    OSError making the directory or taking the lock is a ConfigError naming
-    the path.  After a ConfigError in the making, the locking or the block,
-    the lock, if held, is released first; then the directories this call
-    made are removed, innermost first, while they are empty.
+    OSError writing the PID, which names no file, is a ConfigError naming
+    the lock.  After a ConfigError or an OSError in the making, the locking
+    or the block, the lock, if held, is released first; then the directories
+    this call made are removed, innermost first, while they are empty.
     """
     d = os.environ.get("HMINGRAPH_OUT") or _read(cfg, _OUTPUT).get("output_dir")
     if not d:
@@ -312,18 +312,17 @@ def _output_dir(cfg: dict):
     made = [p for p in (path, *path.parents) if not p.exists()]
     lock = path / ".lock"
     try:
-        with _os_errors_naming(path):  # apart from the lock: mkdir on a file raises FileExistsError
-            path.mkdir(parents=True, exist_ok=True)
-        with _os_errors_naming(lock):
+        # outside the lock's try: mkdir on a file raises FileExistsError
+        path.mkdir(parents=True, exist_ok=True)
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
             try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                try:
-                    holder = f" by PID {int(lock.read_text())}"
-                except (OSError, ValueError):
-                    holder = "; no PID could be read from the lock"
-                raise ConfigError(f"{lock}: output directory already in use{holder} "
-                                  "(remove stale lock to proceed)") from None
+                holder = f" by PID {int(lock.read_text())}"
+            except (OSError, ValueError):
+                holder = "; no PID could be read from the lock"
+            raise ConfigError(f"{lock}: output directory already in use{holder} "
+                              "(remove stale lock to proceed)") from None
         try:
             with _os_errors_naming(lock):
                 os.write(fd, f"{os.getpid()}\n".encode())
@@ -331,7 +330,7 @@ def _output_dir(cfg: dict):
         finally:
             os.close(fd)
             lock.unlink()
-    except ConfigError:
+    except (ConfigError, OSError):
         for p in filter(os.path.isdir, made):  # a failed mkdir can leave some unmade
             try:
                 p.rmdir()
@@ -727,6 +726,12 @@ def main(argv=None) -> int:
             return command(c, out, _provenance(cfg))
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:  # a file the command could not open, read, write or remove
+        # of os.replace's two paths, the artifact, not its temporary file
+        name = e.filename2 or e.filename
+        print(f"error: {name}: {e.strerror}" if name else f"error: {e.strerror or e}",
+              file=sys.stderr)
         return 1
 
 if __name__ == "__main__":

@@ -64,13 +64,14 @@ def coefficients(frame: Frame) -> tuple:
 
 
 class _HalfData:
-    """Gradients, weights and coefficient ratios at staggered half nodes.
+    """Gradients, ``q = 1 + |p|^2`` and weights ``W = sqrt(q)`` at staggered half nodes.
 
     x-half nodes sit between horizontally adjacent nodes and carry shape
     ``(n1-1, n2-2)`` (columns j = 1..n2-2); y-half nodes sit between
     vertically adjacent nodes with shape ``(n1-2, n2-1)``.  Only half nodes
     adjacent to interior residual nodes are formed, so every stencil stays
-    inside the grid.
+    inside the grid.  The coefficients ``a_ij = delta_ij - p_i p_j / q`` are
+    left to the Jacobian, the one reader of them.
     """
 
     def __init__(self, frame: Frame):
@@ -88,7 +89,8 @@ class _HalfData:
         self.d2_x = (u[:-1, 2:] + u[1:, 2:] - u[:-1, :-2] - u[1:, :-2]) / (4 * h2)
         self.p1_x = self.d1_x + self.ubar_x * self.d2_x
         self.p2_x = eps * self.d2_x
-        self.a11_x, self.a12_x, self.a22_x, self.W_x = aij_from_gradient(self.p1_x, self.p2_x)
+        self.q_x = 1.0 + self.p1_x * self.p1_x + self.p2_x * self.p2_x
+        self.W_x = np.sqrt(self.q_x)
 
         uB, uT = u[1:-1, :-1], u[1:-1, 1:]
         self.ubar_y = 0.5 * (uB + uT)
@@ -96,7 +98,8 @@ class _HalfData:
         self.d1_y = (u[2:, :-1] + u[2:, 1:] - u[:-2, :-1] - u[:-2, 1:]) / (4 * h1)
         self.p1_y = self.d1_y + self.ubar_y * self.d2_y
         self.p2_y = eps * self.d2_y
-        self.a11_y, self.a12_y, self.a22_y, self.W_y = aij_from_gradient(self.p1_y, self.p2_y)
+        self.q_y = 1.0 + self.p1_y * self.p1_y + self.p2_y * self.p2_y
+        self.W_y = np.sqrt(self.q_y)
 
         self.uI = u[1:-1, 1:-1]
 
@@ -245,16 +248,18 @@ def _jacobian_offsets(hd: _HalfData) -> dict:
     """Per-offset row coefficients of the Jacobian of :func:`residual_div`."""
     h1, h2, eps, uI = hd.h1, hd.h2, hd.eps, hd.uI
 
-    A1x = hd.a11_x / hd.W_x
-    A2x = hd.a12_x / hd.W_x
+    # the a_ij read here, by the expressions of aij_from_gradient
+    p1x, p1y, p2y = hd.p1_x, hd.p1_y, hd.p2_y
+    A1x = (1.0 - p1x * p1x / hd.q_x) / hd.W_x
+    A2x = -p1x * hd.p2_x / hd.q_x / hd.W_x
     # d(g1)/d(node) at x-half nodes; the ubar and d2 terms ride along dp1
     cxL = A1x * (-1.0 / h1 + hd.d2_x / 2.0)
     cxR = A1x * (1.0 / h1 + hd.d2_x / 2.0)
     cxD = A1x * hd.ubar_x / (4 * h2) + A2x * eps / (4 * h2)
 
-    B11 = hd.a11_y / hd.W_y
-    B12 = hd.a12_y / hd.W_y
-    B22 = hd.a22_y / hd.W_y
+    B11 = (1.0 - p1y * p1y / hd.q_y) / hd.W_y
+    B12 = -p1y * p2y / hd.q_y / hd.W_y
+    B22 = (1.0 - p2y * p2y / hd.q_y) / hd.W_y
     dp1B = -hd.ubar_y / h2 + hd.d2_y / 2.0
     dp1T = hd.ubar_y / h2 + hd.d2_y / 2.0
     cyB1 = B11 * dp1B + B12 * (-eps / h2)

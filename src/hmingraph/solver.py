@@ -9,8 +9,8 @@ earlier Jacobian, refactoring only when that stale LU stops being good
 enough.  Every stop short of convergence ends the solve with
 :class:`NonConvergenceError`.  :func:`continuation` walks a geometric eps
 schedule, starting each solve from the extrapolation in eps^2 of the last
-solutions and from the previous LU, and records each eps with its solution
-and report.
+five solutions and from the previous LU, and records each eps with its
+solution and report.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ _KRYLOV_MARGIN = 0.1
 _KRYLOV_MIN_RATE_ITERS = 3
 # a residual sup within this many roundings of |u|_inf / h^2 is converged
 _ROUNDING_FLOOR_C = 4.0
+# continuation starts each eps from the extrapolation through at most this many solutions
+_PREDICTOR_POINTS = 5
 
 __all__ = [
     "BoundaryData",
@@ -190,9 +192,12 @@ def _gmres(A, b, precondition, target: float, maxiter: int):
 
     From ``x0 = M^-1 b`` it minimizes the true residual ``|b - A x|`` over
     ``x0 + M^-1 K_k`` (Arnoldi with modified Gram-Schmidt on ``A M^-1``)
-    until the least-squares estimate is at most ``target``.  Left
-    preconditioning would minimize ``|M^-1 r|``, which can be tiny while
-    ``|r|`` is not.
+    until the least-squares estimate is at most ``target``.  One Givens
+    rotation per iteration keeps the small least-squares problem upper
+    triangular, so the estimate is the last entry of the rotated ``beta e_1``
+    and the coefficients come from one back substitution at the end (Saad &
+    Schultz 1986).  Left preconditioning would minimize ``|M^-1 r|``, which
+    can be tiny while ``|r|`` is not.
 
     After ``k >= 3`` iterations a try that would miss ``target`` even if its
     mean contraction so far, ``(est/beta)^(1/k)``, held until ``maxiter``
@@ -205,24 +210,39 @@ def _gmres(A, b, precondition, target: float, maxiter: int):
     if beta <= target:
         return x0, 0
     V, Z = [r / beta], []
-    H = np.zeros((maxiter + 1, maxiter))
+    R = np.zeros((maxiter, maxiter))  # the Hessenberg matrix, rotated upper triangular
+    g = [beta]  # beta e_1, rotated alike: |g[k]| is the residual after k iterations
+    rotations = []
     for j in range(maxiter):
         Z.append(precondition(V[j]))
         w = A @ Z[j]
-        for i, v in enumerate(V):
-            H[i, j] = w @ v
-            w -= H[i, j] * v
-        H[j + 1, j] = np.linalg.norm(w)
-        e = np.zeros(j + 2)
-        e[0] = beta
-        y = np.linalg.lstsq(H[:j + 2, :j + 1], e, rcond=None)[0]
-        est = float(np.linalg.norm(H[:j + 2, :j + 1] @ y - e))
-        if est <= target or H[j + 1, j] == 0.0:
-            return x0 + np.column_stack(Z) @ y, j + 1
+        h = []
+        for v in V:
+            h.append(float(w @ v))
+            w -= h[-1] * v
+        h_next = float(np.linalg.norm(w))
+        for i, (c, s) in enumerate(rotations):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        d = math.hypot(h[j], h_next)
+        c, s = (h[j] / d, h_next / d) if d > 0.0 else (1.0, 0.0)
+        rotations.append((c, s))
+        h[j] = d
+        R[:j + 1, j] = h
+        g[j], g_next = c * g[j], -s * g[j]
+        g.append(g_next)
+        est = abs(g_next)
         k = j + 1
+        if est <= target or h_next == 0.0:
+            y = np.zeros(k)
+            for i in reversed(range(k)):
+                y[i] = (g[i] - R[i, i + 1:k] @ y[i + 1:k]) / R[i, i]
+            x = x0.copy()
+            for yi, z in zip(y, Z):
+                x += yi * z
+            return x, k
         if k >= _KRYLOV_MIN_RATE_ITERS and est * (est / beta) ** ((maxiter - k) / k) > target:
             return None, k
-        V.append(w / H[j + 1, j])
+        V.append(w / h_next)
     return None, maxiter
 
 
@@ -277,7 +297,10 @@ def solve_eps(
 ):
     """Solve the regularized equation at fixed ``eps``.
 
-    Returns ``(solution, report)``; raises :class:`NonConvergenceError` with
+    Newton starts from ``initial_guess`` (by default the transfinite blend
+    of the boundary) with the boundary ring replaced by the Dirichlet data,
+    so every solution carries the data on its ring bit for bit.  Returns
+    ``(solution, report)``; raises :class:`NonConvergenceError` with
     the best iterate attached when the tolerance cannot be reached.  An
     iterate is accepted once its residual sup is at most ``newton_tol``, or
     at most the rounding floor ``4 eps_mach |u|_inf / h^2`` (h the smaller
@@ -307,11 +330,10 @@ def solve_eps(
     if grid != boundary.grid:
         raise ValueError("boundary data lives on a different grid")
     if initial_guess is None:
-        u = transfinite_interpolation(boundary).values
-    else:
-        if initial_guess.grid != grid:
-            raise ValueError("initial guess lives on a different grid")
-        u = boundary.impose(initial_guess.values[1:-1, 1:-1])
+        initial_guess = transfinite_interpolation(boundary)
+    elif initial_guess.grid != grid:
+        raise ValueError("initial guess lives on a different grid")
+    u = boundary.impose(initial_guess.values[1:-1, 1:-1])
 
     report = NewtonReport(converged=False, final_residual=np.inf)
     best, best_sup = u, np.inf  # iterates are replaced, never written into
@@ -449,21 +471,25 @@ def continuation(
 
     The first solve starts from the transfinite blend of the boundary.  As
     u(eps) is even in eps, each later solve starts from the polynomial in
-    s = eps^2 through the last min(3, k) solutions, evaluated at the new
+    s = eps^2 through the last min(5, k) solutions, evaluated at the new
     eps^2 (Lagrange extrapolation, natural-parameter continuation): the
     previous solution after one step, the line in eps^2 after two.  It is
     summed as ``u_last + sum_j w_j (u_j - u_last)``, so solutions that do
     not change give a guess that is the last one bit for bit, and it
     evaluates no residual.  A guess that is not finite falls back to the
     previous solution; :func:`solve_eps` re-imposes the boundary ring.  On
-    the 129² ``fan_bump`` default schedule this takes 23 Newton steps in
-    place of the previous solution's 28, and the last eps none.
+    the 129² ``fan_bump`` default schedule this takes 22 Newton steps in
+    place of the previous solution's 28 (23 through three solutions), and
+    the last two eps none.  The window is bounded because the weights grow
+    with it: through five solutions sum |w_j| is at most 28 even for a
+    schedule factor of 0.99, while through every solution of that schedule
+    it passes 1e12, and the rounding of the solutions grows with it.
 
     All solves share one :class:`LUCache`, created here, so the last LU of
     one eps step preconditions the GMRES of the next and a factorization is
-    redone only when GMRES on it misses its tolerance (4 of those 23 Newton
+    redone only when GMRES on it misses its tolerance (4 of those 22 Newton
     steps).  As explained in :func:`solve_eps`, the solutions still agree
-    with a fresh factorization per step up to rounding (|du| = 6.7e-16
+    with a fresh factorization per step up to rounding (|du| = 7.8e-16
     there), and a new cache per call keeps repeated runs bit-identical.  A
     failed step raises :class:`ContinuationError` carrying the partial run.
     """
@@ -473,10 +499,10 @@ def continuation(
     for eps in schedule.values():
         if run.solutions:
             # the Lagrange weights in s = (eps_j / eps)^2, which puts the target at s = 1
-            us = [sol.values for sol in run.solutions[-3:]]
+            us = [sol.values for sol in run.solutions[-_PREDICTOR_POINTS:]]
             values = us[-1]
             with np.errstate(all="ignore"):
-                s = np.square(np.array(run.eps_values[-3:]) / eps)
+                s = np.square(np.array(run.eps_values[-_PREDICTOR_POINTS:]) / eps)
                 for j in range(len(s) - 1):
                     w = math.prod((1.0 - s[l]) / (s[j] - s[l]) for l in range(len(s)) if l != j)
                     values = values + w * (us[j] - us[-1])

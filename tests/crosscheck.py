@@ -12,7 +12,12 @@ own, a number that a package routine computes too:
   lagged-coefficient fixed point, the reference of the Newton solve;
 - :func:`residual_by_hand` and :func:`offsets_by_hand`: the divergence row
   written out for the residual and for each of the nine Jacobian offsets,
-  the reference of the one row formula they share in ``hmingraph``.
+  the reference of the one row formula they share in ``hmingraph``;
+- :func:`halfdata_by_aij`: the half-node coefficients and weights by
+  :func:`~hmingraph.operators.aij_from_gradient`, the reference of the
+  residual and Jacobian that form only what they read;
+- :func:`gmres_lstsq`: GMRES that solves its small least-squares problem
+  afresh each iteration, the reference of the Givens-rotation GMRES.
 """
 
 from __future__ import annotations
@@ -25,8 +30,10 @@ from scipy.sparse import csr_matrix
 
 from hmingraph.geometry import Frame, FrozenFrame, LiftedPoint, OracleLattice, _drive
 from hmingraph.grid import Grid, GridFunction
-from hmingraph.operators import _combine_offsets, _HalfData, _offset_matrix, residual_div
-from hmingraph.solver import BoundaryData, LUCache, spsolve, transfinite_interpolation
+from hmingraph.operators import (_combine_offsets, _HalfData, _offset_matrix, aij_from_gradient,
+                                 residual_div)
+from hmingraph.solver import (_KRYLOV_MIN_RATE_ITERS, BoundaryData, LUCache, spsolve,
+                              transfinite_interpolation)
 
 
 # ---------------------------------------------------------------------------
@@ -347,3 +354,68 @@ def offsets_by_hand(h1, h2, eps, uI, cxL, cxR, cxD, cyB1, cyT1, cyS1, cyB2, cyT2
     D[(-1, 1)] = -xm(cxD) / h1 - uI * yp(cyS1) / h2 - eps * yp(cyS2) / h2
     D[(-1, -1)] = xm(cxD) / h1 + uI * ym(cyS1) / h2 + eps * ym(cyS2) / h2
     return D
+
+
+def halfdata_by_aij(frame: Frame) -> _HalfData:
+    """:class:`~hmingraph.operators._HalfData` with every ``a_ij`` and ``W``
+    of both staggered grids from :func:`aij_from_gradient`."""
+    hd = _HalfData(frame)
+    hd.a11_x, hd.a12_x, hd.a22_x, hd.W_x = aij_from_gradient(hd.p1_x, hd.p2_x)
+    hd.a11_y, hd.a12_y, hd.a22_y, hd.W_y = aij_from_gradient(hd.p1_y, hd.p2_y)
+    return hd
+
+
+def jacobian_offsets_by_aij(hd: _HalfData) -> dict:
+    """Per-offset Jacobian rows from the ``a_ij`` of :func:`halfdata_by_aij`."""
+    h1, h2, eps = hd.h1, hd.h2, hd.eps
+    A1x, A2x = hd.a11_x / hd.W_x, hd.a12_x / hd.W_x
+    B11, B12, B22 = hd.a11_y / hd.W_y, hd.a12_y / hd.W_y, hd.a22_y / hd.W_y
+    dp1B = -hd.ubar_y / h2 + hd.d2_y / 2.0
+    dp1T = hd.ubar_y / h2 + hd.d2_y / 2.0
+    D = _combine_offsets(
+        h1, h2, eps, hd.uI,
+        A1x * (-1.0 / h1 + hd.d2_x / 2.0), A1x * (1.0 / h1 + hd.d2_x / 2.0),
+        A1x * hd.ubar_x / (4 * h2) + A2x * eps / (4 * h2),
+        B11 * dp1B + B12 * (-eps / h2), B11 * dp1T + B12 * (eps / h2), B11 / (4 * h1),
+        B12 * dp1B + B22 * (-eps / h2), B12 * dp1T + B22 * (eps / h2), B12 / (4 * h1),
+    )
+    g1y = hd.p1_y / hd.W_y
+    D[(0, 0)] = D[(0, 0)] + (g1y[:, 1:] - g1y[:, :-1]) / h2
+    return D
+
+
+# ---------------------------------------------------------------------------
+# GMRES by a least-squares solve per iteration
+# ---------------------------------------------------------------------------
+
+
+def gmres_lstsq(A, b, precondition, target: float, maxiter: int):
+    """:func:`hmingraph.solver._gmres` with its least-squares problem
+    ``min |H y - beta e_1|`` solved by ``lstsq`` at every iteration, and the
+    same stops: at most ``target``, a zero subdiagonal, or a mean contraction
+    that cannot reach ``target`` by ``maxiter``."""
+    x0 = precondition(b)
+    r = b - A @ x0
+    beta = float(np.linalg.norm(r))
+    if beta <= target:
+        return x0, 0
+    V, Z = [r / beta], []
+    H = np.zeros((maxiter + 1, maxiter))
+    for j in range(maxiter):
+        Z.append(precondition(V[j]))
+        w = A @ Z[j]
+        for i, v in enumerate(V):
+            H[i, j] = w @ v
+            w -= H[i, j] * v
+        H[j + 1, j] = np.linalg.norm(w)
+        e = np.zeros(j + 2)
+        e[0] = beta
+        y = np.linalg.lstsq(H[:j + 2, :j + 1], e, rcond=None)[0]
+        est = float(np.linalg.norm(H[:j + 2, :j + 1] @ y - e))
+        if est <= target or H[j + 1, j] == 0.0:
+            return x0 + np.column_stack(Z) @ y, j + 1
+        k = j + 1
+        if k >= _KRYLOV_MIN_RATE_ITERS and est * (est / beta) ** ((maxiter - k) / k) > target:
+            return None, k
+        V.append(w / H[j + 1, j])
+    return None, maxiter

@@ -114,9 +114,10 @@ class TestSolve:
                         boundary={"expr": "1e160*x2*sin(3*x1)"})
         assert main(["solve", write_cfg(tmp_path / "c.json", cfg)]) == 2
         grid = hmingraph.Grid((0, 1), (1, 2), 17, 17)
-        guess = hmingraph.transfinite_interpolation(hmingraph.BoundaryData.from_callable(
-            grid, lambda a, b: 1e160 * b * np.sin(3 * a)))
-        assert np.array_equal(load_u_column(out / "solution.csv")[2], guess.values.ravel())
+        bd = hmingraph.BoundaryData.from_callable(grid, lambda a, b: 1e160 * b * np.sin(3 * a))
+        # the blend's interior inside the data's own ring
+        guess = bd.impose(hmingraph.transfinite_interpolation(bd).values[1:-1, 1:-1])
+        assert np.array_equal(load_u_column(out / "solution.csv")[2], guess.ravel())
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is False and report["iterations"] == 0
         assert report["final_residual"] == report["residual_history"][0] == np.inf
@@ -254,8 +255,8 @@ class TestConfigHandling:
         out = tmp_path / "made" / "out"
         cfg = write_cfg(tmp_path / "c.json", solve_cfg(out))
 
-        def fail(*args):
-            raise OSError(code, os.strerror(code))
+        def fail(*args):  # as the call fails: os.open names its path, os.write no file
+            raise OSError(code, os.strerror(code), *args[:1] if call == "open" else ())
 
         with monkeypatch.context() as m:
             m.setattr(cli.os, call, fail)
@@ -569,6 +570,30 @@ class TestCorruptedRunDirectory:
         assert err.startswith(f"error: {path}: unreadable"), err
         assert "Traceback" not in err
 
+    def test_run_json_that_is_a_directory(self, fan_run_dir, tmp_path, capsys):
+        # an OSError inside the command is exit 1 too, and the output
+        # directory the command made goes with its lock
+        run_dir = tmp_path / "run"
+        shutil.copytree(fan_run_dir, run_dir)
+        path = run_dir / "run.json"
+        path.unlink()
+        path.mkdir()
+        code, err = self.diagnose(run_dir, tmp_path, capsys)
+        assert code == 1
+        assert err == f"error: {path}: {os.strerror(errno.EISDIR)}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_an_artifact_that_cannot_replace_a_directory_is_named(self, fan_run_dir, tmp_path,
+                                                                  capsys):
+        # os.replace fails on the directory; the line names the artifact,
+        # not the temporary file that is removed with the lock
+        path = tmp_path / "out" / "verdict.json"
+        path.mkdir(parents=True)
+        code, err = self.diagnose(fan_run_dir, tmp_path, capsys)
+        assert code == 1
+        assert err == f"error: {path}: {os.strerror(errno.EISDIR)}\n"
+        assert sorted(p.name for p in path.parent.iterdir()) == ["verdict.json"]
+
     def test_truncated_run_json(self, fan_run_dir, tmp_path, capsys):
         run_dir = tmp_path / "run"
         shutil.copytree(fan_run_dir, run_dir)
@@ -770,6 +795,15 @@ class TestReusedOutputDirectory:
         assert json.loads((got / "leaves.json").read_text())["leaves"] == rows
         for row in rows:
             assert (got / row["file"]).read_bytes() == (want / row["file"]).read_bytes()
+
+    def test_a_directory_named_as_state_is_exit_1_and_changes_nothing(self, tmp_path, capsys):
+        # clearing the old state meets a directory it cannot unlink
+        out = tmp_path / "out"
+        (out / "solution.csv").mkdir(parents=True)
+        assert main(["solve", write_cfg(tmp_path / "s.json", solve_cfg(out))]) == 1
+        path = out / "solution.csv"
+        assert capsys.readouterr().err == f"error: {path}: {os.strerror(errno.EISDIR)}\n"
+        assert self.names(out) == ["solution.csv"] and self.names(path) == []
 
     def test_a_solve_replaces_a_continuation(self, tmp_path):
         out = tmp_path / "out"

@@ -19,10 +19,11 @@ from hmingraph import (
     residual_nondiv,
 )
 
-from hmingraph.operators import _combine_offsets, _HalfData, _jacobian_offsets
+from hmingraph.operators import _combine_offsets, _HalfData, _jacobian_offsets, _offset_matrix
 
 from helpers import bench_grid_n, fan_bump, sample
-from crosscheck import _lagged_matrix, _lagged_offsets, offsets_by_hand, residual_by_hand
+from crosscheck import (_lagged_matrix, _lagged_offsets, halfdata_by_aij, jacobian_offsets_by_aij,
+                        offsets_by_hand, residual_by_hand)
 
 
 # ------------------------------------------------------------- coefficients
@@ -287,6 +288,32 @@ def test_cached_assembly_matches_coo_route_and_the_residual(data):
     inv = interior_numbers(n1, n2)
     au = ref_int @ u[1:-1, 1:-1].ravel() + ref_bnd @ u.ravel()[inv < 0]
     assert np.max(np.abs(au - r)) <= 1e-10 * np.max(np.abs(r))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_residual_and_jacobian_have_the_bits_of_the_coefficient_map(data):
+    # the half-node data keep q and W only, and the Jacobian forms the five
+    # a_ij it reads by aij_from_gradient's expressions; scales up to 1e200
+    # make |p|^2 overflow, so a_ij of 0, NaN and inf are compared too
+    n1 = data.draw(st.integers(3, 30), label="n1")
+    n2 = data.draw(st.integers(3, 30), label="n2")
+    eps = 10.0 ** data.draw(st.floats(-3.0, 0.0), label="log10 eps")
+    scale = 10.0 ** data.draw(st.sampled_from([0, 0, 3, 8, 80, 160, 200]), label="log10 scale")
+    g, u = smooth_field(data, n1, n2, "u")
+    fr = Frame(GridFunction(g, scale * u), eps)
+    with np.errstate(all="ignore"):
+        ref = halfdata_by_aij(fr)
+        J = jacobian_assemble(fr)
+        J_ref = _offset_matrix(jacobian_offsets_by_aij(ref), n1, n2)
+        r_ref = residual_by_hand(ref)
+        try:
+            r = residual_div(fr).restrict(1)
+        except ValueError:  # the residual's GridFunction rejects a value that is not finite
+            assert not np.all(np.isfinite(r_ref))
+        else:
+            assert r.tobytes() == r_ref.tobytes()
+    assert_same_bits(J, J_ref)
 
 
 # ------------------------------------------------------ the one row formula

@@ -27,11 +27,17 @@ from hmingraph import (
 from hmingraph.solver import LUCache
 
 from helpers import boundary, fan_bump
-from crosscheck import picard_solve
+from crosscheck import gmres_lstsq, picard_solve
 
 
 def unit_grid_n(n):
     return Grid((0.0, 1.0), (0.0, 1.0), n, n)
+
+
+def cold_start(bd):
+    """The iterate a solve without an initial guess starts from: the blend's
+    interior inside the data's ring."""
+    return bd.impose(transfinite_interpolation(bd).values[1:-1, 1:-1])
 
 
 def test_constant_boundary_solves_in_one_step():
@@ -130,7 +136,7 @@ def test_a_refused_newton_step_ends_the_solve():
     assert not rep.converged and not rep.used_picard
     assert rep.iterations == 0 and rep.step_lengths == []
     assert len(rep.linear_residuals) == 1
-    assert np.array_equal(exc.value.best.values, transfinite_interpolation(bd).values)
+    assert np.array_equal(exc.value.best.values, cold_start(bd))
 
 
 def test_a_line_search_below_min_step_ends_the_solve():
@@ -228,7 +234,7 @@ def test_a_residual_that_overflows_ends_the_solve():
     rep = exc.value.report
     assert not rep.converged and rep.iterations == 0 and rep.linear_residuals == []
     assert rep.final_residual == np.inf and rep.residual_history == [np.inf]
-    assert np.array_equal(exc.value.best.values, transfinite_interpolation(bd).values)
+    assert np.array_equal(exc.value.best.values, cold_start(bd))
     with pytest.raises(ValueError, match="epsilon must be positive"):  # not a stop
         solve_eps(g, bd, 0.0, SolverConfig(), None)
 
@@ -237,7 +243,7 @@ def test_an_exactly_singular_jacobian_ends_the_solve():
     # SuperLU finds the first Jacobian exactly singular: a linear step that is
     # not finite, so the starting guess is the best iterate and no LU is kept
     g = Grid((0.0, 1.0), (1.0, 2.0), 17, 17)
-    bd = boundary(g, lambda a, b: 1e80 * a + 0.0 * b)
+    bd = boundary(g, lambda a, b: 1e100 * a + 0.0 * b)
     cache = LUCache()
     with pytest.raises(NonConvergenceError) as exc:
         solve_eps(g, bd, 0.5, SolverConfig(), None, lu_cache=cache)
@@ -245,8 +251,8 @@ def test_an_exactly_singular_jacobian_ends_the_solve():
     assert cache.lu is None and cache.factorizations == rep.factorizations == 0
     assert not rep.converged and rep.iterations == 0 and rep.krylov_iterations == [0]
     assert np.isnan(rep.linear_residuals).all() and len(rep.linear_residuals) == 1
-    assert rep.final_residual == rep.residual_history[0] == pytest.approx(3e81)
-    assert np.array_equal(exc.value.best.values, transfinite_interpolation(bd).values)
+    assert rep.final_residual == rep.residual_history[0] == pytest.approx(1.4e101)
+    assert np.array_equal(exc.value.best.values, cold_start(bd))
 
 
 def test_a_trial_step_whose_residual_overflows_is_rejected(monkeypatch):
@@ -284,7 +290,7 @@ def test_a_residual_2_norm_that_overflows_accepts_no_trial():
         solve_eps(g, bd, 1.0, SolverConfig(), None)
     rep = exc.value.report
     assert rep.iterations == 0 and rep.step_lengths == [] and np.isfinite(rep.final_residual)
-    assert np.array_equal(exc.value.best.values, transfinite_interpolation(bd).values)
+    assert np.array_equal(exc.value.best.values, cold_start(bd))
 
 
 def test_transfinite_guess_matches_boundary_ring():
@@ -345,18 +351,15 @@ def test_solver_config_rejects_a_negative_iteration_cap():
 def test_continuation_on_affine_data_is_stationary():
     # the blend of affine data already solves every eps, and the predictor
     # adds its weights times differences that are exactly 0: no Newton step,
-    # and every interior is the first bit for bit.  The first solution keeps
-    # the blend's ring, which rounds the data; later steps impose the data
+    # and every solution is the first bit for bit, ring included
     g = Grid((-0.3, 0.7), (1.0, 2.5), 33, 33)
     bd = boundary(g, affine_graph(0.4, -0.2).eval)
     run = continuation(g, bd, EpsSchedule(), SolverConfig())
     assert len(run.solutions) == 11
     assert [r.iterations for r in run.reports] == [0] * 11
-    first, second = run.solutions[0].values, run.solutions[1].values
-    assert np.array_equal(second[1:-1, 1:-1], first[1:-1, 1:-1])
-    assert np.max(np.abs(second - first)) <= 1e-15
-    for u in run.solutions[2:]:
-        assert np.array_equal(u.values, second)
+    first = run.solutions[0].values
+    for u in run.solutions[1:]:
+        assert np.array_equal(u.values, first)
     lip_norms = [u.lip_norm for u in run.solutions]
     assert max(lip_norms) / min(lip_norms) <= 1.0 + 1e-9
 
@@ -372,8 +375,8 @@ def _warm_start_chain(g, bd, schedule):
 
 
 def test_extrapolated_start_matches_the_warm_start_chain_in_fewer_newton_steps():
-    # u(eps) is even in eps, so the extrapolation in eps^2 of the last three
-    # solutions is nearly the next one: 22 Newton steps against 27
+    # u(eps) is even in eps, so the extrapolation in eps^2 of the last five
+    # solutions is nearly the next one: 20 Newton steps against 27
     g = Grid((0.0, 1.0), (1.0, 2.0), 65, 65)
     bd = boundary(g, fan_bump)
     run = continuation(g, bd, EpsSchedule(), SolverConfig())
@@ -381,11 +384,38 @@ def test_extrapolated_start_matches_the_warm_start_chain_in_fewer_newton_steps()
     assert len(run.solutions) == len(chain) == 11
     for a, b in zip(run.solutions, chain):
         assert np.max(np.abs(a.values - b.values)) <= 1e-11
+    assert sum(r.iterations for r in run.reports) == 20
     assert sum(r.iterations for r in run.reports) < sum(r.iterations for r in chain_reports)
     # the first two steps have no third solution to extrapolate from, so they
     # start as the chain does and match it bit for bit
     for a, b in zip(run.solutions[:2], chain[:2]):
         assert np.array_equal(a.values, b.values)
+
+
+def test_five_point_predictor_takes_fewer_newton_steps_than_three(monkeypatch):
+    # a slow schedule (45 eps steps) gives the extrapolation points to use:
+    # 64 Newton steps through the last five solutions, 72 through three
+    g = Grid((0.0, 1.0), (1.0, 2.0), 65, 65)
+    bd = boundary(g, fan_bump)
+    schedule = EpsSchedule(factor=0.9, eps_min=0.01)
+    five = continuation(g, bd, schedule, SolverConfig())
+    monkeypatch.setattr(solver, "_PREDICTOR_POINTS", 3)
+    three = continuation(g, bd, schedule, SolverConfig())
+    steps = [sum(r.iterations for r in run.reports) for run in (five, three)]
+    assert steps[0] < steps[1]
+    for a, b in zip(five.solutions, three.solutions):
+        assert np.max(np.abs(a.values - b.values)) <= 1e-11
+
+
+def test_a_cold_solve_keeps_the_dirichlet_ring_bit_for_bit():
+    # the blend rounds the data on its own ring (by 1.1e-16 here); the solve
+    # starts inside the data's ring, so its solution carries the data exactly
+    g = Grid((-0.3, 0.7), (1.0, 2.5), 33, 33)
+    for f in (affine_graph(0.4, -0.2).eval, fan_bump):
+        bd = boundary(g, f)
+        u, _ = solve_eps(g, bd, 0.5, SolverConfig(), None)
+        for edge in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
+            assert np.array_equal(u.values[edge], bd.values[edge])
 
 
 def test_eps_ratios_that_overflow_fall_back_to_the_previous_solution():
@@ -555,6 +585,33 @@ def test_gmres_gives_up_before_the_cap_when_the_cap_cannot_be_reached(monkeypatc
     # the full try misses too, so giving up early loses no solution
     monkeypatch.setattr(solver, "_KRYLOV_MIN_RATE_ITERS", solver._KRYLOV_MAXITER + 1)
     assert solver._gmres(A, b, np.copy, target, solver._KRYLOV_MAXITER) == (None, solver._KRYLOV_MAXITER)
+
+
+def test_givens_gmres_matches_a_least_squares_solve_per_iteration():
+    # random systems preconditioned by the LU of a perturbed copy: the larger
+    # the perturbation, the more iterations, up to an early-stop miss
+    from scipy.sparse.linalg import splu
+
+    kinds = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = 300
+        A = (sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
+             + sp.random(n, n, density=0.02, random_state=seed)).tocsc()
+        noise = sp.random(n, n, density=0.02, random_state=seed + 1000)
+        lu = splu((A + 10.0 ** rng.uniform(-6.0, 0.0) * noise).tocsc())
+        b = rng.standard_normal(n)
+        target = 1e-9 * np.linalg.norm(b)
+        x, its = solver._gmres(A, b, lu.solve, target, solver._KRYLOV_MAXITER)
+        x_ref, its_ref = gmres_lstsq(A, b, lu.solve, target, solver._KRYLOV_MAXITER)
+        assert its == its_ref
+        assert (x is None) == (x_ref is None)
+        if x is None:
+            kinds.add("early miss" if its < solver._KRYLOV_MAXITER else "miss")
+        else:
+            kinds.add("hit")
+            assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+    assert kinds == {"hit", "early miss"}
 
 
 @pytest.mark.parametrize("x1", [(0.0, 1e-160), (0.0, 1e-300)], ids=["subnormal", "zero"])
