@@ -11,20 +11,20 @@ further from the boundary, so measurement routines take an explicit margin
 (in nodes) and the verdict uses a fixed fraction of the domain.  Seminorm
 sampling is deterministic: pairs are enumerated by node offset, exhaustively
 when the pair count is small and stratified by separation scale otherwise, so
-repeated runs give bit-identical numbers.  The ledger profiles the gradient
-fields of a whole run in stacks, one pass over the offsets per stack.
+repeated runs give bit-identical numbers.  :func:`holder_seminorm` profiles a
+list of fields in stacks, one pass over the offsets per stack: one call
+measures the ledger's whole run, another the verdict's final state.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Frame, apply_x1, apply_x2
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, require_same_grid
 from .operators import aij_from_gradient
 from .solver import VanishingViscosityRun
 
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 PAIR_CAP = 10 ** 6
-_PROFILE_BYTES = 2 ** 20  # field values a stacked separation profile of the ledger holds
+_PROFILE_BYTES = 2 ** 20  # bytes of field values one stacked separation profile holds
 
 
 def intrinsic_derivative(u: GridFunction, k: int) -> GridFunction:
@@ -123,7 +123,7 @@ def _separation_profile(grid: Grid, lo: float, hi: float, values: np.ndarray) ->
     return seps, dmax
 
 
-def _seminorms(sep: np.ndarray, dmax: np.ndarray, alphas: tuple, window: tuple) -> np.ndarray:
+def _seminorms(sep: np.ndarray, dmax: np.ndarray, alphas: tuple) -> np.ndarray:
     """Max of ``dmax / sep**alpha`` over the offsets of a profile, shape
     (len(alphas), m): a row per exponent, a column per field."""
     best = np.empty((len(alphas), len(dmax)))
@@ -132,26 +132,30 @@ def _seminorms(sep: np.ndarray, dmax: np.ndarray, alphas: tuple, window: tuple) 
         # an ulp (on AVX-512 hosts); fmax skips a NaN quotient
         scales = np.array([s ** alpha for s in sep.tolist()])
         np.fmax.reduce(dmax / scales, axis=1, initial=-1.0, out=best[k])
-    if np.any(best < 0.0):
-        raise ValueError(f"no node pairs with separation in window {window}")
     return best
 
 
-def holder_seminorm(f: GridFunction, alphas: tuple, window: tuple[float, float]) -> tuple:
-    """Max of |f(x)-f(y)| / |x-y|^alpha over node pairs separated within
-    window, one seminorm per exponent in ``alphas``.
+def holder_seminorm(fields: list, alphas: tuple, window: tuple[float, float] | None) -> list:
+    """Per field of ``fields``, all on one grid, the tuple of its seminorms
+    max |f(x)-f(y)| / |x-y|^alpha over node pairs separated within ``window``
+    (read by :func:`holder_window`, None the default), one per alpha.
 
-    Euclidean separations, from one separation profile of ``f`` shared by
-    every exponent.  Deterministic by construction; see module docstring for
-    the sampling scheme.
+    Euclidean separations.  The fields are profiled in stacks of an even
+    count, as many as fit in ``_PROFILE_BYTES`` but at least two, each stack
+    in one pass over the offsets that serves every exponent.
     """
     if not all(0.0 < a < 1.0 for a in alphas):
         raise ValueError(f"each alpha must lie in (0, 1), got {alphas}")
-    lo, hi = float(window[0]), float(window[1])
-    if not 0.0 <= lo < hi:
-        raise ValueError(f"bad separation window {window}")
-    sep, dmax = _separation_profile(f.grid, lo, hi, f.values[None])
-    return tuple(_seminorms(sep, dmax, alphas, window)[:, 0].tolist())
+    if not fields:  # the ledger of a run with no rows
+        return []
+    grid = require_same_grid(*fields)
+    window = holder_window(grid, window)
+    size = 2 * max(1, _PROFILE_BYTES // (16 * grid.n1 * grid.n2))  # fields a stack
+    out = []
+    for k in range(0, len(fields), size):
+        stack = np.stack([f.values for f in fields[k:k + size]])
+        out += _seminorms(*_separation_profile(grid, *window, stack), alphas).T.tolist()
+    return [tuple(best) for best in out]
 
 
 def holder_exponent_estimate(f: GridFunction, window: tuple[float, float]) -> float:
@@ -237,12 +241,12 @@ def derivative_equation_residuals(frame: Frame, margin: int = 3) -> tuple[float,
     x1v, x2v = ax1(v), ax2(v)
     lhs_v = ax1(b11 * x1v + b12 * x2v) + ax2(b12 * x1v + b22 * x2v)
     rhs_v = -b11 * v ** 3 - (b11 * x1v + b12 * x2v) * v - (ax1(b11 * v * v) + ax2(b12 * v * v))
-    v_res = float(np.max(np.abs((lhs_v - rhs_v)[margin:-margin, margin:-margin])))
+    v_res = float(np.max(np.abs(u.grid.interior(lhs_v - rhs_v, margin))))
 
     x1z, x2z = ax1(z), ax2(z)
     lhs_z = ax1(b11 * x1z + b12 * x2z) + ax2(b12 * x1z + b22 * x2z)
     rhs_z = v * ax2(p2 / w) + ax1(b12 * eps * v * v) + ax2(b22 * eps * v * v)
-    z_res = float(np.max(np.abs((lhs_z - rhs_z)[margin:-margin, margin:-margin])))
+    z_res = float(np.max(np.abs(u.grid.interior(lhs_z - rhs_z, margin))))
     return v_res, z_res
 
 
@@ -254,12 +258,14 @@ def holder_window(grid: Grid, window: tuple[float, float] | None) -> tuple[float
     spacing to a quarter of the shorter side, the window of the ledger and of
     a verdict whose budgets set none.
 
-    A ValueError, as from :func:`holder_seminorm`, unless the window holds a
-    node pair of ``grid``; the default is empty on a grid too coarse for it
-    (on a square, one of 9 or fewer nodes per side).
+    The one window rule: a ValueError unless ``0 <= lo < hi`` and the window
+    holds a node pair of ``grid``; the default is empty on a grid too coarse
+    for it (on a square, one of 9 or fewer nodes per side).
     """
     if window is not None:
-        lo, hi = window
+        lo, hi = float(window[0]), float(window[1])
+        if not 0.0 <= lo < hi:
+            raise ValueError(f"bad separation window {window}")
     else:
         h = max(grid.h1, grid.h2)
         width = min(grid.x1_range[1] - grid.x1_range[0], grid.x2_range[1] - grid.x2_range[0])
@@ -273,56 +279,33 @@ def holder_window(grid: Grid, window: tuple[float, float] | None) -> tuple[float
     return lo, hi
 
 
-def _ledger_seminorms(frames: list) -> list:
-    """Per frame, the larger Holder seminorm of its gradient (X1u, X2u) at each
-    of ``DEFAULT_ALPHAS`` on the default window.
-
-    The gradient fields of consecutive frames on one grid are stacked, at
-    most ``_PROFILE_BYTES`` of values a stack, and each stack makes one
-    pass over the offsets.
-    """
-    out = []
-    for grid, group in itertools.groupby(frames, key=lambda fr: fr.grid):
-        group = list(group)
-        window = holder_window(grid, None)
-        size = max(1, _PROFILE_BYTES // (16 * grid.n1 * grid.n2))  # frames a stack
-        for k in range(0, len(group), size):
-            chunk = group[k:k + size]
-            stack = np.empty((2 * len(chunk), grid.n1, grid.n2))
-            for i, fr in enumerate(chunk):
-                stack[2 * i] = apply_x1(fr, fr.u).values
-                stack[2 * i + 1] = apply_x2(fr, fr.u).values
-            best = _seminorms(*_separation_profile(grid, *window, stack), DEFAULT_ALPHAS, window)
-            # columns come in (X1u, X2u) pairs, one pair per frame
-            out += best.reshape(len(DEFAULT_ALPHAS), -1, 2).max(axis=2).T.tolist()
-    return out
-
-
 def norm_ledger(run: VanishingViscosityRun) -> dict:
     """The ``ledger.json`` object: ``{"rows": [...]}``, one row per epsilon of a run.
 
     Each row records the coarse size bound M of :func:`m_bound`, the order-2
     scaled Sobolev norm of u, the order-1 norm of its vertical derivative,
-    and Holder seminorms of both gradient components at ``DEFAULT_ALPHAS`` on
-    the default window, the same numbers as :func:`holder_seminorm` gives.
-    Eps must decrease strictly, with one solution each, and each entry be
-    finite and non-negative, else a ValueError.
+    and the larger Holder seminorm of the gradient components at each of
+    ``DEFAULT_ALPHAS`` on the default window, from one :func:`holder_seminorm`
+    call over every row.  Eps must decrease strictly, with one solution each,
+    on one grid, and each entry be finite and non-negative, else a ValueError.
     """
     if any(e2 >= e1 for e1, e2 in zip(run.eps_values, run.eps_values[1:])):
         raise ValueError("ledger rows must have strictly decreasing eps")
     frames = [Frame(sol, eps) for eps, sol in zip(run.eps_values, run.solutions, strict=True)]
+    fields = [op(fr, fr.u) for fr in frames for op in (apply_x1, apply_x2)]
+    seminorms = holder_seminorm(fields, DEFAULT_ALPHAS, None)
     rows = []
-    for frame, seminorms in zip(frames, _ledger_seminorms(frames)):
+    for frame, x1u, x2u in zip(frames, seminorms[::2], seminorms[1::2]):
         eps, sol, m = frame.epsilon, frame.u, m_bound(frame)
         norms = {
             "u_W22_eps": sobolev_norm_eps(frame, 2, 2),
             "d2u_W12_eps": sobolev_norm_eps(frame, 1, 2, of=GridFunction(sol.grid, sol.d2())),
         }
-        if not all(np.isfinite(x) and x >= 0 for x in (eps, m, *norms.values(), *seminorms)):
+        holder = list(map(max, x1u, x2u))
+        if not all(np.isfinite(x) and x >= 0 for x in (eps, m, *norms.values(), *holder)):
             raise ValueError("ledger entries must be finite and non-negative")
         rows.append({"eps": eps, "M": m, "norms": norms,
-                     "holder": [{"alpha": a, "seminorm": s}
-                                for a, s in zip(DEFAULT_ALPHAS, seminorms)]})
+                     "holder": [{"alpha": a, "seminorm": s} for a, s in zip(DEFAULT_ALPHAS, holder)]})
     return {"rows": rows}
 
 
@@ -357,14 +340,16 @@ def verdict(final: GridFunction, eps: float, lip_norms: list,
     window (a fixed fraction of the domain trimmed on each side) at the final
     epsilon, alongside Holder seminorms of the gradient components and the
     derivative-equation defects.  ``lip_ratio`` is max/min of the run's
-    recorded Lipschitz norms, inf when the smallest is 0.  ``pass`` needs
-    every seminorm, ``x2u_sup`` and both residuals within their caps.
+    recorded Lipschitz norms (none is a ValueError), inf when the smallest
+    is 0.  ``pass`` needs every seminorm, ``x2u_sup`` and both residuals
+    within their caps.
     """
+    if not lip_norms:
+        raise ValueError("lip_norms: need at least one Lipschitz norm")
     frame = Frame(final, eps)
     grid = final.grid
-    window = holder_window(grid, budgets.window)
-    seminorms = map(max, holder_seminorm(apply_x1(frame, final), budgets.alphas, window),
-                    holder_seminorm(apply_x2(frame, final), budgets.alphas, window))
+    seminorms = map(max, *holder_seminorm([apply_x1(frame, final), apply_x2(frame, final)],
+                                          budgets.alphas, budgets.window))
     alpha_rows = [{"alpha": a, "seminorm": s, "pass": s <= budgets.holder_cap}
                   for a, s in zip(budgets.alphas, seminorms)]
 

@@ -176,12 +176,13 @@ def foliation_cover(u: GridFunction, seed_spacing: float) -> list[Leaf]:
     The left edge is always inflow (the first flow component has unit speed);
     bottom and top edge points are seeded where the field points into the
     rectangle.  Seeds where no step fits are skipped silently.  A spacing
-    below the grid's smaller spacing is a ValueError: each seed is a leaf.
+    that is not a positive finite number, or is below the grid's smaller
+    spacing, is a ValueError: each seed is a leaf.
     """
     g = u.grid
     h = min(g.h1, g.h2)
-    if seed_spacing <= 0.0:
-        raise ValueError("seed spacing must be positive")
+    if not 0.0 < seed_spacing < np.inf:
+        raise ValueError(f"seed_spacing: must be positive and finite, got {seed_spacing}")
     if seed_spacing < h:
         raise ValueError(f"seed spacing {seed_spacing:g} is below the grid's smaller spacing {h:g}")
     (a1, b1), (a2, b2) = g.x1_range, g.x2_range

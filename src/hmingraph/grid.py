@@ -94,6 +94,16 @@ class Grid:
             raise ValueError(f"point ({x1}, {x2}) is not a grid node")
         return i, j
 
+    def interior(self, values: np.ndarray, margin: int) -> np.ndarray:
+        """View of nodal ``values`` at least ``margin`` layers from the boundary.
+
+        The one margin rule: ``values[m:n1-m, m:n2-m]``, a ValueError unless
+        ``0 <= margin`` and some node remains (``2*margin < min(n1, n2)``).
+        """
+        if not 0 <= 2 * margin < min(self.n1, self.n2):
+            raise ValueError(f"margin {margin} leaves no node of a {self.n1} x {self.n2} grid")
+        return values[margin:self.n1 - margin, margin:self.n2 - margin]
+
 
 @dataclass
 class GridFunction:
@@ -192,10 +202,9 @@ class GridFunction:
         return self.bilinear()(float(x1), float(x2))
 
     def restrict(self, margin: int) -> np.ndarray:
-        """View of the values at least ``margin`` layers from the boundary."""
-        if margin == 0:
-            return self.values
-        return self.values[margin:-margin, margin:-margin]
+        """View of the values at least ``margin`` layers from the boundary
+        (:meth:`Grid.interior`)."""
+        return self.grid.interior(self.values, margin)
 
 
 def require_same_grid(*fns) -> Grid:

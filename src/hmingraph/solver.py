@@ -430,6 +430,8 @@ class EpsSchedule:
         for name in ("eps_start", "eps_min"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
+        if self.eps_start == np.inf:  # else values() repeats inf max_steps times
+            raise ValueError("eps_start: must be finite, got inf")
         if not (0 < self.factor < 1):
             raise ValueError(f"factor: must lie in (0, 1), got {self.factor}")
         if self.eps_min > self.eps_start:

@@ -15,6 +15,7 @@ from hmingraph import (
     Frame,
     Grid,
     GridFunction,
+    GridMismatchError,
     apply_x1,
     apply_x2,
     continuation,
@@ -68,18 +69,18 @@ class TestIntrinsicDerivative:
 class TestHolderSeminorm:
     def test_constant_field_has_zero_seminorm(self):
         f = unit_field(lambda a, b: 0.0 * a + 3.0)
-        assert holder_seminorm(f, (0.25, 0.5), (0.1, 1.0)) == (0.0, 0.0)
+        assert holder_seminorm([f], (0.25, 0.5), (0.1, 1.0))[0] == (0.0, 0.0)
 
     def test_coordinate_field_attains_one(self):
         # |x1 - y1| / sep^alpha is largest at the full-width horizontal pair
         f = unit_field(lambda a, b: a)
-        assert holder_seminorm(f, (0.5, 0.9), (0.1, 1.0)) == (1.0, 1.0)
+        assert holder_seminorm([f], (0.5, 0.9), (0.1, 1.0))[0] == (1.0, 1.0)
 
     def test_matches_exhaustive_double_loop_on_small_grid(self):
         g = Grid((0.0, 1.0), (0.0, 1.0), 9, 9)
         f = GridFunction.from_callable(g, lambda a, b: np.sin(3 * a) + b * b)
         alphas, lo, hi = (0.7, 0.3), 0.05, 0.6
-        got = holder_seminorm(f, alphas, (lo, hi))
+        got = holder_seminorm([f], alphas, (lo, hi))[0]
         vals = f.values
         pts = [(i, j) for i in range(9) for j in range(9)]
         best = [0.0, 0.0]
@@ -95,7 +96,8 @@ class TestHolderSeminorm:
     def test_seminorm_shrinks_as_lower_cutoff_grows(self):
         f = unit_field(lambda a, b: np.sin(3 * a) + b * b)
         alphas = (0.25, 0.5, 0.75)
-        wide, narrow = holder_seminorm(f, alphas, (0.08, 0.8)), holder_seminorm(f, alphas, (0.3, 0.8))
+        wide = holder_seminorm([f], alphas, (0.08, 0.8))[0]
+        narrow = holder_seminorm([f], alphas, (0.3, 0.8))[0]
         assert all(w >= n for w, n in zip(wide, narrow))
 
     def test_derivative_jump_inflates_short_separation_quotients(self):
@@ -104,18 +106,18 @@ class TestHolderSeminorm:
         g = Grid((2.0, 4.0), (-1.0, 1.0), 129, 129)
         X1, X2 = g.nodes()
         d2 = GridFunction(g, GridFunction(g, pauls_graph(X1, X2)).d2())
-        wide, = holder_seminorm(d2, (0.5,), (0.5, 1.0))
-        tight, = holder_seminorm(d2, (0.5,), (2 * g.h2, 1.0))
+        wide, = holder_seminorm([d2], (0.5,), (0.5, 1.0))[0]
+        tight, = holder_seminorm([d2], (0.5,), (2 * g.h2, 1.0))[0]
         assert tight >= 2.0 * wide
 
     def test_alpha_and_window_validation(self):
         f = unit_field(lambda a, b: a)
         with pytest.raises(ValueError, match="alpha"):
-            holder_seminorm(f, (0.5, 1.5), (0.1, 1.0))
+            holder_seminorm([f], (0.5, 1.5), (0.1, 1.0))[0]
         with pytest.raises(ValueError, match="window"):
-            holder_seminorm(f, (0.5,), (0.8, 0.2))
+            holder_seminorm([f], (0.5,), (0.8, 0.2))[0]
         with pytest.raises(ValueError, match="no node pairs"):
-            holder_seminorm(f, (0.5,), (1e-6, 2e-6))
+            holder_seminorm([f], (0.5,), (1e-6, 2e-6))[0]
 
 
 class TestHolderExponentEstimate:
@@ -145,7 +147,7 @@ class TestOffsetSetCache:
         alphas = (0.25, 0.5, 0.75, 0.9)
 
         def numbers():
-            return [(*holder_seminorm(f, alphas, w), holder_exponent_estimate(f, w))
+            return [(*holder_seminorm([f], alphas, w)[0], holder_exponent_estimate(f, w))
                     for f in fields for w in windows]
 
         offsets = diagnostics._offset_set(g, *windows[0])
@@ -266,7 +268,7 @@ def test_separation_profile_reproduces_the_per_exponent_passes_bit_for_bit(data)
 
     quotients = _old_quotients(vals, g, lo, hi)
     try:
-        got = holder_seminorm(f, alphas, (lo, hi))
+        got = holder_seminorm([f], alphas, (lo, hi))[0]
     except ValueError:
         got = [None] * len(alphas)
     assert [_bits(x) for x in got] == [_bits(_old_seminorm(quotients, a)) for a in alphas]
@@ -288,10 +290,10 @@ def test_each_exponent_of_a_call_is_its_own_seminorm_bit_for_bit(n1, n2, seed, l
     f = GridFunction(g, np.random.default_rng(seed).standard_normal((n1, n2)))
     lo = lo_cells * min(g.h1, g.h2)  # a window at least a cell wide holds a pair
     w = (lo, lo + max(g.h1, g.h2) + span)
-    got = holder_seminorm(f, alphas, w)
+    got = holder_seminorm([f], alphas, w)[0]
     assert len(got) == len(alphas)
     for k, a in enumerate(alphas):
-        assert np.float64(got[k]).tobytes() == np.float64(holder_seminorm(f, (a,), w)[0]).tobytes()
+        assert np.float64(got[k]).tobytes() == np.float64(holder_seminorm([f], (a,), w)[0][0]).tobytes()
 
 
 def _flat_profile(grid, lo, hi, values):
@@ -351,13 +353,12 @@ def test_the_ledger_seminorms_are_holder_seminorm_bit_for_bit_however_the_budget
     frames = [Frame(GridFunction(g, rng.standard_normal((n1, n2))), float(rng.uniform(0.01, 2.0)))
               for _ in range(count)]
     per_stack = data.draw(st.integers(1, count + 1), label="frames a stack")
-    window = diagnostics.holder_window(g, None)
-    alone = [tuple(map(max, *(holder_seminorm(op(fr, fr.u), diagnostics.DEFAULT_ALPHAS, window)
-                              for op in (apply_x1, apply_x2)))) for fr in frames]
+    fields = [op(fr, fr.u) for fr in frames for op in (apply_x1, apply_x2)]
+    alone = [holder_seminorm([f], diagnostics.DEFAULT_ALPHAS, None)[0] for f in fields]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(diagnostics, "_PROFILE_BYTES", per_stack * 16 * n1 * n2)
         calls = counting(mp, "_separation_profile")
-        got = diagnostics._ledger_seminorms(frames)
+        got = holder_seminorm(fields, diagnostics.DEFAULT_ALPHAS, None)
     assert len(calls) == -(-count // per_stack)
     assert np.array(got).tobytes() == np.array(alone).tobytes()
 
@@ -373,17 +374,17 @@ class TestSeparationProfile:
     def test_writing_into_the_values_changes_the_next_result(self):
         f = unit_field(lambda a, b: np.sin(3 * a) + b * b)
         w = (0.05, 0.6)
-        before = (holder_seminorm(f, (0.5,), w), holder_exponent_estimate(f, w))
+        before = (holder_seminorm([f], (0.5,), w)[0], holder_exponent_estimate(f, w))
         f.values[4, 7] += 5.0  # same array object, new content
-        after = (holder_seminorm(f, (0.5,), w), holder_exponent_estimate(f, w))
+        after = (holder_seminorm([f], (0.5,), w)[0], holder_exponent_estimate(f, w))
         fresh = GridFunction(f.grid, f.values.copy())
         assert after != before
-        assert after == (holder_seminorm(fresh, (0.5,), w), holder_exponent_estimate(fresh, w))
+        assert after == (holder_seminorm([fresh], (0.5,), w)[0], holder_exponent_estimate(fresh, w))
 
     def test_one_pass_serves_every_exponent(self, monkeypatch):
         f = unit_field(lambda a, b: np.cos(2 * a) * b)
         calls = counting(monkeypatch, "_separation_profile")
-        assert len(holder_seminorm(f, (0.25, 0.5, 0.75, 0.9), (0.05, 0.6))) == 4
+        assert len(holder_seminorm([f], (0.25, 0.5, 0.75, 0.9), (0.05, 0.6))[0]) == 4
         assert len(calls) == 1
 
 
@@ -432,6 +433,13 @@ class TestSobolevNorm:
         with pytest.raises(ValueError):
             sobolev_norm_eps(fr, 1, 0.5)
 
+    def test_an_order_that_leaves_no_interior_node_is_rejected(self):
+        # order 9 on 17^2 used to sum over no node and return 0.0
+        fr = Frame(GridFunction.from_callable(Grid((0.0, 1.0), (1.0, 2.0), 17, 17), fan_bump), 0.5)
+        assert sobolev_norm_eps(fr, 8, 1) > 0.0
+        with pytest.raises(ValueError, match="margin 9 leaves no node"):
+            sobolev_norm_eps(fr, 9, 2)
+
 
 class TestDerivativeEquationResiduals:
     def test_exact_graph_solution_has_machine_zero_defects(self):
@@ -460,6 +468,18 @@ class TestDerivativeEquationResiduals:
         v_res, z_res = derivative_equation_residuals(Frame(GridFunction(g, vals), 0.25), margin=5)
         assert v_res >= 1.0
         assert z_res >= 1.0
+
+    def test_margin_zero_measures_every_node_and_a_margin_beyond_the_centre_is_rejected(self):
+        # margin 0 used to slice [0:-0], an empty array, and fail in numpy's max
+        g = Grid((0.0, 1.0), (1.0, 2.0), 17, 17)
+        frame = Frame(GridFunction.from_callable(g, fan_bump), 0.5)
+        whole = derivative_equation_residuals(frame, margin=0)
+        inner = derivative_equation_residuals(frame)
+        centre = derivative_equation_residuals(frame, margin=8)
+        assert np.all(np.isfinite(whole)) and np.all(np.array(whole) >= inner)
+        assert np.all(np.array(centre) <= inner)
+        with pytest.raises(ValueError, match="margin 9 leaves no node of a 17 x 17 grid"):
+            derivative_equation_residuals(frame, margin=9)
 
 
 def test_m_bound_closed_form_for_affine():
@@ -545,6 +565,11 @@ class TestVerdict:
         d = verdict(affine_run.final, affine_run.final_eps, lip_norms(affine_run))
         assert json.loads(json.dumps(d)) == d
 
+    def test_an_empty_list_of_lipschitz_norms_is_rejected_by_name(self, affine_run):
+        # it used to end in min() of an empty sequence
+        with pytest.raises(ValueError, match="lip_norms: need at least one"):
+            verdict(affine_run.final, affine_run.final_eps, [])
+
     def test_unmeetable_budget_fails_the_verdict(self, affine_run):
         v = verdict(affine_run.final, affine_run.final_eps, lip_norms(affine_run),
                     DiagnosticsBudgets(residual_cap=-1.0))
@@ -552,19 +577,46 @@ class TestVerdict:
 
 
 def test_ledger_and_verdict_measure_each_field_once(monkeypatch, affine_run):
-    # the ledger profiles every gradient field of the run in one stacked pass;
-    # the verdict makes one seminorm call per gradient component, which takes
-    # every exponent at once
+    # the ledger measures the gradient fields of every row in one seminorm call
+    # and one stacked profile; the verdict both gradient components of its
+    # final state in another, which takes every exponent at once
     profiles = counting(monkeypatch, "_separation_profile")
     calls = counting(monkeypatch, "holder_seminorm")
     norm_ledger(affine_run)
-    assert calls == []
-    assert [values.shape for *_, values in profiles] == [(2 * len(affine_run.solutions), 17, 17)]
+    rows = len(affine_run.solutions)
+    assert [(len(fields), alphas, window) for fields, alphas, window in calls] == [
+        (2 * rows, diagnostics.DEFAULT_ALPHAS, None)]
+    assert [values.shape for *_, values in profiles] == [(2 * rows, 17, 17)]
+    calls.clear()
     profiles.clear()
     verdict(affine_run.final, affine_run.final_eps, lip_norms(affine_run),
             DiagnosticsBudgets(alphas=(0.5, 0.3)))
-    assert [alphas for _, alphas, _ in calls] == [(0.5, 0.3)] * 2
-    assert [values.shape for *_, values in profiles] == [(1, 17, 17)] * 2
+    assert [(len(fields), alphas) for fields, alphas, _ in calls] == [(2, (0.5, 0.3))]
+    assert [values.shape for *_, values in profiles] == [(2, 17, 17)]
+
+
+@pytest.mark.parametrize("window", [(-1.0, 0.3), (float("nan"), 0.3), (0.8, 0.2)])
+def test_holder_window_and_holder_seminorm_reject_a_bad_window_alike(window):
+    f = unit_field(lambda a, b: a)
+    with pytest.raises(ValueError) as rule:
+        diagnostics.holder_window(f.grid, window)
+    with pytest.raises(ValueError) as seminorm:
+        holder_seminorm([f], (0.5,), window)
+    assert str(rule.value) == str(seminorm.value) == f"bad separation window {window}"
+
+
+def test_a_run_with_no_rows_has_an_empty_ledger(affine_run):
+    empty = dataclasses.replace(affine_run, eps_values=[], solutions=[], reports=[])
+    assert norm_ledger(empty) == {"rows": []}
+    assert holder_seminorm([], diagnostics.DEFAULT_ALPHAS, None) == []
+
+
+def test_a_ledger_of_a_run_on_two_grids_is_a_grid_mismatch(affine_run):
+    g = Grid((0.0, 1.0), (0.0, 1.0), 19, 19)
+    other = GridFunction.from_callable(g, lambda a, b: 0.5 * a + 0.25 + 0.0 * b)
+    run = dataclasses.replace(affine_run, solutions=[*affine_run.solutions[:-1], other])
+    with pytest.raises(GridMismatchError):
+        norm_ledger(run)
 
 
 def test_rough_boundary_data_stays_near_its_generating_graph():

@@ -352,3 +352,11 @@ def test_seed_spacing_below_the_grid_spacing_is_rejected(spacing):
     u = field(lambda a, b: 0.3 * a + 0.1 * b - 0.2)
     with pytest.raises(ValueError, match="below the grid's smaller spacing"):
         foliation_cover(u, spacing)
+
+
+@pytest.mark.parametrize("spacing", [np.nan, np.inf, 0.0, -0.1])
+def test_a_seed_spacing_that_is_not_a_positive_finite_number_is_rejected_by_name(spacing):
+    # NaN and inf used to reach np.arange, which cannot compute the seed count
+    u = field(lambda a, b: 0.3 * a + 0.1 * b - 0.2)
+    with pytest.raises(ValueError, match="seed_spacing: must be positive and finite"):
+        foliation_cover(u, spacing)

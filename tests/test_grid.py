@@ -228,6 +228,29 @@ def test_restrict_views_shrink_symmetrically():
     assert u.restrict(2)[0, 0] == pytest.approx(u.values[2, 2])
 
 
+def test_a_margin_that_leaves_no_node_is_rejected():
+    # restrict(-1) and restrict(20) used to return empty arrays
+    g = Grid((0.0, 1.0), (0.0, 2.0), 33, 35)
+    u = GridFunction.from_callable(g, lambda a, b: a * b)
+    for margin in (-1, 17, 20):
+        with pytest.raises(ValueError, match=f"margin {margin} leaves no node of a 33 x 35 grid"):
+            u.restrict(margin)
+        with pytest.raises(ValueError, match="leaves no node"):
+            g.interior(u.values, margin)
+    assert u.restrict(16).shape == (1, 3)
+    assert u.restrict(16)[0, 1] == u.values[16, 17]
+
+
+def test_restrict_is_a_view_of_the_values_with_their_bits():
+    g = Grid((0.0, 1.0), (0.0, 1.0), 9, 7)
+    u = GridFunction.from_callable(g, lambda a, b: np.sin(3 * a) + b * b)
+    for margin in (0, 1, 3):
+        inner = u.restrict(margin)
+        assert np.shares_memory(inner, u.values)
+        assert inner.tobytes() == u.values[margin:9 - margin, margin:7 - margin].tobytes()
+    assert u.restrict(1).tobytes() == u.values[1:-1, 1:-1].tobytes()
+
+
 def test_d1_d2_exact_on_quadratics():
     # edge stencils included; quadratic is the hardest field they get exactly
     g = Grid((0.0, 1.0), (0.0, 1.0), 17, 17)

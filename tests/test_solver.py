@@ -333,6 +333,12 @@ def test_schedule_validation():
         EpsSchedule(max_steps=0)
 
 
+def test_an_infinite_eps_start_is_rejected_by_name():
+    # it used to be accepted, and values() gave max_steps copies of inf
+    with pytest.raises(ValueError, match="eps_start: must be finite"):
+        EpsSchedule(eps_start=np.inf)
+
+
 def test_solver_config_rejects_a_line_search_that_never_ends():
     # a factor of 1 or more never brings the step below min_step
     for shrink in (0.0, 1.0, 2.0):
