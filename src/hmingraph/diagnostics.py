@@ -210,9 +210,12 @@ def sobolev_norm_eps(frame: Frame, m: int, p: float, of: GridFunction | None = N
 def m_bound(frame: Frame) -> float:
     """Uniform bound ``sup|u| + sup|grad u| + sup|d2 u|``: grad u is the frame
     gradient (X1u, X2u), d2 u the first partial along x2 (:meth:`GridFunction.d2`)."""
-    u = frame.u
-    p1 = apply_x1(frame, u).values
-    p2 = apply_x2(frame, u).values
+    return _m_bound(frame.u, apply_x1(frame, frame.u), apply_x2(frame, frame.u))
+
+
+def _m_bound(u: GridFunction, x1u: GridFunction, x2u: GridFunction) -> float:
+    """:func:`m_bound` of ``u`` from its frame gradient, formed once by the caller."""
+    p1, p2 = x1u.values, x2u.values
     grad_sup = float(np.max(np.sqrt(p1 * p1 + p2 * p2)))
     return u.sup_norm + grad_sup + float(np.max(np.abs(u.d2())))
 
@@ -286,7 +289,8 @@ def norm_ledger(run: VanishingViscosityRun) -> dict:
     scaled Sobolev norm of u, the order-1 norm of its vertical derivative,
     and the larger Holder seminorm of the gradient components at each of
     ``DEFAULT_ALPHAS`` on the default window, from one :func:`holder_seminorm`
-    call over every row.  Eps must decrease strictly, with one solution each,
+    call over every row.  Each row's gradient (X1u, X2u) is formed once and
+    serves both that call and its M.  Eps must decrease strictly, with one solution each,
     on one grid, and each entry be finite and non-negative, else a ValueError.
     """
     if any(e2 >= e1 for e1, e2 in zip(run.eps_values, run.eps_values[1:])):
@@ -295,13 +299,14 @@ def norm_ledger(run: VanishingViscosityRun) -> dict:
     fields = [op(fr, fr.u) for fr in frames for op in (apply_x1, apply_x2)]
     seminorms = holder_seminorm(fields, DEFAULT_ALPHAS, None)
     rows = []
-    for frame, x1u, x2u in zip(frames, seminorms[::2], seminorms[1::2]):
-        eps, sol, m = frame.epsilon, frame.u, m_bound(frame)
+    for frame, x1u, x2u, s1, s2 in zip(frames, fields[::2], fields[1::2], seminorms[::2],
+                                       seminorms[1::2]):
+        eps, sol, m = frame.epsilon, frame.u, _m_bound(frame.u, x1u, x2u)
         norms = {
             "u_W22_eps": sobolev_norm_eps(frame, 2, 2),
             "d2u_W12_eps": sobolev_norm_eps(frame, 1, 2, of=GridFunction(sol.grid, sol.d2())),
         }
-        holder = list(map(max, x1u, x2u))
+        holder = list(map(max, s1, s2))
         if not all(np.isfinite(x) and x >= 0 for x in (eps, m, *norms.values(), *holder)):
             raise ValueError("ledger entries must be finite and non-negative")
         rows.append({"eps": eps, "M": m, "norms": norms,

@@ -71,7 +71,11 @@ class _HalfData:
     vertically adjacent nodes with shape ``(n1-2, n2-1)``.  Only half nodes
     adjacent to interior residual nodes are formed, so every stencil stays
     inside the grid.  The coefficients ``a_ij = delta_ij - p_i p_j / q`` are
-    left to the Jacobian, the one reader of them.
+    left to the Jacobian, the one reader of them.  Each array is made once
+    and then updated in place, with the operands in the order of the
+    formulas written out, so each has the bits of its formula:
+    ``ubar = 0.5 (uL + uR)``, ``p1 = d1 + ubar d2``, ``p2 = eps d2`` and
+    ``q = 1 + p1 p1 + p2 p2``.  ``d1`` is a scratch array.
     """
 
     def __init__(self, frame: Frame):
@@ -84,24 +88,43 @@ class _HalfData:
         self.u = u
 
         uL, uR = u[:-1, 1:-1], u[1:, 1:-1]
-        self.ubar_x = 0.5 * (uL + uR)
-        self.d1_x = (uR - uL) / h1
-        self.d2_x = (u[:-1, 2:] + u[1:, 2:] - u[:-1, :-2] - u[1:, :-2]) / (4 * h2)
-        self.p1_x = self.d1_x + self.ubar_x * self.d2_x
-        self.p2_x = eps * self.d2_x
-        self.q_x = 1.0 + self.p1_x * self.p1_x + self.p2_x * self.p2_x
-        self.W_x = np.sqrt(self.q_x)
+        self.ubar_x = uL + uR
+        np.multiply(0.5, self.ubar_x, out=self.ubar_x)
+        d1 = uR - uL
+        d1 /= h1
+        self.d2_x = _cross_difference(u[:-1, 2:], u[1:, 2:], u[:-1, :-2], u[1:, :-2], h2)
+        self.p1_x, self.p2_x, self.q_x, self.W_x = _gradient(d1, self.ubar_x, self.d2_x, eps)
 
         uB, uT = u[1:-1, :-1], u[1:-1, 1:]
-        self.ubar_y = 0.5 * (uB + uT)
-        self.d2_y = (uT - uB) / h2
-        self.d1_y = (u[2:, :-1] + u[2:, 1:] - u[:-2, :-1] - u[:-2, 1:]) / (4 * h1)
-        self.p1_y = self.d1_y + self.ubar_y * self.d2_y
-        self.p2_y = eps * self.d2_y
-        self.q_y = 1.0 + self.p1_y * self.p1_y + self.p2_y * self.p2_y
-        self.W_y = np.sqrt(self.q_y)
+        self.ubar_y = uB + uT
+        np.multiply(0.5, self.ubar_y, out=self.ubar_y)
+        self.d2_y = uT - uB
+        self.d2_y /= h2
+        d1 = _cross_difference(u[2:, :-1], u[2:, 1:], u[:-2, :-1], u[:-2, 1:], h1)
+        self.p1_y, self.p2_y, self.q_y, self.W_y = _gradient(d1, self.ubar_y, self.d2_y, eps)
 
         self.uI = u[1:-1, 1:-1]
+
+
+def _cross_difference(a, b, c, d, h):
+    """``(a + b - c - d) / (4 h)``, the four-point difference across a half node."""
+    out = a + b
+    out -= c
+    out -= d
+    out /= 4 * h
+    return out
+
+
+def _gradient(d1, ubar, d2, eps):
+    """``(p1, p2, q, W)`` at half nodes: ``p1 = d1 + ubar d2`` and ``p2 = eps d2``;
+    ``d1`` is overwritten."""
+    p1 = ubar * d2
+    np.add(d1, p1, out=p1)
+    p2 = eps * d2
+    q = p1 * p1
+    np.add(1.0, q, out=q)
+    q += np.multiply(p2, p2, out=d1)
+    return p1, p2, q, np.sqrt(q)
 
 
 def residual_div(frame: Frame) -> GridFunction:
@@ -109,15 +132,18 @@ def residual_div(frame: Frame) -> GridFunction:
     zero on the boundary ring: ``restrict(1)`` holds the interior values.
 
     Affine u gives exactly zero: every half node then sees the same gradient,
-    so all fluxes are equal and the staggered differences cancel.
+    so all fluxes are equal and the staggered differences cancel.  The fluxes
+    ``p / W`` overwrite the half-node gradients, which nothing reads after.
     """
     hd = _HalfData(frame)
-    g1x = hd.p1_x / hd.W_x
-    g1y = hd.p1_y / hd.W_y
-    g2y = hd.p2_y / hd.W_y
-    r = _row(hd.h1, hd.h2, hd.eps, hd.uI, g1x[1:, :] - g1x[:-1, :],
-             g1y[:, 1:] - g1y[:, :-1], g2y[:, 1:] - g2y[:, :-1], 1)
-    return GridFunction(frame.u.grid, np.pad(r, 1))
+    g1x, g1y, g2y = hd.p1_x, hd.p1_y, hd.p2_y
+    g1x /= hd.W_x
+    g1y /= hd.W_y
+    g2y /= hd.W_y
+    out = np.zeros((hd.n1, hd.n2))
+    out[1:-1, 1:-1] = _row(hd.h1, hd.h2, hd.eps, hd.uI, g1x[1:, :] - g1x[:-1, :],
+                           g1y[:, 1:] - g1y[:, :-1], g2y[:, 1:] - g2y[:, :-1], 1)
+    return GridFunction(frame.u.grid, out)
 
 
 def _row(h1, h2, eps, uI, x, y1, y2, sign):

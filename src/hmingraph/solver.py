@@ -191,13 +191,19 @@ def _gmres(A, b, precondition, target: float, maxiter: int):
     """Right-preconditioned GMRES; ``(x, iterations)``, x None on a miss.
 
     From ``x0 = M^-1 b`` it minimizes the true residual ``|b - A x|`` over
-    ``x0 + M^-1 K_k`` (Arnoldi with modified Gram-Schmidt on ``A M^-1``)
-    until the least-squares estimate is at most ``target``.  One Givens
+    ``x0 + M^-1 K_k`` (Arnoldi on ``A M^-1``) until the least-squares
+    estimate is at most ``target``.  The orthonormal basis and its
+    preconditioned images live in two blocks made once per try, ``V`` of
+    ``maxiter + 1`` rows and ``Z`` of ``maxiter``; each new vector is
+    orthogonalized against ``V[:j+1]`` by two passes of classical
+    Gram-Schmidt, two matrix-vector products each, which keeps the basis as
+    orthogonal as modified Gram-Schmidt does ("twice is enough": Giraud,
+    Langou & Rozloznik 2005) with no loop over the basis.  One Givens
     rotation per iteration keeps the small least-squares problem upper
     triangular, so the estimate is the last entry of the rotated ``beta e_1``
-    and the coefficients come from one back substitution at the end (Saad &
-    Schultz 1986).  Left preconditioning would minimize ``|M^-1 r|``, which
-    can be tiny while ``|r|`` is not.
+    and the coefficients y come from one back substitution at the end (Saad &
+    Schultz 1986); the answer is ``x0 + y Z[:k]``.  Left preconditioning
+    would minimize ``|M^-1 r|``, which can be tiny while ``|r|`` is not.
 
     After ``k >= 3`` iterations a try that would miss ``target`` even if its
     mean contraction so far, ``(est/beta)^(1/k)``, held until ``maxiter``
@@ -209,17 +215,22 @@ def _gmres(A, b, precondition, target: float, maxiter: int):
     beta = float(np.linalg.norm(r))
     if beta <= target:
         return x0, 0
-    V, Z = [r / beta], []
+    V = np.empty((maxiter + 1, len(b)))
+    Z = np.empty((maxiter, len(b)))
+    np.divide(r, beta, out=V[0])
     R = np.zeros((maxiter, maxiter))  # the Hessenberg matrix, rotated upper triangular
-    g = [beta]  # beta e_1, rotated alike: |g[k]| is the residual after k iterations
+    g = np.zeros(maxiter + 1)  # beta e_1, rotated alike: |g[k]| is the residual after k iterations
+    g[0] = beta
     rotations = []
     for j in range(maxiter):
-        Z.append(precondition(V[j]))
+        Z[j] = precondition(V[j])
         w = A @ Z[j]
-        h = []
-        for v in V:
-            h.append(float(w @ v))
-            w -= h[-1] * v
+        basis = V[:j + 1]
+        h = basis @ w
+        w -= h @ basis
+        correction = basis @ w
+        w -= correction @ basis
+        h = (h + correction).tolist()
         h_next = float(np.linalg.norm(w))
         for i, (c, s) in enumerate(rotations):
             h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
@@ -228,21 +239,17 @@ def _gmres(A, b, precondition, target: float, maxiter: int):
         rotations.append((c, s))
         h[j] = d
         R[:j + 1, j] = h
-        g[j], g_next = c * g[j], -s * g[j]
-        g.append(g_next)
-        est = abs(g_next)
+        g[j], g[j + 1] = c * g[j], -s * g[j]
+        est = abs(g[j + 1])
         k = j + 1
         if est <= target or h_next == 0.0:
             y = np.zeros(k)
             for i in reversed(range(k)):
                 y[i] = (g[i] - R[i, i + 1:k] @ y[i + 1:k]) / R[i, i]
-            x = x0.copy()
-            for yi, z in zip(y, Z):
-                x += yi * z
-            return x, k
+            return x0 + y @ Z[:k], k
         if k >= _KRYLOV_MIN_RATE_ITERS and est * (est / beta) ** ((maxiter - k) / k) > target:
             return None, k
-        V.append(w / h_next)
+        np.divide(w, h_next, out=V[k])
     return None, maxiter
 
 
@@ -251,30 +258,36 @@ def spsolve(A, b: np.ndarray, cache: LUCache, rtol: float):
 
     When ``cache`` holds the LU of an earlier matrix of the same shape,
     GMRES preconditioned by it goes first; its answer is kept when the
-    explicit residual ``|A x - b|`` is at most ``rtol |b|``.  Otherwise A
-    is factored afresh by SuperLU and solved directly (0 iterations), and
-    the new LU replaces the cached one.  The stale LU is dropped before
-    the factorization, so at most one LU is alive at a time.  A matrix that
-    SuperLU finds exactly singular gives a NaN ``x``, a step that is not
-    finite, and leaves no LU cached and no factorization counted.  SuperLU
-    is imported on that branch only, so scipy loads when ``solve`` or
-    ``continuation`` factors its first Jacobian and never at import.
+    explicit residual ``|A x - b|`` is at most ``rtol |b|``.  Otherwise the
+    cached LU, of whatever shape, is dropped before anything is factored, so
+    at most one LU is alive at a time, and A is factored afresh by SuperLU
+    and solved directly (0 iterations); the new LU is cached.  SuperLU
+    factors ``A^T``, which for the CSR Jacobian is a CSC view of the same
+    arrays, and solves with ``trans="T"``: no CSC copy of A is made and
+    every product with A is a CSR product (a CSC matrix is converted once).
+    The ordering ``MMD_AT_PLUS_A`` reads the pattern of ``A + A^T`` either
+    way.  A matrix that SuperLU finds exactly singular gives a NaN ``x``, a
+    step that is not finite, and leaves no LU cached and no factorization
+    counted.  SuperLU is imported on that branch only, so scipy loads when
+    ``solve`` or ``continuation`` factors its first Jacobian and never at
+    import.
     """
-    if cache.lu is not None and cache.lu.shape == A.shape:
+    lu = cache.lu
+    if lu is not None and lu.shape == A.shape:
         target = rtol * np.linalg.norm(b)
-        x, its = _gmres(A, b, cache.lu.solve, target, _KRYLOV_MAXITER)
+        x, its = _gmres(A, b, lambda v: lu.solve(v, trans="T"), target, _KRYLOV_MAXITER)
         if x is not None and np.linalg.norm(A @ x - b) <= target:
             return x, its
-        cache.lu = None
+    cache.lu = lu = None  # the preconditioner's closure holds it too
     from scipy.sparse.linalg import splu
 
     try:
-        lu = splu(A, permc_spec=_PERMC_SPEC)
+        lu = splu(A.T.tocsc(), permc_spec=_PERMC_SPEC)
     except RuntimeError:  # "Factor is exactly singular"
         return np.full(len(b), np.nan), 0
     cache.lu = lu
     cache.factorizations += 1
-    return lu.solve(b), 0
+    return lu.solve(b, trans="T"), 0
 
 
 def _solvable(grid: Grid) -> Grid:
@@ -320,11 +333,14 @@ def solve_eps(
     at most; the quadratic convergence of the later steps wipes that out,
     so the solution agrees with a fresh factorization per step up to
     rounding, while intermediate residuals move at the level of the linear
-    tolerance.  Factorizations use the column ordering ``MMD_AT_PLUS_A``,
-    minimum degree on the pattern of ``J^T + J``: on the structurally
-    symmetric 9-point pattern it leaves about a third less fill than the
-    default COLAMD.  A grid whose spacing squared is below the smallest
-    normal float is a ValueError, as the rounding floor would divide by it.
+    tolerance.  The Jacobian stays in the CSR form it is assembled in:
+    :func:`spsolve` factors its transpose, a CSC view, and every product with
+    it is a CSR product.  Factorizations use the column ordering
+    ``MMD_AT_PLUS_A``, minimum degree on the pattern of ``J^T + J``: on the
+    structurally symmetric 9-point pattern it leaves about a third less fill
+    than the default COLAMD.  A grid whose spacing squared is below the
+    smallest normal float is a ValueError, as the rounding floor would divide
+    by it.
     """
     _solvable(grid)
     if grid != boundary.grid:
@@ -354,7 +370,7 @@ def solve_eps(
 
         fr = Frame(GridFunction(grid, u), eps)
         with np.errstate(all="ignore"):  # entries that overflow make a step that is not finite
-            J = jacobian_assemble(fr).tocsc()
+            J = jacobian_assemble(fr)
         rhs = -r.ravel()
         with np.errstate(all="ignore"):  # a norm that overflows is inf, which _armijo refuses
             delta, krylov_its = spsolve(J, rhs, lu_cache, _KRYLOV_MARGIN * config.linear_tol)

@@ -267,7 +267,7 @@ def picard_solve(grid: Grid, boundary: BoundaryData, eps: float):
     for k in range(200):
         fr = Frame(GridFunction(grid, vals), eps)
         r = residual_div(fr).restrict(1)
-        dz, _ = spsolve(_lagged_matrix(fr).tocsc(), -r.ravel(), LUCache(), 0.0)
+        dz, _ = spsolve(_lagged_matrix(fr), -r.ravel(), LUCache(), 0.0)
         vals = vals.copy()
         vals[1:-1, 1:-1] += dz.reshape(r.shape)
         if float(np.max(np.abs(dz))) <= 1e-10:

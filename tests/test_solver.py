@@ -20,6 +20,7 @@ from hmingraph import (
     SolverConfig,
     affine_graph,
     continuation,
+    jacobian_assemble,
     residual_div,
     solve_eps,
     transfinite_interpolation,
@@ -579,6 +580,58 @@ def test_stale_preconditioner_falls_back_to_a_fresh_factorization():
     assert np.max(np.abs(u.values - ref.values)) <= 1e-14
 
 
+def test_a_continuation_never_converts_its_jacobian_to_csc(monkeypatch):
+    # SuperLU factors J^T, a CSC view of the CSR Jacobian's own arrays, and every
+    # product with J is a CSR product, so no CSC copy of a Jacobian is made
+    def refuse(self, copy=False):
+        raise AssertionError("a CSR matrix was converted to CSC")
+
+    monkeypatch.setattr(sp.csr_matrix, "tocsc", refuse)
+    g = Grid((0.0, 1.0), (1.0, 2.0), 33, 33)
+    run = continuation(g, boundary(g, fan_bump), EpsSchedule(eps_min=0.01))
+    assert sum(r.factorizations for r in run.reports) >= 2
+    assert sum(sum(r.krylov_iterations) for r in run.reports) > 0
+
+
+@pytest.mark.parametrize("fmt", ["csr", "csc"])
+def test_spsolve_agrees_with_a_direct_lu_of_the_matrix(fmt):
+    from scipy.sparse.linalg import splu
+
+    g = Grid((0.0, 1.0), (1.0, 2.0), 33, 33)
+    x1, x2 = g.nodes()
+    u = GridFunction(g, fan_bump(x1, x2) + 0.3 * np.sin(3.0 * x1) * x2)
+    J = jacobian_assemble(Frame(u, 0.1)).asformat(fmt)
+    b = np.random.default_rng(5).standard_normal(J.shape[0])
+    cache = LUCache()
+    x, its = solver.spsolve(J, b, cache, 1e-10)
+    ref = splu(J.tocsc()).solve(b)
+    assert its == 0 and cache.factorizations == 1
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_a_cached_lu_that_is_not_reused_is_dropped_before_factoring(monkeypatch):
+    # an LU of another shape is not reused: it must be gone before SuperLU
+    # factors (one LU alive at a time), and an exactly singular matrix leaves
+    # no LU cached at all
+    import scipy.sparse.linalg as spla
+
+    splu = spla.splu
+    small = lambda: splu(sp.identity(10, format="csc") * 2.0)
+    alive = []
+    monkeypatch.setattr(spla, "splu", lambda A, **kw: alive.append(cache.lu) or splu(A, **kw))
+    cache = LUCache()
+    cache.lu = small()
+    x, its = solver.spsolve(sp.diags(np.arange(1.0, 21.0), format="csr"), np.ones(20), cache, 1e-10)
+    assert alive == [None] and its == 0 and cache.factorizations == 1
+    assert np.allclose(x, 1.0 / np.arange(1.0, 21.0), rtol=1e-15, atol=0.0)
+
+    cache.lu = small()
+    singular = sp.diags(np.r_[np.ones(19), 0.0], format="csr")
+    x, its = solver.spsolve(singular, np.ones(20), cache, 1e-10)
+    assert np.isnan(x).all() and its == 0
+    assert alive == [None, None] and cache.lu is None and cache.factorizations == 1
+
+
 def test_gmres_gives_up_before_the_cap_when_the_cap_cannot_be_reached(monkeypatch):
     # no preconditioner on a 1-D Laplacian: the residual falls far too
     # slowly to reach 1e-10 |b| within 15 iterations
@@ -598,26 +651,40 @@ def test_givens_gmres_matches_a_least_squares_solve_per_iteration():
     # the perturbation, the more iterations, up to an early-stop miss
     from scipy.sparse.linalg import splu
 
-    kinds = set()
-    for seed in range(40):
-        rng = np.random.default_rng(seed)
-        n = 300
-        A = (sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
-             + sp.random(n, n, density=0.02, random_state=seed)).tocsc()
-        noise = sp.random(n, n, density=0.02, random_state=seed + 1000)
-        lu = splu((A + 10.0 ** rng.uniform(-6.0, 0.0) * noise).tocsc())
-        b = rng.standard_normal(n)
+    def outcome(A, b, lu):
         target = 1e-9 * np.linalg.norm(b)
         x, its = solver._gmres(A, b, lu.solve, target, solver._KRYLOV_MAXITER)
         x_ref, its_ref = gmres_lstsq(A, b, lu.solve, target, solver._KRYLOV_MAXITER)
         assert its == its_ref
         assert (x is None) == (x_ref is None)
         if x is None:
-            kinds.add("early miss" if its < solver._KRYLOV_MAXITER else "miss")
-        else:
-            kinds.add("hit")
-            assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+            return "early miss" if its < solver._KRYLOV_MAXITER else "miss"
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+        return "hit"
+
+    n = 300
+    tridiagonal = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
+    kinds = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        A = (tridiagonal + sp.random(n, n, density=0.02, random_state=seed)).tocsc()
+        noise = sp.random(n, n, density=0.02, random_state=seed + 1000)
+        lu = splu((A + 10.0 ** rng.uniform(-6.0, 0.0) * noise).tocsc())
+        kinds.add(outcome(A, rng.standard_normal(n), lu))
     assert kinds == {"hit", "early miss"}
+
+    # ill-conditioned: columns scaled by three levels in [1, 1e3] and an LU of
+    # the unscaled matrix, so A M^-1 has three clusters of eigenvalues and its
+    # Krylov vectors are far from orthogonal; with one pass of classical
+    # Gram-Schmidt instead of two, 8 of these 20 answers miss 1e-12
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        A0 = tridiagonal + sp.random(n, n, density=0.02, random_state=seed)
+        noise = sp.random(n, n, density=0.02, random_state=seed + 1000)
+        levels = 10.0 ** np.sort(rng.uniform(0.0, 3.0, 3))
+        A = (A0 @ sp.diags(rng.choice(levels, n))).tocsr()
+        lu = splu((A0 + 10.0 ** rng.uniform(-8.0, -4.0) * noise).tocsc())
+        assert outcome(A, rng.standard_normal(n), lu) == "hit"
 
 
 @pytest.mark.parametrize("x1", [(0.0, 1e-160), (0.0, 1e-300)], ids=["subnormal", "zero"])

@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 
 from hmingraph import (
     BoundaryData,
+    EpsSchedule,
     Frame,
     Grid,
     GridFunction,
     SolverConfig,
+    continuation,
     jacobian_assemble,
     residual_div,
     solve_eps,
@@ -80,6 +82,35 @@ def test_a_dilated_solve_is_the_dilated_solution_bit_for_bit(fan_bump_solve, k):
                              SolverConfig(newton_tol=1e-10 / lam))
     assert (lam * u.values).tobytes() == ud.values.tobytes()
     assert report_d.iterations == report.iterations == 4
+
+
+def counts(run):
+    """Newton steps, GMRES iterations and factorizations per eps of a run."""
+    return [(r.iterations, r.krylov_iterations, r.factorizations) for r in run.reports]
+
+
+@pytest.fixture(scope="module")
+def fan_bump_continuation():
+    g = bench_grid_n(33)
+    bd = BoundaryData.from_callable(g, fan_bump)
+    return g, bd, continuation(g, bd, EpsSchedule(eps_start=1.0, eps_min=1.0 / 64))
+
+
+@pytest.mark.parametrize("k", [-4, -1, 1, 4])
+def test_a_dilated_continuation_is_the_dilated_run_bit_for_bit(fan_bump_continuation, k):
+    # every Newton step, GMRES try on a stale LU and fresh factorization of the
+    # dilated run sees the original numbers scaled by powers of two
+    g, bd, run = fan_bump_continuation
+    lam = 2.0 ** k
+    gd = dilate_grid(g, lam)
+    dilated = continuation(gd, BoundaryData(gd, lam * bd.values),
+                           EpsSchedule(eps_start=lam, eps_min=lam / 64),
+                           SolverConfig(newton_tol=1e-10 / lam))
+    assert dilated.eps_values == [lam * eps for eps in run.eps_values]
+    for u, ud in zip(run.solutions, dilated.solutions, strict=True):
+        assert (lam * u.values).tobytes() == ud.values.tobytes()
+    assert counts(dilated) == counts(run)
+    assert sum(sum(its) for _, its, _ in counts(run)) > 0  # the stale-LU GMRES path is exercised
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
