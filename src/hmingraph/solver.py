@@ -15,6 +15,7 @@ solution and report.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -36,6 +37,12 @@ _KRYLOV_MIN_RATE_ITERS = 3
 _ROUNDING_FLOOR_C = 4.0
 # continuation starts each eps from the extrapolation through at most this many solutions
 _PREDICTOR_POINTS = 5
+# glibc's malloc_trim, which hands free heap pages back to the system; None elsewhere
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
 
 __all__ = [
     "BoundaryData",
@@ -266,11 +273,17 @@ def spsolve(A, b: np.ndarray, cache: LUCache, rtol: float):
     arrays, and solves with ``trans="T"``: no CSC copy of A is made and
     every product with A is a CSR product (a CSC matrix is converted once).
     The ordering ``MMD_AT_PLUS_A`` reads the pattern of ``A + A^T`` either
-    way.  A matrix that SuperLU finds exactly singular gives a NaN ``x``, a
-    step that is not finite, and leaves no LU cached and no factorization
-    counted.  SuperLU is imported on that branch only, so scipy loads when
-    ``solve`` or ``continuation`` factors its first Jacobian and never at
-    import.
+    way.  Before SuperLU factors, free heap pages go back to the system
+    (glibc's ``malloc_trim``, skipped where the C library has none): SuperLU's
+    work arrays, two of 34 MB and two of 17 MB at 129^2 and mostly untouched,
+    come from the heap once glibc's mmap threshold has risen past them, and
+    the pages an earlier LU touched would stay resident after it is freed,
+    so the peak memory of a run would grow with the order of its
+    allocations rather than with its live data.  A matrix that SuperLU finds
+    exactly singular gives a NaN ``x``, a step that is not finite, and leaves
+    no LU cached and no factorization counted.  SuperLU is imported on that
+    branch only, so scipy loads when ``solve`` or ``continuation`` factors
+    its first Jacobian and never at import.
     """
     lu = cache.lu
     if lu is not None and lu.shape == A.shape:
@@ -279,6 +292,8 @@ def spsolve(A, b: np.ndarray, cache: LUCache, rtol: float):
         if x is not None and np.linalg.norm(A @ x - b) <= target:
             return x, its
     cache.lu = lu = None  # the preconditioner's closure holds it too
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
     from scipy.sparse.linalg import splu
 
     try:

@@ -316,6 +316,40 @@ def test_residual_and_jacobian_have_the_bits_of_the_coefficient_map(data):
     assert_same_bits(J, J_ref)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_half_node_data_have_the_bits_of_their_formulas_written_out(data):
+    # _HalfData makes each array once and updates it in place; every array
+    # must keep the bits of its formula, also where scales up to 1e307 make
+    # the sums, squares and q overflow to inf and NaN
+    n1 = data.draw(st.integers(3, 30), label="n1")
+    n2 = data.draw(st.integers(3, 30), label="n2")
+    eps = 10.0 ** data.draw(st.floats(-3.0, 0.0), label="log10 eps")
+    scale = 10.0 ** data.draw(st.sampled_from([0, 0, 3, 8, 80, 160, 200, 307]), label="log10 scale")
+    g, u = smooth_field(data, n1, n2, "u")
+    u = scale * u
+    h1, h2 = g.h1, g.h2
+    with np.errstate(all="ignore"):
+        hd = _HalfData(Frame(GridFunction(g, u), eps))
+        for axis, uA, uB, cross, hA, hB in (
+                ("x", u[:-1, 1:-1], u[1:, 1:-1],
+                 (u[:-1, 2:], u[1:, 2:], u[:-1, :-2], u[1:, :-2]), h1, h2),
+                ("y", u[1:-1, :-1], u[1:-1, 1:],
+                 (u[2:, :-1], u[2:, 1:], u[:-2, :-1], u[:-2, 1:]), h2, h1)):
+            a, b, c, d = cross
+            along = (uB - uA) / hA
+            across = (a + b - c - d) / (4 * hB)
+            ubar = 0.5 * (uA + uB)
+            d1, d2 = (along, across) if axis == "x" else (across, along)
+            p1 = d1 + ubar * d2
+            p2 = eps * d2
+            q = 1.0 + p1 * p1 + p2 * p2
+            expect = {"ubar": ubar, "d2": d2, "p1": p1, "p2": p2, "q": q, "W": np.sqrt(q)}
+            for name, value in expect.items():
+                got = getattr(hd, f"{name}_{axis}")
+                assert got.tobytes() == value.tobytes(), f"{name}_{axis}"
+
+
 # ------------------------------------------------------ the one row formula
 
 def edge_values(big):

@@ -632,6 +632,27 @@ def test_a_cached_lu_that_is_not_reused_is_dropped_before_factoring(monkeypatch)
     assert alive == [None, None] and cache.lu is None and cache.factorizations == 1
 
 
+def test_free_heap_pages_go_back_before_each_factorization_and_move_no_bit(monkeypatch):
+    # once per factorization, with no LU alive, and a C library without
+    # malloc_trim gives the same solutions bit for bit
+    import scipy.sparse.linalg as spla
+
+    g = Grid((0.0, 1.0), (1.0, 2.0), 33, 33)
+    schedule = EpsSchedule(eps_min=0.01)
+    monkeypatch.setattr(solver, "_MALLOC_TRIM", None)
+    bare = continuation(g, boundary(g, fan_bump), schedule)
+    events = []
+    monkeypatch.setattr(solver, "_MALLOC_TRIM", lambda pad: events.append(("trim", pad)))
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda A, **kw: events.append(("factor",)) or splu(A, **kw))
+    run = continuation(g, boundary(g, fan_bump), schedule)
+    factorizations = sum(r.factorizations for r in run.reports)
+    assert factorizations >= 2
+    assert events == [("trim", 0), ("factor",)] * factorizations
+    for a, b in zip(bare.solutions, run.solutions, strict=True):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
 def test_gmres_gives_up_before_the_cap_when_the_cap_cannot_be_reached(monkeypatch):
     # no preconditioner on a 1-D Laplacian: the residual falls far too
     # slowly to reach 1e-10 |b| within 15 iterations
