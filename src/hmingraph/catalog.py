@@ -42,8 +42,8 @@ class DomainError(ValueError):
 
 
 class ShearRootError(ValueError):
-    """The shear equation has no root, or several, in the bracket, or its
-    bracketed root cannot be polished (a NaN residual, or no convergence)."""
+    """The shear equation has no root, or several, in the bracket, or the Illinois
+    polish of its root meets a NaN residual or takes 100 steps unconverged."""
 
 
 @dataclass(frozen=True)
@@ -78,78 +78,38 @@ def affine_graph(a: float, c: float) -> CatalogEntry:
     )
 
 
-_BRENT_XTOL = 1e-15
-_BRENT_RTOL = 8.9e-16
-_BRENT_MAXITER = 100
-
-
-def _ieee_div(a: float, b: float) -> float:
-    """``a / b`` as C computes it: a zero divisor gives ±inf or NaN, no error."""
-    if b == 0.0:
-        if a == 0.0 or math.isnan(a):
-            return math.nan
-        return math.copysign(math.inf, a) * math.copysign(1.0, b)
-    return a / b
-
-
-def _brent_polish(f: Callable, xa: float, xb: float) -> float:
-    """Root of ``f`` in ``[xa, xb]`` by Brent's method (inverse quadratic
-    interpolation, secant steps and bisection).
-
-    A line-by-line port of the C routine behind ``scipy.optimize.brentq``:
-    the same iterates, the same stopping test ``|xblk - xcur|/2 <
-    (xtol + rtol*|xcur|)/2`` and the same result, bit for bit, at
-    ``xtol=1e-15``, ``rtol=8.9e-16`` and 100 iterations.  A NaN value of
-    ``f``, a bracket without a sign change and a polish that has not
-    converged after 100 iterations raise :class:`ShearRootError`.
+def _polish(phi: Callable, a: float, b: float, fa: float, fb: float) -> float:
+    """Root of ``phi`` in the cell ``a < b`` from its end values ``fa``, ``fb``
+    (not zero, of opposite signs): regula falsi with the Illinois step
+    (Dowell & Jarratt, BIT 11, 1971), which halves the value of an end kept
+    twice in a row.  A secant point outside the open cell gives way to the
+    midpoint, and one within ``tol/2`` of an end moves ``tol/2`` from it, as
+    in Brent's method, so that a flat end cannot stall the polish.  It stops
+    at an exact zero, or once ``b - a <= tol = 1e-15 + 8.9e-16*max(|a|, |b|)``,
+    and returns the end whose evaluated ``|phi|`` is smaller.  A NaN ``phi``,
+    or 100 steps without converging, raise :class:`ShearRootError`.
     """
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ShearRootError(f"the shear residual is NaN at t={x!r}")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ShearRootError(f"no sign change of the shear residual on [{xpre!r}, {xcur!r}]")
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = _ieee_div(-fcur * (xcur - xpre), fcur - fpre)
-            else:  # extrapolate
-                dpre = _ieee_div(fpre - fcur, xpre - xcur)
-                dblk = _ieee_div(fblk - fcur, xblk - xcur)
-                stry = _ieee_div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    ga, gb, kept = fa, fb, None  # the secant's end values; the end the last step kept
+    for _ in range(100):
+        tol = 1e-15 + 8.9e-16 * max(abs(a), abs(b))
+        if b - a <= tol:
+            return a if abs(fa) < abs(fb) else b
+        # the secant point, stepped from the end nearer the root for the smaller rounding
+        t = a - ga * (b - a) / (gb - ga) if abs(ga) < abs(gb) else b - gb * (b - a) / (gb - ga)
+        # the midpoint if it leaves the cell, else at least tol/2 from either end
+        t = a + 0.5 * (b - a) if not a < t < b else min(max(t, a + tol / 2), b - tol / 2)
+        ft = float(phi(t))
+        if math.isnan(ft):
+            raise ShearRootError(f"the shear residual is NaN at t={t!r}")
+        if ft == 0.0:
+            return t
+        if (ft < 0.0) == (fa < 0.0):
+            gb = gb / 2 if kept == "b" else gb
+            a, fa, ga, kept = t, ft, ft, "b"
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise ShearRootError(
-        f"root polishing did not converge in {_BRENT_MAXITER} iterations (last t={xcur!r})")
+            ga = ga / 2 if kept == "a" else ga
+            b, fb, gb, kept = t, ft, ft, "a"
+    raise ShearRootError(f"root polishing did not converge in 100 iterations (last t={t!r})")
 
 
 # the 401 points of the root scan over the bracket [-50, 50], shared read-only
@@ -161,11 +121,11 @@ def shear_graph(g: Callable, x1: float, x2: float) -> float:
     """Solve ``x2 = x1*t - g(t)`` for ``t``; the root is the graph height.
 
     A 401-point scan over the bracket [-50, 50] locates sign changes of the
-    residual; exactly one must exist.  The bracketed root is polished to
-    full precision by Brent's method (the iterates of
-    ``scipy.optimize.brentq``, ported, bit for bit) and checked against the
+    residual; exactly one must exist.  The root is polished in its scan cell
+    by regula falsi with the Illinois step, seeded with the scan's values at
+    the cell's ends, to within 1e-15 + 8.9e-16*|t|, and checked against the
     1e-12 residual postcondition; a NaN residual or a polish that does not
-    converge raises :class:`ShearRootError` too.  ``g`` must act
+    converge in 100 steps raises :class:`ShearRootError` too.  ``g`` must act
     elementwise on a NumPy array (the scan evaluates it on all 401 points in
     one call) as well as on a float, and must not write into its argument:
     the scan points are shared by every call and are read-only.
@@ -188,7 +148,7 @@ def shear_graph(g: Callable, x1: float, x2: float) -> float:
         root = float(ts[exact[0]])
     else:
         k = sign_flips[0]
-        root = _brent_polish(phi, ts[k], ts[k + 1])
+        root = _polish(phi, float(ts[k]), float(ts[k + 1]), float(vals[k]), float(vals[k + 1]))
     if abs(x2 - x1 * root + g(root)) > 1e-12:
         raise ShearRootError(f"root polishing failed at ({x1:g}, {x2:g})")
     return float(root)

@@ -81,7 +81,10 @@ def _os_errors_naming(path):
 
 
 def load_config(path) -> dict:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8: {e.reason} at byte {e.start}") from e
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as e:

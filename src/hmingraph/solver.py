@@ -469,6 +469,11 @@ class EpsSchedule:
             raise ValueError(f"eps_min: exceeds eps_start, {self.eps_min} > {self.eps_start}")
         if self.max_steps < 1:  # else values() would still hold eps_start
             raise ValueError(f"max_steps: must be at least 1, got {self.max_steps}")
+        eps = self.values()  # a subnormal eps times factor can round back to eps
+        stuck = next((a for a, b in zip(eps, eps[1:]) if b >= a), None)
+        if stuck is not None:
+            raise ValueError(f"factor: eps={stuck!r} times {self.factor} rounds back to eps; "
+                             "the schedule must strictly decrease")
 
     def values(self) -> list[float]:
         out = [self.eps_start]

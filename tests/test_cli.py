@@ -309,6 +309,23 @@ class TestExitOneWritesNothing:
     def test_config_root_that_is_not_an_object(self, tmp_path, capsys):
         self.exit_1(tmp_path, capsys, "solve", [], "c.json:1: config root must be an object")
 
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        # it used to end in a UnicodeDecodeError traceback
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"output_dir": "%s", "grid": \xff}' % str(tmp_path / "out").encode())
+        offset = path.read_bytes().index(b"\xff")
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: not UTF-8: invalid start byte at byte {offset}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_schedule_whose_eps_rounds_back_to_itself(self, tmp_path, capsys):
+        # a subnormal eps times factor rounds back to eps: the run used to make 64
+        # identical solves, then end in a ledger traceback and an empty directory
+        cfg = solve_cfg(tmp_path / "out", schedule={"eps_start": 1e-322, "factor": 0.999,
+                                                    "eps_min": 5e-324})
+        self.exit_1(tmp_path, capsys, "continuation", cfg, "error: schedule.factor: eps=1e-322")
+
     @pytest.mark.parametrize("boundary, message", [
         ({"expr": "x1 +"}, "boundary.expr: invalid syntax"),
         ({"expr": "x1 * 'a'"}, "boundary.expr: only numeric literals allowed"),

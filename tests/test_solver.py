@@ -334,6 +334,14 @@ def test_schedule_validation():
         EpsSchedule(max_steps=0)
 
 
+def test_a_schedule_that_does_not_strictly_decrease_is_rejected_by_factor():
+    # a subnormal eps times 0.999 rounds back to eps: values() used to hold 64 copies
+    with pytest.raises(ValueError, match=r"^factor: eps=1e-322 times 0\.999 rounds back"):
+        EpsSchedule(eps_start=1e-322, factor=0.999, eps_min=5e-324)
+    # a factor that still shrinks a subnormal eps is accepted
+    assert EpsSchedule(eps_start=1e-322, factor=0.5, eps_min=5e-324).values()[-1] == 5e-324
+
+
 def test_an_infinite_eps_start_is_rejected_by_name():
     # it used to be accepted, and values() gave max_steps copies of inf
     with pytest.raises(ValueError, match="eps_start: must be finite"):
