@@ -239,6 +239,17 @@ def dist_surrogate_cc(ff: FrozenFrame, p: LiftedPoint) -> float:
 # ---------------------------------------------------------------------------
 
 
+_HALO = np.iinfo(np.int32).max  # level-array sentinel: reads as labelled
+
+
+def _check_extent(mesh: float, box: tuple[float, float, float]) -> None:
+    """Reject a lattice mesh or box half-widths that are not positive and finite."""
+    if not (mesh > 0 and math.isfinite(mesh)):
+        raise ValueError(f"mesh must be positive and finite, got {mesh}")
+    if not (len(box) == 3 and all(b > 0 and math.isfinite(b) for b in box)):
+        raise ValueError(f"box half-widths must be 3 positive finite numbers, got {box}")
+
+
 class OracleLattice:
     """The oracle lattice of a frozen frame, swept breadth first from its
     center as far as the queries need.
@@ -251,16 +262,30 @@ class OracleLattice:
 
     ``levels`` is an int32 array with one entry per node, in flat order
     ``(i N2 + j) N3 + k``: the node's level, or -1 where the sweep has not
-    arrived (yet).  ``values[l]`` is level ``l``'s distance: level ``l - 1``'s
-    plus ``mesh``, rounded as Dijkstra rounds ``dist[u] + w``.  The sweep
-    keeps the one int32 per node and per-level frontier arrays, nothing else
-    node-sized, so the 4 M-node budget is about 16 MB.  See
-    :func:`dist_oracle_many` for the lattice.
+    arrived (yet).  It is a copy of the interior of the level array the
+    sweep writes, which frames the ``(N1, N2, N3)`` nodes with a halo of
+    sentinel nodes that read as labelled: one x3 cell between rows and two
+    x2 rows between i-planes, each shared by the rows or planes on its two
+    sides.  So the fixed X2 and X3 moves of an edge node land on the halo
+    and need no bounds check, and the level array holds
+    ``N1 (N2 + 2)(N3 + 1) + 2 (N3 + 1)`` entries, about 3 % more than the
+    nodes of a lattice with 100 nodes per axis.  The halo does not grow
+    with the X1 shift: the sheared X1 moves keep their x2 bound check.
+    ``frontier`` holds the last level's nodes as flat indices of that
+    array.  ``values[l]`` is level ``l``'s distance: level ``l - 1``'s plus
+    ``mesh``, rounded as Dijkstra rounds ``dist[u] + w``.  The sweep keeps
+    the one int32 per level-array entry and per-level frontier arrays,
+    nothing else node-sized, so the 4 M-node budget is about 16 MB plus the
+    halo's share.  ``ValueError`` names a ``mesh`` or ``box`` half-width that
+    is not positive and finite, and frozen coefficients that are not finite.
+    See :func:`dist_oracle_many` for the lattice.
     """
 
     def __init__(self, ff: FrozenFrame, mesh: float, box: tuple[float, float, float]):
-        if mesh <= 0:
-            raise ValueError("mesh must be positive")
+        _check_extent(mesh, box)
+        if not (all(map(math.isfinite, (*ff.x0, ff.u0, ff.x1u0, ff.x2u0, ff.epsilon)))
+                and ff.epsilon > 0):
+            raise ValueError("frozen frame coefficients must be finite, with epsilon > 0")
         self.ff, self.mesh = ff, mesh
         eps = ff.epsilon
         self.spacings = (mesh, eps * mesh / 2.0, mesh)
@@ -276,23 +301,38 @@ class OracleLattice:
                 "(the vertical spacing scales with eps*mesh); coarsen the mesh or shrink the box")
         N1, N2, N3 = self.shape = tuple(2 * n + 1 for n in self.half)
 
-        # node (i, j, k) ~ (x0_1 + (i - n1) a1, x0_2 + (j - n2) a2, (k - n3) a3).
-        # The d2-coefficient of the frozen X1 field at a node is p1[i, j] + s2[k].
+        # node (i, j, k) ~ (x0_1 + (i - n1) a1, x0_2 + (j - n2) a2, (k - n3) a3)
+        # sits in row r = i P2 + j + 2 of the level array, at r P3 + k.  The
+        # d2-coefficient of the frozen X1 field there is p1[r] + s2[k].
         (n1, n2, n3), (a1, a2, a3) = self.half, self.spacings
-        self.p1 = eval_p1(ff, ff.x0[0] + (np.arange(N1)[:, None] - n1) * a1,
-                          ff.x0[1] + (np.arange(N2) - n2) * a2)
+        P2, P3 = self._rows = N2 + 2, N3 + 1
+        self.p1 = np.pad(eval_p1(ff, ff.x0[0] + (np.arange(N1)[:, None] - n1) * a1,
+                                 ff.x0[1] + (np.arange(N2) - n2) * a2), ((0, 0), (2, 0))).ravel()
+        self._row_j = np.tile(np.arange(-2, N2), N1)  # j of row r
         self.s2 = ((np.arange(N3) - n3) * a3) ** 2
-        center = (n1 * N2 + n2) * N3 + n3
-        self.levels = np.full(N1 * N2 * N3, -1, dtype=np.int32)
-        self.levels[center] = 0
+        self._levels = np.full((N1 * P2 + 2) * P3, _HALO, dtype=np.int32)
+        self._interior = self._levels[2 * P3:].reshape(N1, P2, P3)[:, :N2, :N3]
+        self._interior[...] = -1
+        center = self._index(n1, n2, n3)
+        self._levels[center] = 0
         self.values = [0.0]
         self.frontier = np.array([center])
+
+    @property
+    def levels(self) -> np.ndarray:
+        """The nodes' levels in flat order, copied from the level array."""
+        return self._interior.ravel()
+
+    def _index(self, i: int, j: int, k: int) -> int:
+        """Flat index of node ``(i, j, k)`` in the level array."""
+        P2, P3 = self._rows
+        return (i * P2 + j + 2) * P3 + k
 
     def distance(self, p: LiftedPoint) -> float:
         """Lattice control distance of the node nearest ``p``; raises
         :class:`UnreachableError` when that node lies outside the lattice or
         the sweep ends without reaching it."""
-        (n1, n2, n3), (a1, a2, a3) = self.half, self.spacings
+        a1, a2, a3 = self.spacings
         N1, N2, N3 = self.shape
         f = ((p.x1 - self.ff.x0[0]) / a1, (p.x2 - self.ff.x0[1]) / a2, p.s / a3)
         if not all(map(math.isfinite, f)):
@@ -300,46 +340,63 @@ class OracleLattice:
         qi, qj, qk = (n + int(round(x)) for n, x in zip(self.half, f))
         if not (0 <= qi < N1 and 0 <= qj < N2 and 0 <= qk < N3):
             raise UnreachableError("query point outside the oracle lattice box")
-        node = (qi * N2 + qj) * N3 + qk
-        while self.levels[node] < 0 and self.frontier.size:
+        node = self._index(qi, qj, qk)
+        while self._levels[node] < 0 and self.frontier.size:
             self._step()
-        level = self.levels[node]
+        level = self._levels[node]
         if level < 0:
             raise UnreachableError("query node not reached by the lattice sweep")
         return self.values[level]
 
     def _step(self) -> None:
         """Label the next level; leaves the frontier empty when none is left."""
-        N1, N2, N3 = self.shape
-        levels, frontier, mesh, a2 = self.levels, self.frontier, self.mesh, self.spacings[1]
-        i, jk = np.divmod(frontier, N2 * N3)
-        j, k = np.divmod(jk, N3)
-        # X1 moves: exact in x1, sheared in x2, snapped to the lattice.  X2
-        # moves (two cells in x2) and X3 moves (one cell in s) are fixed
-        # offsets of the flat index.
-        coeff = self.p1[i, j] + self.s2[k]
-        nxt = []
-        for sign in (+1, -1):
-            ti = i + sign
-            tj = j + np.rint(sign * mesh * coeff / a2).astype(np.int64)
-            ok = (ti >= 0) & (ti < N1) & (tj >= 0) & (tj < N2)
-            nxt.append(((ti * N2 + tj) * N3 + k)[ok])
-        nxt = np.concatenate(nxt + [
-            frontier[j + 2 < N2] + 2 * N3,
-            frontier[j >= 2] - 2 * N3,
-            frontier[k + 1 < N3] + 1,
-            frontier[k >= 1] - 1,
-        ])
-        nxt = nxt[levels[nxt] == -1]
+        levels, frontier, N2 = self._levels, self.frontier, self.shape[1]
+        (P2, P3), n = self._rows, self.frontier.size
+        row, k = np.divmod(frontier, P3)
+        # X1 moves: exact in x1, sheared in x2, snapped to the lattice; the
+        # shift of the negative move is the positive one's negated, bit for
+        # bit, since -mesh * c / a2 rounds as mesh * c / a2 and rint is odd
+        shift = self.p1[row]
+        shift += self.s2[k]
+        shift *= self.mesh
+        shift /= self.spacings[1]
+        shift = np.rint(shift, out=shift).astype(np.int64)
+        j = self._row_j[row]
+        del row, k  # each del frees a per-node temporary before the peak
+        cand = np.empty((6, n), dtype=np.int64)
+        # a move off the x2 range (its target row, seen as unsigned, is not
+        # below N2) targets index 0, a halo node; a move off the i range
+        # leaves the array and reads its first or last entry, both halo
+        # nodes, through mode="clip"
+        up = (j + shift).view(np.uint64) < N2
+        j -= shift
+        down = j.view(np.uint64) < N2
+        del j
+        shift += P2
+        shift *= P3
+        np.add(frontier, shift, out=cand[0])
+        cand[0] *= up
+        np.subtract(frontier, shift, out=cand[1])
+        cand[1] *= down
+        del shift, up, down
+        # X2 moves (two cells in x2) and X3 moves (one cell in s) are fixed
+        # offsets; at the lattice's edge they land on the halo
+        np.add(frontier, 2 * P3, out=cand[2])
+        np.subtract(frontier, 2 * P3, out=cand[3])
+        np.add(frontier, 1, out=cand[4])
+        np.subtract(frontier, 1, out=cand[5])
+        cand = cand.ravel()
+        nxt = cand[np.take(levels, cand, mode="clip") == -1]
+        del cand
         if not nxt.size:
             self.frontier = nxt
             return
         # keep one copy of each node: the last position scattered to it wins
-        tags = -2 - np.arange(nxt.size, dtype=np.int32)
+        tags = np.arange(-2, -2 - nxt.size, -1, dtype=np.int32)
         levels[nxt] = tags
         self.frontier = nxt[levels[nxt] == tags]
         levels[self.frontier] = len(self.values)
-        self.values.append(self.values[-1] + mesh)
+        self.values.append(self.values[-1] + self.mesh)
 
 
 def _oracle_meshes(mesh: float, box: tuple[float, float, float]) -> list:
@@ -349,8 +406,10 @@ def _oracle_meshes(mesh: float, box: tuple[float, float, float]) -> list:
     the box, makes the mesh sets nested under halving, which is what turns
     per-mesh estimates into a monotone family.  A mesh above the cap gets
     the chain ``[mesh]`` alone, so two such meshes (or one above and its
-    half below the cap) share no sweep and the nesting is lost.
+    half below the cap) share no sweep and the nesting is lost.  The chain
+    ends because mesh and box are checked positive and finite first.
     """
+    _check_extent(mesh, box)
     cap = min(box) / 3.0
     meshes = [mesh]
     while meshes[-1] * 2.0 <= cap:
@@ -427,7 +486,9 @@ def taylor_remainder_exponent(
     everything is discarded the fit is reported as ``inf``.  Fewer than 8
     surviving samples raise ``ValueError``.  The distance is
     :func:`dist_surrogate_eps` in closed-form frozen coordinates, evaluated
-    for all candidate nodes in one array pass.
+    in one array pass for the candidate nodes: those within ``2 max(radii)``
+    of the base and within ``max(radii)`` of it in x1, a bound every node of
+    the window meets.
     """
     if len(radii) < 2:
         raise ValueError("need at least two radii to bracket a fit window")
@@ -435,7 +496,10 @@ def taylor_remainder_exponent(
     ff = taylor_p1(frame, x0)
     X1g, X2g = frame.grid.nodes()
     d = np.sqrt((X1g - ff.x0[0]) ** 2 + (X2g - ff.x0[1]) ** 2)
-    cand = (d <= 2.0 * hi) & (d > 0)  # boolean indexing keeps row-major order
+    # boolean indexing keeps row-major order; the gauge is at least |e1|
+    # (the 1e-9 margin covers its rounding), so a node farther than hi in x1
+    # cannot fall in the window and is no candidate
+    cand = (d <= 2.0 * hi) & (d > 0) & (np.abs(X1g - ff.x0[0]) <= hi * (1.0 + 1e-9))
     x1, x2 = X1g[cand], X2g[cand]
     dist = _gauge_eps(ff.epsilon, *_frozen_coords(ff, x1, x2, 0.0))
     inside = (lo <= dist) & (dist <= hi)

@@ -1,6 +1,9 @@
 """Frames, lifting, adapted coordinates, and distance gauges."""
 
+import contextlib
+import dataclasses
 import math
+import signal
 import tracemalloc
 
 import numpy as np
@@ -11,13 +14,17 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from hmingraph import (
+    BoundaryData,
+    EpsSchedule,
     Frame,
     Grid,
     GridFunction,
     LiftedPoint,
+    SolverConfig,
     UnreachableError,
     apply_x1,
     apply_x2,
+    continuation,
     dist_oracle_many,
     dist_surrogate_cc,
     dist_surrogate_eps,
@@ -33,7 +40,7 @@ from hmingraph.geometry import (
     _frozen_coords,
 )
 
-from helpers import sample
+from helpers import fan_bump, sample
 from crosscheck import (
     FlowConvergenceError,
     PathExitsGridError,
@@ -353,8 +360,6 @@ def test_a_point_outside_one_coarsening_reads_another():
 
 
 def test_lattice_walker_tracks_the_gauge():
-    from helpers import fan_bump
-
     g = Grid((0.0, 1.0), (1.0, 2.0), 33, 33)
     fr = Frame(GridFunction.from_callable(g, fan_bump), 0.25)
     ff = taylor_p1(fr, (0.5, 1.5))
@@ -535,6 +540,91 @@ def test_targeted_sweep_keeps_one_int32_per_node():
     assert got == [full.distance(p) for p in pts]
 
 
+def _assert_full_sweep_is_dijkstra(ff, mesh, box):
+    ref = _dijkstra_reference(ff, mesh, box)
+    levels, values, _ = _lattice_distances(ff, mesh, box)
+    assert np.array_equal(values[levels].view(np.int64), ref.view(np.int64))
+    return ref
+
+
+def test_sweep_whose_every_sheared_move_leaves_the_lattice():
+    # x2 spacing 0.005, 9 rows; the X1 shift rint(mesh (u0 + s^2) / a2) is
+    # at least 12 rows at every node, so only X2 and X3 moves stay inside
+    ff = FrozenFrame(x0=(0.5, 1.5), u0=3.0, x1u0=0.0, x2u0=0.0, epsilon=0.5)
+    ref = _assert_full_sweep_is_dijkstra(ff, 0.02, (0.1, 0.02, 0.1))
+    assert ref.shape == (11, 9, 11)
+    reached = np.argwhere(np.isfinite(ref))
+    assert set(reached[:, 0]) == {5} and set(reached[:, 1]) == {0, 2, 4, 6, 8}
+
+
+def test_sweep_whose_sheared_moves_land_on_the_first_and_last_x2_row():
+    # the X1 shift is 3 rows at every node (mesh u0 / a2 = 3, s^2 adds under
+    # 0.01 of a row), so the +X1 move from row 17 lands on the last row, 20,
+    # and the -X1 move from row 3 on the first, 0; rows 18 and 2 step off
+    ff = FrozenFrame(x0=(0.5, 1.5), u0=0.75, x1u0=0.0, x2u0=0.0, epsilon=0.5)
+    ref = _assert_full_sweep_is_dijkstra(ff, 0.02, (0.1, 0.05, 0.04))
+    N1, N2, N3 = ref.shape
+    assert (N1, N2, N3) == (11, 21, 5)
+    reached = np.isfinite(ref)
+    assert reached[:-1, N2 - 4].any() and reached[1:, 3].any()
+
+
+def test_level_array_halo_is_bounded():
+    # 101 nodes per axis; the halo is one x3 cell per row and two x2 rows per
+    # i-plane, shared between neighbours, and does not grow with the X1 shift
+    for x1u0 in (0.0, 40.0):
+        ff = FrozenFrame(x0=(0.5, 1.5), u0=0.7, x1u0=x1u0, x2u0=0.0, epsilon=0.04)
+        lattice = OracleLattice(ff, 0.01, (0.5, 0.01, 0.5))
+        nodes = math.prod(lattice.shape)
+        assert lattice.shape == (101, 101, 101)
+        assert lattice._levels.dtype == np.int32
+        assert lattice._levels.size <= 1.06 * nodes
+        assert lattice.levels.shape == (nodes,) and np.count_nonzero(lattice.levels == 0) == 1
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("mesh", [0.0, -0.02, math.inf, math.nan])
+def test_lattice_rejects_a_mesh_that_is_not_positive_and_finite(mesh):
+    with pytest.raises(ValueError, match="mesh"):
+        OracleLattice(FF_UNREACHABLE, mesh, (0.2, 0.2, 0.2))
+    # the coarsening chain doubles the mesh up to min(box) / 3, which a mesh
+    # at or below 0 never reaches; the deadline bounds that loop
+    with pytest.raises(ValueError, match="mesh"), _within(0.5):
+        dist_oracle_many(FF_UNREACHABLE, [LiftedPoint(0.5, 0.5, 0.0)], mesh)
+
+
+@pytest.mark.parametrize("box", [(-0.2, 0.2, 0.2), (0.2, 0.0, 0.2), (0.2, 0.2, math.nan),
+                                 (0.2, math.inf, 0.2), (math.inf,) * 3])
+def test_lattice_rejects_a_box_that_is_not_positive_and_finite(box):
+    with pytest.raises(ValueError, match="box"):
+        OracleLattice(FF_UNREACHABLE, 0.02, box)
+    with pytest.raises(ValueError, match="box"), _within(0.5):
+        dist_oracle_many(FF_UNREACHABLE, [LiftedPoint(0.5, 0.5, 0.0)], 0.02, box)
+
+
+@pytest.mark.parametrize("field, value", [("u0", math.nan), ("x1u0", math.inf),
+                                          ("x2u0", -math.inf), ("x0", (0.5, math.nan)),
+                                          ("epsilon", 0.0)])
+def test_lattice_rejects_frozen_coefficients_that_are_not_finite(field, value):
+    ff = dataclasses.replace(FF_UNREACHABLE, **{field: value})
+    with pytest.raises(ValueError, match="frozen frame coefficients must be finite"):
+        OracleLattice(ff, 0.02, (0.2, 0.2, 0.2))
+
+
 def test_lattice_walker_guards_against_huge_graphs():
     fr = frame_of(lambda a, b: 0.1 * a, eps=1e-3)
     ff = taylor_p1(fr, (0.5, 0.5))
@@ -612,6 +702,50 @@ def test_remainder_array_pass_matches_the_per_node_loop(fr, x0, monkeypatch):
     np.testing.assert_allclose(seen["x"], logs_d, rtol=1e-12, atol=0)
     np.testing.assert_allclose(seen["y"], logs_r, rtol=1e-12, atol=0)
     assert abs(slope - polyfit(logs_d, logs_r, 1)[0]) <= 1e-12
+
+
+def _uncut_fit_inputs(fr, x0, radii):
+    # the array pass over every node within 2 max(radii) of the base, with
+    # no cut in x1: the samples the window keeps, in row-major order
+    lo, hi = min(radii), max(radii)
+    ff = taylor_p1(fr, x0)
+    X1, X2 = fr.grid.nodes()
+    d = np.sqrt((X1 - ff.x0[0]) ** 2 + (X2 - ff.x0[1]) ** 2)
+    cand = (d <= 2.0 * hi) & (d > 0)
+    x1, x2 = X1[cand], X2[cand]
+    dist = geometry._gauge_eps(ff.epsilon, *_frozen_coords(ff, x1, x2, 0.0))
+    rem = np.abs(fr.u.values[cand] - eval_p1(ff, x1, x2))
+    keep = (lo <= dist) & (dist <= hi) & ~(rem < 1e-14)
+    assert np.any(np.abs(x1 - ff.x0[0]) > hi)  # the cut drops candidates here
+    return np.log(dist[keep]), np.log(rem[keep])
+
+
+def _bench129_final():
+    g = Grid((0.0, 1.0), (1.0, 2.0), 129, 129)
+    run = continuation(g, BoundaryData.from_callable(g, fan_bump), EpsSchedule(), SolverConfig())
+    return Frame(run.final, run.final_eps)
+
+
+@pytest.mark.parametrize("make_frame, x0, radii", [
+    (lambda: frame_of(lambda a, b: a * a, eps=0.5), (0.5, 0.5), (0.05, 0.15)),
+    (_pauls_frame, (3.0, 0.7), (0.05, 0.15)),
+    (_bench129_final, (0.5, 1.5), (0.05, 0.2)),
+], ids=["square", "pauls", "fan_bump-129"])
+def test_remainder_candidate_cut_keeps_the_fit_bit_for_bit(make_frame, x0, radii, monkeypatch):
+    fr = make_frame()
+    logs_d, logs_r = _uncut_fit_inputs(fr, x0, radii)
+    seen = {}
+    polyfit = np.polyfit
+
+    def spy(x, y, deg):
+        seen["x"], seen["y"] = np.array(x), np.array(y)
+        return polyfit(x, y, deg)
+
+    monkeypatch.setattr(geometry.np, "polyfit", spy)
+    slope = taylor_remainder_exponent(fr, x0, radii)
+    assert len(logs_d) >= 8
+    assert np.array_equal(seen["x"], logs_d) and np.array_equal(seen["y"], logs_r)
+    assert slope == polyfit(logs_d, logs_r, 1)[0]
 
 
 def test_remainder_fit_needs_enough_samples():
