@@ -260,25 +260,35 @@ class OracleLattice:
     once assigned, so queries in any order read what one uninterrupted
     sweep gives, and the sweep goes no further than its farthest query.
 
-    ``levels`` is an int32 array with one entry per node, in flat order
-    ``(i N2 + j) N3 + k``: the node's level, or -1 where the sweep has not
-    arrived (yet).  It is a copy of the interior of the level array the
-    sweep writes, which frames the ``(N1, N2, N3)`` nodes with a halo of
-    sentinel nodes that read as labelled: one x3 cell between rows and two
-    x2 rows between i-planes, each shared by the rows or planes on its two
-    sides.  So the fixed X2 and X3 moves of an edge node land on the halo
-    and need no bounds check, and the level array holds
-    ``N1 (N2 + 2)(N3 + 1) + 2 (N3 + 1)`` entries, about 3 % more than the
-    nodes of a lattice with 100 nodes per axis.  The halo does not grow
-    with the X1 shift: the sheared X1 moves keep their x2 bound check.
-    ``frontier`` holds the last level's nodes as flat indices of that
-    array.  ``values[l]`` is level ``l``'s distance: level ``l - 1``'s plus
-    ``mesh``, rounded as Dijkstra rounds ``dist[u] + w``.  The sweep keeps
-    the one int32 per level-array entry and per-level frontier arrays,
-    nothing else node-sized, so the 4 M-node budget is about 16 MB plus the
-    halo's share.  ``ValueError`` names a ``mesh`` or ``box`` half-width that
-    is not positive and finite, and frozen coefficients that are not finite.
-    See :func:`dist_oracle_many` for the lattice.
+    The lattice is even in ``s``: the X1 shift reads ``s`` only through
+    ``s^2``, so the reflection ``s -> -s`` fixes the center and maps every
+    move onto a move, and every level is even in ``s``.  The sweep therefore
+    stores and labels the half ``s >= 0`` only, where node ``(i, j, k)``
+    and its mirror ``(i, j, 2 n3 - k)`` share the entry at
+    ``k' = |k - n3|``: it is the breadth-first sweep of the quotient graph,
+    whose levels equal the full sweep's bit for bit, at half the work.
+
+    ``levels`` is an int32 array with one entry per node of the full
+    lattice, in flat order ``(i N2 + j) N3 + k``: the node's level, or -1
+    where the sweep has not arrived (yet).  It mirrors the interior of the
+    level array the sweep writes, which frames the ``(N1, N2, n3 + 1)``
+    nodes ``k' >= 0`` with a halo of sentinel nodes that read as labelled:
+    one x3 cell between rows and two x2 rows between i-planes, each shared
+    by the rows or planes on its two sides.  So the fixed X2 and X3 moves of
+    an edge node land on the halo and need no bounds check; the -X3 move
+    from ``k' = 0`` lands there too, and its mirror image is the +X3 move.
+    The level array holds ``N1 (N2 + 2)(n3 + 2) + 2 (n3 + 2)`` entries,
+    about 0.53 per node of a lattice with 101 nodes per axis.  The halo
+    does not grow with the X1 shift: the sheared X1 moves keep their x2
+    bound check.  ``frontier`` holds the last level's nodes as flat indices
+    of that array.  ``values[l]`` is level ``l``'s distance: level
+    ``l - 1``'s plus ``mesh``, rounded as Dijkstra rounds ``dist[u] + w``.
+    The sweep keeps the one int32 per level-array entry and per-level
+    frontier arrays, nothing else node-sized, so the 4 M-node budget, which
+    counts the full lattice's nodes, is about 8 MB plus the halo's share.
+    ``ValueError`` names a ``mesh`` or ``box`` half-width that is not
+    positive and finite, and frozen coefficients that are not finite.  See
+    :func:`dist_oracle_many` for the lattice.
     """
 
     def __init__(self, ff: FrozenFrame, mesh: float, box: tuple[float, float, float]):
@@ -302,16 +312,17 @@ class OracleLattice:
         N1, N2, N3 = self.shape = tuple(2 * n + 1 for n in self.half)
 
         # node (i, j, k) ~ (x0_1 + (i - n1) a1, x0_2 + (j - n2) a2, (k - n3) a3)
-        # sits in row r = i P2 + j + 2 of the level array, at r P3 + k.  The
-        # d2-coefficient of the frozen X1 field there is p1[r] + s2[k].
+        # and its mirror in s sit in row r = i P2 + j + 2 of the level array,
+        # at r P3 + k' with k' = |k - n3|.  The d2-coefficient of the frozen
+        # X1 field there is p1[r] + s2[k'].
         (n1, n2, n3), (a1, a2, a3) = self.half, self.spacings
-        P2, P3 = self._rows = N2 + 2, N3 + 1
+        P2, P3 = self._rows = N2 + 2, n3 + 2
         self.p1 = np.pad(eval_p1(ff, ff.x0[0] + (np.arange(N1)[:, None] - n1) * a1,
                                  ff.x0[1] + (np.arange(N2) - n2) * a2), ((0, 0), (2, 0))).ravel()
         self._row_j = np.tile(np.arange(-2, N2), N1)  # j of row r
-        self.s2 = ((np.arange(N3) - n3) * a3) ** 2
+        self.s2 = (np.arange(n3 + 1) * a3) ** 2  # (-x)**2 == x**2 bit for bit
         self._levels = np.full((N1 * P2 + 2) * P3, _HALO, dtype=np.int32)
-        self._interior = self._levels[2 * P3:].reshape(N1, P2, P3)[:, :N2, :N3]
+        self._interior = self._levels[2 * P3:].reshape(N1, P2, P3)[:, :N2, :n3 + 1]
         self._interior[...] = -1
         center = self._index(n1, n2, n3)
         self._levels[center] = 0
@@ -320,13 +331,13 @@ class OracleLattice:
 
     @property
     def levels(self) -> np.ndarray:
-        """The nodes' levels in flat order, copied from the level array."""
-        return self._interior.ravel()
+        """The nodes' levels in flat order, mirrored from the level array."""
+        return self._interior[:, :, abs(np.arange(self.shape[2]) - self.half[2])].ravel()
 
     def _index(self, i: int, j: int, k: int) -> int:
-        """Flat index of node ``(i, j, k)`` in the level array."""
+        """Flat index of node ``(i, j, k)``, and of its mirror, in the level array."""
         P2, P3 = self._rows
-        return (i * P2 + j + 2) * P3 + k
+        return (i * P2 + j + 2) * P3 + abs(k - self.half[2])
 
     def distance(self, p: LiftedPoint) -> float:
         """Lattice control distance of the node nearest ``p``; raises
@@ -431,7 +442,9 @@ def dist_oracle_many(
     negative frozen fields, snapped to the nearest lattice node.  Edge weight
     equals the parameter length, so a breadth-first sweep (uniform edge
     weight, so equal to Dijkstra) from the center gives lattice control
-    distances, and a point reads the distance of its nearest node.  Snapping
+    distances, and a point reads the distance of its nearest node.  The
+    lattice, its moves and so its distances are even in ``s``, so each sweep
+    labels the half ``s >= 0`` only (see :class:`OracleLattice`).  Snapping
     makes each reading an estimate, not a bound: a coarse sweep can snap a
     nearby point onto the center and read 0.
 

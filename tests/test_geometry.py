@@ -582,6 +582,64 @@ def test_level_array_halo_is_bounded():
         assert lattice.levels.shape == (nodes,) and np.count_nonzero(lattice.levels == 0) == 1
 
 
+def test_level_array_holds_the_half_s_ge_0():
+    # test_level_array_halo_is_bounded's lattices: each row holds only
+    # k' = 0..50 and one halo cell, so the level array holds about half an
+    # entry per node
+    for x1u0 in (0.0, 40.0):
+        ff = FrozenFrame(x0=(0.5, 1.5), u0=0.7, x1u0=x1u0, x2u0=0.0, epsilon=0.04)
+        lattice = OracleLattice(ff, 0.01, (0.5, 0.01, 0.5))
+        assert lattice._levels.size <= 0.55 * math.prod(lattice.shape)
+
+
+@pytest.mark.parametrize("u0, x1u0, d2u", [(0.0, 0.0, 0.0), (0.7, 0.4, 0.8)])
+def test_full_sweep_peaks_at_four_bytes_per_node(u0, x1u0, d2u):
+    # test_sweep_keeps_one_int32_per_node's lattices: the half lattice's
+    # int32 levels take about 2 bytes per node, the per-level frontiers the rest
+    ff = FrozenFrame(x0=(0.5, 1.5), u0=u0, x1u0=x1u0, x2u0=0.1 * d2u, epsilon=0.1)
+    tracemalloc.start()
+    try:
+        _swept_lattice(ff, 0.01, (0.2, 0.075, 0.2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 41 * 301 * 41
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_full_sweep_is_even_in_s(data):
+    ff, mesh, box = _draw_lattice(data)
+    lattice = _swept_lattice(ff, mesh, box)
+    levels = lattice.levels.reshape(lattice.shape)
+    assert np.array_equal(levels, levels[:, :, ::-1])
+
+    # distance at s and at -s: the same float, or UnreachableError on both
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="query seed"))
+    for node in rng.choice(levels.size, 100):
+        p = _point_at(ff, node, lattice.shape, lattice.spacings)
+        got = []
+        for q in (p, dataclasses.replace(p, s=-p.s)):
+            try:
+                got.append(lattice.distance(q))
+            except UnreachableError:
+                got.append(None)
+        assert got[0] == got[1]
+
+
+def test_sweep_one_s_cell_wide_equals_dijkstra():
+    # N3 = 3: the planes s = +-a3 are reached only through the centre
+    # plane's X3 moves.  There the X1 shift is 3 rows, against 2 at s = 0
+    # (mesh (u0 + s^2) / a2 = 2.3 and 2.73), so the centre plane's odd x2
+    # rows are reached only by a detour through s != 0 and back
+    ff = FrozenFrame(x0=(0.5, 1.5), u0=0.0345, x1u0=0.0, x2u0=0.0, epsilon=0.03)
+    ref = _assert_full_sweep_is_dijkstra(ff, 0.08, (0.4, 0.03, 0.08))
+    assert ref.shape == (11, 51, 3)
+    odd = (np.arange(51) - 25) % 2 == 1
+    assert np.isfinite(ref[:, odd, 1]).any() and np.isfinite(ref[:, :, 0]).any()
+    assert np.array_equal(ref[:, :, 0], ref[:, :, 2])
+
+
 @contextlib.contextmanager
 def _within(seconds):
     """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
